@@ -315,10 +315,6 @@ func (n *nodeState) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (n *nodeState) SearchVector(vec []float32, k int) ([]vecdb.Hit, error) {
-	return n.store.Load().SearchVector(vec, k)
-}
-
 func (n *nodeState) SearchVectorFiltered(vec []float32, k int, f vecdb.Filter) ([]vecdb.Hit, error) {
 	return n.store.Load().SearchVectorFiltered(vec, k, f)
 }

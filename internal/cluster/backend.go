@@ -148,9 +148,6 @@ func (b *LocalBackend) SearchVector(ctx context.Context, vec []float32, k int, f
 	if err := b.gateEpoch(ctx); err != nil {
 		return nil, err
 	}
-	if f.IsZero() {
-		return b.store.SearchVector(vec, k)
-	}
 	return b.store.SearchVectorFiltered(vec, k, f)
 }
 

@@ -33,7 +33,7 @@ func BenchmarkClusterSearch(b *testing.B) {
 		}
 		for id := int64(1); id <= docs; id++ {
 			text := fmt.Sprintf("Synthetic handbook passage number %d covering policy topic %d in detail.", id, id%37)
-			if err := dbs[ShardIndex(id, shardsN)].AddWithID(id, text, nil); err != nil {
+			if err := dbs[ShardIndex(id, shardsN)].AddDocument(vecdb.Document{ID: id, Text: text}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -96,7 +96,7 @@ func TestParseEpochHeader(t *testing.T) {
 func TestNodeEpochHandshake(t *testing.T) {
 	db, b := newNode(t, 16, nil)
 	ctx := context.Background()
-	if err := db.AddWithID(1, corpus[0], nil); err != nil {
+	if err := db.AddDocument(vecdb.Document{ID: 1, Text: corpus[0]}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -228,12 +228,11 @@ func TestRouterAdoptRing(t *testing.T) {
 // target exercises the handshake, not the vector index.
 type epochStubStore struct{}
 
-func (epochStubStore) SearchVector(vec []float32, k int) ([]vecdb.Hit, error) { return nil, nil }
 func (epochStubStore) SearchVectorFiltered(vec []float32, k int, f vecdb.Filter) ([]vecdb.Hit, error) {
 	return nil, nil
 }
-func (epochStubStore) CollectionCounts() map[string]int { return nil }
-func (epochStubStore) ApplyAll(ms []vecdb.Mutation) error                     { return nil }
+func (epochStubStore) CollectionCounts() map[string]int   { return nil }
+func (epochStubStore) ApplyAll(ms []vecdb.Mutation) error { return nil }
 func (epochStubStore) Get(id int64) (vecdb.Document, error) {
 	return vecdb.Document{}, vecdb.ErrNotFound
 }

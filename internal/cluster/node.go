@@ -62,7 +62,8 @@ import (
 // ApplySnapshot are the idempotent catch-up writes, SnapshotDocs is
 // the full-transfer read.
 type NodeStore interface {
-	SearchVector(vec []float32, k int) ([]vecdb.Hit, error)
+	// SearchVectorFiltered with the zero Filter is the unfiltered
+	// search.
 	SearchVectorFiltered(vec []float32, k int, f vecdb.Filter) ([]vecdb.Hit, error)
 	ApplyAll(ms []vecdb.Mutation) error
 	Get(id int64) (vecdb.Document, error)
@@ -318,14 +319,7 @@ func (n *NodeHandler) handleSearch(w http.ResponseWriter, r *http.Request) {
 		nodeError(w, http.StatusBadRequest, errors.New("empty vector or non-positive k"))
 		return
 	}
-	f := vecdb.Filter{Collection: req.Collection, Meta: req.Filter}
-	var hits []vecdb.Hit
-	var err error
-	if f.IsZero() {
-		hits, err = n.store.SearchVector(req.Vec, req.K)
-	} else {
-		hits, err = n.store.SearchVectorFiltered(req.Vec, req.K, f)
-	}
+	hits, err := n.store.SearchVectorFiltered(req.Vec, req.K, vecdb.Filter{Collection: req.Collection, Meta: req.Filter})
 	if err != nil {
 		nodeError(w, http.StatusInternalServerError, err)
 		return

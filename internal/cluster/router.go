@@ -802,12 +802,6 @@ func (r *Router) Get(ctx context.Context, id int64) (vecdb.Document, error) {
 	return vecdb.Document{}, fmt.Errorf("%w: shard %d", ErrShardUnavailable, si)
 }
 
-// Delete removes one document from its owning shard (all healthy
-// backends), reporting vecdb.ErrNotFound for absent IDs.
-func (r *Router) Delete(ctx context.Context, id int64) error {
-	return r.Apply(ctx, r.ShardFor(id), []vecdb.Mutation{{Op: vecdb.OpDelete, ID: id}})
-}
-
 // statShard returns the freshest ShardStat for shard si: a live call
 // to the first healthy backend, falling back to the checker's cached
 // observation.

@@ -87,7 +87,7 @@ func TestRouterMatchesSingleIndex(t *testing.T) {
 
 	flat := newLocalDB(t, dim)
 	for i, text := range corpus {
-		if err := flat.AddWithID(int64(i+1), text, nil); err != nil {
+		if err := flat.AddDocument(vecdb.Document{ID: int64(i + 1), Text: text}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -420,7 +420,7 @@ func TestRouterGetNotFoundAuthoritative(t *testing.T) {
 	if !errors.Is(err, vecdb.ErrNotFound) {
 		t.Fatalf("get absent: %v, want ErrNotFound", err)
 	}
-	if err := r.Delete(context.Background(), 12345); !errors.Is(err, vecdb.ErrNotFound) {
+	if err := r.Apply(context.Background(), r.ShardFor(12345), []vecdb.Mutation{{Op: vecdb.OpDelete, ID: 12345}}); !errors.Is(err, vecdb.ErrNotFound) {
 		t.Fatalf("delete absent: %v, want ErrNotFound", err)
 	}
 	for _, sh := range r.Health() {

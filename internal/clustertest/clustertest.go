@@ -418,11 +418,11 @@ func RequireConverged(t testing.TB, a, b cluster.NodeStore) {
 // convergence.
 func RequireSameTopK(t testing.TB, a, b cluster.NodeStore, vec []float32, k int) {
 	t.Helper()
-	ah, err := a.SearchVector(vec, k)
+	ah, err := a.SearchVectorFiltered(vec, k, vecdb.Filter{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bh, err := b.SearchVector(vec, k)
+	bh, err := b.SearchVectorFiltered(vec, k, vecdb.Filter{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,9 +35,6 @@ type routerStore struct {
 	r *cluster.Router
 }
 
-func (s routerStore) SearchVector(vec []float32, k int) ([]vecdb.Hit, error) {
-	return s.r.SearchVector(context.Background(), vec, k, vecdb.Filter{})
-}
 func (s routerStore) SearchVectorFiltered(vec []float32, k int, f vecdb.Filter) ([]vecdb.Hit, error) {
 	return s.r.SearchVector(context.Background(), vec, k, f)
 }

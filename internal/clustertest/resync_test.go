@@ -158,7 +158,7 @@ func TestEjectionDivergenceResyncConvergence(t *testing.T) {
 
 	// The recovered replica serves reads again: kill the primary and
 	// the router must answer identically from the replica alone.
-	want, err := replica.Store.SearchVector(queryVec(t, primary, "days of leave"), 3)
+	want, err := replica.Store.SearchVectorFiltered(queryVec(t, primary, "days of leave"), 3, vecdb.Filter{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,7 +189,7 @@ func (s *Suite) AblationTopK(ctx context.Context, contrast dataset.Label, ks []i
 		}
 		where := map[key]int{}
 		for _, it := range s.Set.Items {
-			hits, err := retriever.Retrieve(it.Question)
+			hits, err := retriever.Retrieve(ctx, it.Question, vecdb.Filter{})
 			if err != nil {
 				return nil, err
 			}

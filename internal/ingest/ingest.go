@@ -77,10 +77,11 @@ type ctxStore interface {
 
 // docsStore / ctxDocsStore are the optional document write surfaces:
 // batches carry each chunk's collection and metadata instead of bare
-// texts. Both serve stores implement them; a texts-only Store is
-// still accepted but can only be used for meta-less default-collection
-// streams (Run rejects the combination up front rather than dropping
-// fields on the floor).
+// texts. Both serve stores implement ctxDocsStore (it is serve.Store's
+// one write method), so their batches always take it; a texts-only
+// Store is still accepted but can only be used for meta-less
+// default-collection streams (Run rejects the combination up front
+// rather than dropping fields on the floor).
 type docsStore interface {
 	AddBulkDocs(docs []vecdb.Document) ([]int64, error)
 }

@@ -86,23 +86,11 @@ type Answer struct {
 // Draft runs retrieve → generate for one question, returning an
 // unverified Answer (zero Verdict, Trusted false). Serving layers that
 // batch verification across requests call Draft, verify the response
-// through their own scheduler, and fill in the verdict.
-func (p *Pipeline) Draft(question string) (Answer, error) {
-	return p.DraftContext(context.Background(), question)
-}
-
-// DraftContext is Draft under the caller's context: retrieval runs
-// with the request's ID and deadline when the store is
-// context-aware (see ContextSearcher).
-func (p *Pipeline) DraftContext(ctx context.Context, question string) (Answer, error) {
-	return p.DraftFiltered(ctx, question, vecdb.Filter{})
-}
-
-// DraftFiltered is DraftContext with retrieval scoped by a
-// collection/metadata filter (see CollectionSearcher); the zero filter
-// retrieves unscoped.
-func (p *Pipeline) DraftFiltered(ctx context.Context, question string, f vecdb.Filter) (Answer, error) {
-	hits, err := p.retriever.RetrieveFiltered(ctx, question, f)
+// through their own scheduler, and fill in the verdict. Retrieval runs
+// under ctx and is scoped by f (see Retriever.Retrieve); the zero
+// filter retrieves unscoped.
+func (p *Pipeline) Draft(ctx context.Context, question string, f vecdb.Filter) (Answer, error) {
+	hits, err := p.retriever.Retrieve(ctx, question, f)
 	if err != nil {
 		return Answer{}, err
 	}
@@ -135,7 +123,7 @@ func (p *Pipeline) Detector() *core.Detector { return p.detector }
 
 // Ask runs retrieve → generate → verify for one question.
 func (p *Pipeline) Ask(ctx context.Context, question string) (Answer, error) {
-	draft, err := p.DraftContext(ctx, question)
+	draft, err := p.Draft(ctx, question, vecdb.Filter{})
 	if err != nil {
 		return Answer{}, err
 	}

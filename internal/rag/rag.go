@@ -70,20 +70,14 @@ type Store interface {
 
 var _ Store = (*vecdb.DB)(nil)
 
-// ContextSearcher is the optional context-aware search surface. A
+// CollectionSearcher is the optional context-first, scoped search: a
 // Store implementing it (serve.ShardedDB, serve.RemoteStore) receives
-// the caller's context on retrieval, keeping request IDs and
-// deadlines flowing from an HTTP handler down to cluster RPCs.
-type ContextSearcher interface {
-	SearchContext(ctx context.Context, query string, k int) ([]vecdb.Hit, error)
-}
-
-// CollectionSearcher is the optional scoped search surface: stores
-// that can push a collection/metadata predicate into retrieval
-// (serve.ShardedDB, serve.RemoteStore) implement it, so an Ask scoped
-// to one tenant draws context exclusively from that tenant's
-// documents — cross-tenant leakage is structurally impossible rather
-// than probabilistically unlikely.
+// the caller's context on retrieval, keeping request IDs and deadlines
+// flowing from an HTTP handler down to cluster RPCs, and can push a
+// collection/metadata predicate into retrieval, so an Ask scoped to
+// one tenant draws context exclusively from that tenant's documents —
+// cross-tenant leakage is structurally impossible rather than
+// probabilistically unlikely. The zero Filter is the unscoped search.
 type CollectionSearcher interface {
 	SearchFilteredContext(ctx context.Context, query string, k int, f vecdb.Filter) ([]vecdb.Hit, error)
 }
@@ -106,42 +100,23 @@ func NewRetriever(db Store, topK int) (*Retriever, error) {
 	return &Retriever{db: db, topK: topK}, nil
 }
 
-// Retrieve returns the top passages for the question, best first.
-func (r *Retriever) Retrieve(question string) ([]vecdb.Hit, error) {
-	hits, err := r.db.Search(question, r.topK)
-	if err != nil {
-		return nil, fmt.Errorf("rag: retrieve: %w", err)
-	}
-	return hits, nil
-}
-
-// RetrieveContext is Retrieve under the caller's context when the
-// store supports it, falling back to the context-free path.
-func (r *Retriever) RetrieveContext(ctx context.Context, question string) ([]vecdb.Hit, error) {
-	cs, ok := r.db.(ContextSearcher)
-	if !ok {
-		return r.Retrieve(question)
-	}
-	hits, err := cs.SearchContext(ctx, question, r.topK)
-	if err != nil {
-		return nil, fmt.Errorf("rag: retrieve: %w", err)
-	}
-	return hits, nil
-}
-
-// RetrieveFiltered is RetrieveContext with a collection/metadata
-// predicate pushed into the store. A zero filter falls back to the
-// unscoped path; a non-zero filter on a store without the scoped
-// surface is an error, never a silent widening of scope.
-func (r *Retriever) RetrieveFiltered(ctx context.Context, question string, f vecdb.Filter) ([]vecdb.Hit, error) {
-	if f.IsZero() {
-		return r.RetrieveContext(ctx, question)
-	}
-	cs, ok := r.db.(CollectionSearcher)
-	if !ok {
+// Retrieve returns the top passages for the question, best first,
+// under the caller's context and filter when the store is a
+// CollectionSearcher. A plain Store serves the zero filter through its
+// context-free Search; a non-zero filter on one is an error, never a
+// silent widening of scope.
+func (r *Retriever) Retrieve(ctx context.Context, question string, f vecdb.Filter) ([]vecdb.Hit, error) {
+	var (
+		hits []vecdb.Hit
+		err  error
+	)
+	if cs, ok := r.db.(CollectionSearcher); ok {
+		hits, err = cs.SearchFilteredContext(ctx, question, r.topK, f)
+	} else if f.IsZero() {
+		hits, err = r.db.Search(question, r.topK)
+	} else {
 		return nil, errors.New("rag: store cannot scope retrieval to a collection")
 	}
-	hits, err := cs.SearchFilteredContext(ctx, question, r.topK, f)
 	if err != nil {
 		return nil, fmt.Errorf("rag: retrieve: %w", err)
 	}

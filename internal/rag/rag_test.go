@@ -102,7 +102,7 @@ func TestRetrieverFindsRelevantContext(t *testing.T) {
 	// own context (retrieval@3 over 32 passages).
 	hitCount := 0
 	for _, it := range set.Items {
-		hits, err := r.Retrieve(it.Question)
+		hits, err := r.Retrieve(context.Background(), it.Question, vecdb.Filter{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,6 +115,12 @@ func TestRetrieverFindsRelevantContext(t *testing.T) {
 	}
 	if ratio := float64(hitCount) / float64(len(set.Items)); ratio < 0.6 {
 		t.Errorf("retrieval@3 = %.2f, want ≥0.6", ratio)
+	}
+	// A bare *vecdb.DB is no CollectionSearcher: the zero filter above
+	// went through Search, and a scoped retrieval must refuse rather
+	// than silently search everything.
+	if _, err := r.Retrieve(context.Background(), set.Items[0].Question, vecdb.Filter{Collection: "acme"}); err == nil {
+		t.Error("scoped retrieval on a plain Store did not error")
 	}
 }
 

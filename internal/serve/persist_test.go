@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -69,7 +70,7 @@ func TestRecoverFromWALOnly(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	if err := s.Delete(ids[3]); err != nil {
+	if err := s.DeleteContext(context.Background(), "", ids[3]); err != nil {
 		t.Fatal(err)
 	}
 	want := searchAll(t, s)
@@ -129,7 +130,7 @@ func TestRecoverCheckpointPlusWAL(t *testing.T) {
 		}
 		tail = append(tail, id)
 	}
-	if err := s.Delete(tail[0]); err != nil {
+	if err := s.DeleteContext(context.Background(), "", tail[0]); err != nil {
 		t.Fatal(err)
 	}
 	want := searchAll(t, s)
@@ -257,7 +258,7 @@ func TestDedupeReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.AddWithID(1, "present in checkpoint", nil); err != nil {
+	if err := db.AddDocument(vecdb.Document{ID: 1, Text: "present in checkpoint"}); err != nil {
 		t.Fatal(err)
 	}
 	ms := []vecdb.Mutation{
@@ -396,7 +397,7 @@ func TestTypedStoreErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete(12345); !errors.Is(err, ErrNotFound) {
+	if err := s.DeleteContext(context.Background(), "", 12345); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Delete(absent) = %v, want ErrNotFound", err)
 	}
 	if _, err := s.Get(12345); !errors.Is(err, ErrNotFound) {
@@ -451,7 +452,7 @@ func TestConcurrentWritesWithCheckpoints(t *testing.T) {
 	n := 0
 	for id := range idCh {
 		if n%3 == 0 {
-			if err := s.Delete(id); err != nil {
+			if err := s.DeleteContext(context.Background(), "", id); err != nil {
 				t.Fatal(err)
 			}
 		}

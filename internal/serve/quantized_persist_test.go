@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -49,7 +50,7 @@ func TestQuantizedRecoveryBitIdentical(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	if err := s.Delete(ids[1]); err != nil {
+	if err := s.DeleteContext(context.Background(), "", ids[1]); err != nil {
 		t.Fatal(err)
 	}
 	want := searchAll(t, s)

@@ -27,8 +27,8 @@ type RemoteStore struct {
 	router *cluster.Router
 	embed  vecdb.Embedder
 	nextID atomic.Int64
-	// opTimeout bounds one store operation issued without a caller
-	// context (the rag.Store surface carries none). statTimeout is the
+	// opTimeout bounds one store operation (rag.Store's Add and Search
+	// carry no caller context at all). statTimeout is the
 	// much shorter budget for observational fan-outs (Len/ShardSizes):
 	// they back a liveness endpoint and fall back to the health
 	// checker's cached counts, so a slow node must not stall a scrape.
@@ -70,10 +70,7 @@ func (s *RemoteStore) Router() *cluster.Router { return s.router }
 
 // opCtx bounds one store operation. parent keeps the caller's
 // cancellation, deadline and request ID flowing into the cluster RPCs
-// (context.WithTimeout keeps whichever deadline is earlier). Callers
-// on the context-free rag.Store surface pass context.Background()
-// explicitly — never nil, so middleware that derives from the parent
-// (tracing spans, deadline propagation) cannot panic on a nil ctx.
+// (context.WithTimeout keeps whichever deadline is earlier).
 func (s *RemoteStore) opCtx(parent context.Context) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(parent, s.opTimeout)
 }
@@ -90,80 +87,26 @@ func (s *RemoteStore) SetTelemetry(reg *telemetry.Registry) {
 		"Hot-path stage latency in seconds.", nil, telemetry.L("stage", "embed")))
 }
 
-// Add embeds-on-arrival is the node's job: the mutation carries text,
-// and the owning node embeds with the same deterministic embedder the
-// router uses for queries.
+// Add stores one passage, implementing rag.Store.
 func (s *RemoteStore) Add(text string, meta map[string]string) (int64, error) {
-	id := s.nextID.Add(1)
-	ctx, cancel := s.opCtx(context.Background())
-	defer cancel()
-	m := vecdb.Mutation{Op: vecdb.OpAdd, ID: id, Text: text, Meta: meta}
-	if err := s.router.Apply(ctx, s.router.ShardFor(id), []vecdb.Mutation{m}); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return addOne(s, text, meta)
 }
 
-// AddBulk assigns IDs in input order — the same allocation a
+// AddBulkDocsContext assigns IDs in input order — the same allocation a
 // ShardedDB performs — groups the adds by owning shard, and applies
-// each group in one shard RPC, all shards in flight at once.
-func (s *RemoteStore) AddBulk(texts []string) ([]int64, error) {
-	return s.AddBulkContext(context.Background(), texts)
-}
-
-// AddBulkContext is AddBulk under the caller's context, so streamed
-// ingest batches carry their request ID (and any deadline) onto the
-// shard-node writes.
-func (s *RemoteStore) AddBulkContext(parent context.Context, texts []string) ([]int64, error) {
-	if len(texts) == 0 {
-		return nil, nil
-	}
-	n := s.router.Shards()
-	ids := make([]int64, len(texts))
-	groups := make([][]vecdb.Mutation, n)
-	for i, text := range texts {
-		id := s.nextID.Add(1)
-		ids[i] = id
-		si := cluster.ShardIndex(id, n)
-		groups[si] = append(groups[si], vecdb.Mutation{Op: vecdb.OpAdd, ID: id, Text: text})
-	}
-	ctx, cancel := s.opCtx(parent)
-	defer cancel()
-	errs := make([]error, n)
-	parallel.ForWorkers(n, n, func(si int) {
-		if len(groups[si]) == 0 {
-			return
-		}
-		errs[si] = s.router.Apply(ctx, si, groups[si])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return ids, nil
-}
-
-// AddBulkDocs stores a batch of documents with collection and
-// metadata, same ID allocation and shard grouping as AddBulk.
-func (s *RemoteStore) AddBulkDocs(docs []vecdb.Document) ([]int64, error) {
-	return s.AddBulkDocsContext(context.Background(), docs)
-}
-
-// AddBulkDocsContext is AddBulkDocs under the caller's context.
+// each group in one shard RPC, all shards in flight at once. Embedding
+// on arrival is the node's job: the mutation carries text, and the
+// owning node embeds with the same deterministic embedder the router
+// uses for queries.
 func (s *RemoteStore) AddBulkDocsContext(parent context.Context, docs []vecdb.Document) ([]int64, error) {
+	if err := parent.Err(); err != nil {
+		return nil, err
+	}
 	if len(docs) == 0 {
 		return nil, nil
 	}
 	n := s.router.Shards()
-	ids := make([]int64, len(docs))
-	groups := make([][]vecdb.Mutation, n)
-	for i, d := range docs {
-		id := s.nextID.Add(1)
-		ids[i] = id
-		si := cluster.ShardIndex(id, n)
-		groups[si] = append(groups[si], vecdb.Mutation{Op: vecdb.OpAdd, ID: id, Collection: d.Collection, Text: d.Text, Meta: d.Meta})
-	}
+	ids, groups := groupAdds(&s.nextID, n, docs)
 	ctx, cancel := s.opCtx(parent)
 	defer cancel()
 	errs := make([]error, n)
@@ -181,93 +124,72 @@ func (s *RemoteStore) AddBulkDocsContext(parent context.Context, docs []vecdb.Do
 	return ids, nil
 }
 
-// Search embeds the query once (through the router-side cache) and
-// fans the vector out.
-func (s *RemoteStore) Search(query string, k int) ([]vecdb.Hit, error) {
-	return s.SearchContext(context.Background(), query, k)
+// AddBulkContext and AddBulk are AddBulkDocsContext for bare passages,
+// kept outside Store for ingest.Store and bench/.
+func (s *RemoteStore) AddBulkContext(ctx context.Context, texts []string) ([]int64, error) {
+	return s.AddBulkDocsContext(ctx, textDocs(texts))
 }
 
-// SearchContext is Search under the caller's context: the request ID
-// and trace ride the shard RPCs (X-Request-ID / traceparent) and the
+func (s *RemoteStore) AddBulk(texts []string) ([]int64, error) {
+	return s.AddBulkDocsContext(context.Background(), textDocs(texts))
+}
+
+// Search is the unfiltered SearchFilteredContext, implementing
+// rag.Store.
+func (s *RemoteStore) Search(query string, k int) ([]vecdb.Hit, error) {
+	return s.SearchFilteredContext(context.Background(), query, k, vecdb.Filter{})
+}
+
+// SearchContext is the unfiltered SearchFilteredContext, kept outside
+// Store for bench/.
+func (s *RemoteStore) SearchContext(ctx context.Context, query string, k int) ([]vecdb.Hit, error) {
+	return s.SearchFilteredContext(ctx, query, k, vecdb.Filter{})
+}
+
+// SearchFilteredContext embeds the query once (namespaced to the
+// filter's collection in the router-side cache) and fans the vector out
+// with the filter pushed down to every shard node, degrading around
+// dead shards (see cluster.Router.SearchVector). The request ID and
+// trace ride the shard RPCs (X-Request-ID / traceparent) and the
 // caller's deadline, if sooner than opTimeout, bounds them
 // (X-Deadline-Ms).
-func (s *RemoteStore) SearchContext(parent context.Context, query string, k int) ([]vecdb.Hit, error) {
-	return s.SearchFilteredContext(parent, query, k, vecdb.Filter{})
-}
-
-// SearchFilteredContext embeds the query (namespaced to the filter's
-// collection in the router-side cache) and fans it out with the filter
-// pushed down to every shard node.
 func (s *RemoteStore) SearchFilteredContext(parent context.Context, query string, k int, f vecdb.Filter) ([]vecdb.Hit, error) {
+	if err := parent.Err(); err != nil {
+		return nil, err
+	}
 	_, sp := telemetry.StartSpan(parent, "embed")
-	h := s.embedH.Load()
 	start := time.Now()
-	vec, err := s.embedIn(f.Collection, query)
+	vec, err := embedIn(s.embed, f.Collection, query)
 	sp.End(err)
 	if err != nil {
 		return nil, fmt.Errorf("serve: embed query: %w", err)
 	}
-	h.ObserveSinceCtx(parent, start)
+	s.embedH.Load().ObserveSinceCtx(parent, start)
 	ctx, cancel := s.opCtx(parent)
 	defer cancel()
 	return s.router.SearchVector(ctx, vec, k, f)
 }
 
-// embedIn mirrors ShardedDB.embedIn: collection-namespaced cache key,
-// same raw-text embedding.
-func (s *RemoteStore) embedIn(collection, query string) ([]float32, error) {
-	if ce, ok := s.embed.(interface {
-		EmbedIn(collection, text string) ([]float32, error)
-	}); ok {
-		return ce.EmbedIn(collection, query)
-	}
-	return s.embed.Embed(query)
-}
-
-// SearchVector fans the query out to every shard node and merges,
-// degrading around dead shards (see cluster.Router.SearchVector).
-func (s *RemoteStore) SearchVector(vec []float32, k int) ([]vecdb.Hit, error) {
-	return s.SearchVectorFiltered(vec, k, vecdb.Filter{})
-}
-
-// SearchVectorFiltered is SearchVector with the filter pushed down to
-// the shard nodes before each per-shard top-k is taken.
-func (s *RemoteStore) SearchVectorFiltered(vec []float32, k int, f vecdb.Filter) ([]vecdb.Hit, error) {
-	ctx, cancel := s.opCtx(context.Background())
-	defer cancel()
-	return s.router.SearchVector(ctx, vec, k, f)
-}
-
-// Get fetches one document from its owning shard, failing over across
-// that shard's backends.
-func (s *RemoteStore) Get(id int64) (vecdb.Document, error) {
-	return s.GetContext(context.Background(), id)
-}
-
-// GetContext is Get under the caller's context.
+// GetContext fetches one document from its owning shard, failing over
+// across that shard's backends.
 func (s *RemoteStore) GetContext(parent context.Context, id int64) (vecdb.Document, error) {
+	if err := parent.Err(); err != nil {
+		return vecdb.Document{}, err
+	}
 	ctx, cancel := s.opCtx(parent)
 	defer cancel()
 	return s.router.Get(ctx, id)
 }
 
-// Delete removes one document from its owning shard.
-func (s *RemoteStore) Delete(id int64) error {
-	return s.DeleteContext(context.Background(), id)
-}
-
-// DeleteContext is Delete under the caller's context.
-func (s *RemoteStore) DeleteContext(parent context.Context, id int64) error {
+// DeleteContext removes one document from its owning shard. A
+// non-empty collection makes it a checked delete: the shard node
+// reports ErrNotFound for a document that exists in a different
+// collection.
+func (s *RemoteStore) DeleteContext(parent context.Context, collection string, id int64) error {
+	if err := parent.Err(); err != nil {
+		return err
+	}
 	ctx, cancel := s.opCtx(parent)
-	defer cancel()
-	return s.router.Delete(ctx, id)
-}
-
-// DeleteIn is Delete scoped to a collection: the checked-delete
-// mutation makes a shard node report ErrNotFound for a document that
-// exists in a different collection.
-func (s *RemoteStore) DeleteIn(collection string, id int64) error {
-	ctx, cancel := s.opCtx(context.Background())
 	defer cancel()
 	m := vecdb.Mutation{Op: vecdb.OpDelete, ID: id, Collection: collection}
 	return s.router.Apply(ctx, s.router.ShardFor(id), []vecdb.Mutation{m})
@@ -320,8 +242,3 @@ func (s *RemoteStore) PersistStats() PersistStats { return PersistStats{} }
 // Available feeds the admission gate: ErrUnavailable when no shard
 // has a healthy backend.
 func (s *RemoteStore) Available() error { return s.router.Available() }
-
-var (
-	_ Store                = (*RemoteStore)(nil)
-	_ availabilityReporter = (*RemoteStore)(nil)
-)

@@ -3,11 +3,16 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/telemetry"
+	"repro/internal/vecdb"
 )
 
 // newClusterFixture boots n shard nodes (each a one-shard ShardedDB
@@ -233,4 +238,129 @@ func TestClusterShedsWhenAllNodesDown(t *testing.T) {
 	if f.remote.Stats().Cluster.ShedUnavailable == 0 {
 		t.Error("admission shed not counted")
 	}
+}
+
+// applyCapture is a cluster.Backend that records, per Apply, what the
+// write carried down from the caller: request ID, deadline, batch size.
+type applyCapture struct {
+	cluster.Backend
+	mu    sync.Mutex
+	calls []appliedWrite
+}
+
+type appliedWrite struct {
+	requestID string
+	deadline  time.Time
+}
+
+func (b *applyCapture) Apply(ctx context.Context, ms []vecdb.Mutation) error {
+	d, _ := ctx.Deadline()
+	b.mu.Lock()
+	b.calls = append(b.calls, appliedWrite{telemetry.RequestIDFrom(ctx), d})
+	b.mu.Unlock()
+	return b.Backend.Apply(ctx, ms)
+}
+
+func (b *applyCapture) drain() []appliedWrite {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	calls := b.calls
+	b.calls = nil
+	return calls
+}
+
+// TestClusterWritesCarryRequestContext: every Server write reaches the
+// shards under the caller's context. A single-document Ingest and a
+// collection-scoped delete used to run under context.Background() in
+// cluster mode (request ID, deadline and trace dropped), and Ingest
+// cost one Apply per chunk instead of one per owning shard.
+func TestClusterWritesCarryRequestContext(t *testing.T) {
+	const n, dim = 2, 32
+	captures := make([]*applyCapture, n)
+	shards := make([]cluster.ShardBackends, n)
+	for i := range shards {
+		st, err := NewShardedDefault(1, dim, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb, err := cluster.NewLocalBackend(fmt.Sprintf("local-%d", i), st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		captures[i] = &applyCapture{Backend: lb}
+		shards[i] = cluster.ShardBackends{Primary: captures[i]}
+	}
+	router, err := cluster.NewRouter(shards, cluster.HealthConfig{Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewRemoteStore(router, dim, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Store: store, Dim: dim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	// check asserts the writes since the last check arrived as one Apply
+	// per owning shard of ids, each under the caller's request ID and no
+	// later than the caller's deadline.
+	check := func(op, requestID string, deadline time.Time, ids ...int64) {
+		t.Helper()
+		owners := map[int]int{}
+		for _, id := range ids {
+			owners[router.ShardFor(id)]++
+		}
+		for si, c := range captures {
+			calls := c.drain()
+			if owners[si] == 0 {
+				if len(calls) != 0 {
+					t.Errorf("%s: shard %d owns nothing but saw %d applies", op, si, len(calls))
+				}
+				continue
+			}
+			if len(calls) != 1 {
+				t.Errorf("%s: shard %d saw %d applies for its %d mutations, want 1 grouped apply", op, si, len(calls), owners[si])
+			}
+			for _, got := range calls {
+				if got.requestID != requestID {
+					t.Errorf("%s: shard %d saw request ID %q, want %q", op, si, got.requestID, requestID)
+				}
+				if got.deadline.IsZero() || got.deadline.After(deadline) {
+					t.Errorf("%s: shard %d saw deadline %v, want one no later than the caller's %v", op, si, got.deadline, deadline)
+				}
+			}
+		}
+	}
+	request := func(id string) (context.Context, time.Time) {
+		ctx, cancel := context.WithTimeout(telemetry.WithRequestID(context.Background(), id), 2*time.Second)
+		t.Cleanup(cancel)
+		d, _ := ctx.Deadline()
+		return ctx, d
+	}
+
+	// Nine sentences chunk (3 per chunk, 1 overlap) into four passages,
+	// IDs 1..4, which the ring spreads over both shards.
+	doc := strings.Join(clusterCorpus, " ") + " Badges must be worn. Lunch is at noon. Parking is free."
+	ctx, deadline := request("req-ingest")
+	chunks, err := srv.Ingest(ctx, doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chunks < 3 {
+		t.Fatalf("document chunked into %d passages; the test needs several", chunks)
+	}
+	ids := make([]int64, chunks)
+	for i := range ids {
+		ids[i] = int64(i + 1)
+	}
+	check("ingest", "req-ingest", deadline, ids...)
+
+	ctx, deadline = request("req-delete")
+	if err := srv.DeleteDocumentIn(ctx, vecdb.DefaultCollection, 1); err != nil {
+		t.Fatal(err)
+	}
+	check("scoped delete", "req-delete", deadline, 1)
 }

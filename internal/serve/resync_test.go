@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -168,7 +169,7 @@ func TestSeqAndChecksumSurviveRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	applyDocs(t, s, 5, 3) // journaled on top
-	if err := s.Delete(2); err != nil {
+	if err := s.DeleteContext(context.Background(), "", 2); err != nil {
 		t.Fatal(err)
 	}
 	seq, check := s.Seq(), s.Checksum()

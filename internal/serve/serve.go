@@ -231,9 +231,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ts, ok := store.(interface{ SetTelemetry(*telemetry.Registry) }); ok {
-		ts.SetTelemetry(cfg.Telemetry)
-	}
+	store.SetTelemetry(cfg.Telemetry)
 	pipeline, err := rag.NewPipeline(rag.PipelineConfig{
 		DB:        store,
 		TopK:      cfg.TopK,
@@ -402,11 +400,9 @@ func (s *Server) Calibrate(ctx context.Context, triples []core.Triple) error {
 // so a tenant over its own budget is throttled (429) without
 // consuming a shared slot or pressuring anyone else's queue.
 func (s *Server) admit(ctx context.Context) (context.Context, func(), error) {
-	if av, ok := s.store.(availabilityReporter); ok {
-		if err := av.Available(); err != nil {
-			s.unavailableShed.Inc()
-			return nil, nil, err
-		}
+	if err := s.store.Available(); err != nil {
+		s.unavailableShed.Inc()
+		return nil, nil, err
 	}
 	tenantRelease, err := s.tenants.Acquire(ctx)
 	if err != nil {
@@ -446,7 +442,7 @@ func (s *Server) AskIn(ctx context.Context, collection, question string) (rag.An
 	// deadline reach the store (and, in cluster mode, the shard RPC
 	// headers); generation is fast local compute, and the deadline is
 	// re-checked at the stage boundary and throughout verification.
-	draft, err := s.pipeline.DraftFiltered(rctx, question, vecdb.Filter{Collection: collection})
+	draft, err := s.pipeline.Draft(rctx, question, vecdb.Filter{Collection: collection})
 	if err != nil {
 		return rag.Answer{}, err
 	}
@@ -474,65 +470,28 @@ func (s *Server) Verify(ctx context.Context, question, contextText, response str
 	return s.verdict(rctx, core.Triple{Question: question, Context: contextText, Response: response})
 }
 
-// Ingest chunks and indexes one document across the shards. Chunk
-// embedding is not cancellable mid-document; the deadline is checked
-// on admission.
+// Ingest chunks and indexes one document: IngestDocs of a single
+// text-only document.
 func (s *Server) Ingest(ctx context.Context, text string) (int, error) {
-	rctx, done, err := s.admit(ctx)
-	if err != nil {
-		return 0, err
-	}
-	defer done()
-	if err := rctx.Err(); err != nil {
-		return 0, err
-	}
-	s.ingests.Inc()
-	return s.pipeline.Ingest(text, s.cfg.Chunker)
+	return s.IngestDocs(ctx, []vecdb.Document{{Text: text}})
 }
 
-// IngestBulk chunks and indexes a batch of documents: chunking runs
-// concurrently across documents, then all chunks are written through
-// ShardedDB.AddBulk, which embeds on all cores and groups index writes
-// (and WAL appends, on a durable store) per shard. It returns the
-// total chunk count. The batch costs one admission slot — bulk ingest
-// competes with queries as one request, not len(texts) of them.
+// IngestBulk is IngestDocs of text-only documents.
 func (s *Server) IngestBulk(ctx context.Context, texts []string) (int, error) {
-	if len(texts) == 0 {
-		return 0, errors.New("serve: empty bulk ingest")
-	}
-	rctx, done, err := s.admit(ctx)
-	if err != nil {
-		return 0, err
-	}
-	defer done()
-	if err := rctx.Err(); err != nil {
-		return 0, err
-	}
-	s.ingests.Add(uint64(len(texts)))
-
-	chunked := make([][]string, len(texts))
-	errs := make([]error, len(texts))
-	parallel.For(len(texts), func(i int) {
-		chunked[i], errs[i] = s.cfg.Chunker.Chunk(texts[i])
-	})
-	if err := errors.Join(errs...); err != nil {
-		return 0, err
-	}
-	var chunks []string
-	for _, cs := range chunked {
-		chunks = append(chunks, cs...)
-	}
-	if _, err := storeAddBulk(rctx, s.store, chunks); err != nil {
-		return 0, err
-	}
-	return len(chunks), nil
+	return s.IngestDocs(ctx, textDocs(texts))
 }
 
-// IngestDocs is IngestBulk for documents carrying a collection and
-// metadata: every chunk of a document is written under the document's
-// collection with the document's metadata, so filtered search over
-// either dimension sees exactly the passages that came from matching
-// documents. Like IngestBulk, the batch costs one admission slot.
+// IngestDocs chunks and indexes a batch of documents: chunking runs
+// concurrently across documents, then all chunks are written through
+// one Store.AddBulkDocsContext, which embeds on all cores and groups
+// index writes (and WAL appends or shard RPCs) per shard. Every chunk
+// of a document is written under the document's collection with the
+// document's metadata, so filtered search over either dimension sees
+// exactly the passages that came from matching documents. It returns
+// the total chunk count. The batch costs one admission slot — bulk
+// ingest competes with queries as one request, not len(docs) of them.
+// Chunk embedding is not cancellable mid-batch; the deadline is checked
+// on admission.
 func (s *Server) IngestDocs(ctx context.Context, docs []vecdb.Document) (int, error) {
 	if len(docs) == 0 {
 		return 0, errors.New("serve: empty bulk ingest")
@@ -565,85 +524,29 @@ func (s *Server) IngestDocs(ctx context.Context, docs []vecdb.Document) (int, er
 			})
 		}
 	}
-	if _, err := storeAddBulkDocs(rctx, s.store, chunks); err != nil {
+	if _, err := s.store.AddBulkDocsContext(rctx, chunks); err != nil {
 		return 0, err
 	}
 	return len(chunks), nil
 }
 
-// Optional context-aware store surfaces. The Store interface keeps its
-// context-free contract (plain *vecdb.DB satisfies it); stores that
-// can carry a request's ID and deadline further down — ShardedDB into
-// stage timers, RemoteStore into shard RPC hop headers — implement
-// these and are picked up per call.
-type ctxBulkAdder interface {
-	AddBulkContext(ctx context.Context, texts []string) ([]int64, error)
-}
-
-type ctxGetter interface {
-	GetContext(ctx context.Context, id int64) (vecdb.Document, error)
-}
-
-type ctxDeleter interface {
-	DeleteContext(ctx context.Context, id int64) error
-}
-
-type ctxDocsBulkAdder interface {
-	AddBulkDocsContext(ctx context.Context, docs []vecdb.Document) ([]int64, error)
-}
-
-type ctxFilteredSearcher interface {
-	SearchFilteredContext(ctx context.Context, query string, k int, f vecdb.Filter) ([]vecdb.Hit, error)
-}
-
-func storeAddBulk(ctx context.Context, st Store, texts []string) ([]int64, error) {
-	if ca, ok := st.(ctxBulkAdder); ok {
-		return ca.AddBulkContext(ctx, texts)
-	}
-	return st.AddBulk(texts)
-}
-
-func storeAddBulkDocs(ctx context.Context, st Store, docs []vecdb.Document) ([]int64, error) {
-	if ca, ok := st.(ctxDocsBulkAdder); ok {
-		return ca.AddBulkDocsContext(ctx, docs)
-	}
-	return st.AddBulkDocs(docs)
-}
-
-// Search retrieves the top-k passages for query through admission
-// control — retrieval-only traffic pays an embedding plus a fan-out
-// over every shard, so it must not bypass the load-shedding gate the
-// other endpoints respect.
+// Search is SearchFiltered with the zero filter.
 func (s *Server) Search(ctx context.Context, query string, k int) ([]vecdb.Hit, error) {
-	if query == "" {
-		return nil, errors.New("serve: empty query")
-	}
-	rctx, done, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	if err := rctx.Err(); err != nil {
-		return nil, err
-	}
-	s.searches.Inc()
-	if cs, ok := s.store.(rag.ContextSearcher); ok {
-		return cs.SearchContext(rctx, query, k)
-	}
-	return s.store.Search(query, k)
+	return s.SearchFiltered(ctx, query, k, vecdb.Filter{})
 }
 
-// SearchFiltered is Search with a collection/metadata predicate pushed
-// down to every shard before the per-shard top-k is taken, so the
-// merged result is exactly what an unfiltered search over a store
-// holding only the matching documents would return.
+// SearchFiltered retrieves the top-k passages for query through
+// admission control — retrieval-only traffic pays an embedding plus a
+// fan-out over every shard, so it must not bypass the load-shedding
+// gate the other endpoints respect. The collection/metadata predicate
+// is pushed down to every shard before the per-shard top-k is taken, so
+// the merged result is exactly what an unfiltered search over a store
+// holding only the matching documents would return; the zero filter
+// matches everything.
 func (s *Server) SearchFiltered(ctx context.Context, query string, k int, f vecdb.Filter) ([]vecdb.Hit, error) {
 	if query == "" {
 		return nil, errors.New("serve: empty query")
 	}
-	if f.IsZero() {
-		return s.Search(ctx, query, k)
-	}
 	rctx, done, err := s.admit(ctx)
 	if err != nil {
 		return nil, err
@@ -653,14 +556,7 @@ func (s *Server) SearchFiltered(ctx context.Context, query string, k int, f vecd
 		return nil, err
 	}
 	s.searches.Inc()
-	if fs, ok := s.store.(ctxFilteredSearcher); ok {
-		return fs.SearchFilteredContext(rctx, query, k, f)
-	}
-	vec, err := s.store.Embedder().Embed(query)
-	if err != nil {
-		return nil, err
-	}
-	return s.store.SearchVectorFiltered(vec, k, f)
+	return s.store.SearchFilteredContext(rctx, query, k, f)
 }
 
 // GetDocument fetches one stored document through admission control.
@@ -674,39 +570,21 @@ func (s *Server) GetDocument(ctx context.Context, id int64) (vecdb.Document, err
 	if err := rctx.Err(); err != nil {
 		return vecdb.Document{}, err
 	}
-	if cg, ok := s.store.(ctxGetter); ok {
-		return cg.GetContext(rctx, id)
-	}
-	return s.store.Get(id)
+	return s.store.GetContext(rctx, id)
 }
 
-// DeleteDocument removes one document through admission control,
-// journaling the removal on a durable store. Absent IDs report
-// ErrNotFound.
+// DeleteDocument is DeleteDocumentIn with no collection scope.
 func (s *Server) DeleteDocument(ctx context.Context, id int64) error {
-	rctx, done, err := s.admit(ctx)
-	if err != nil {
-		return err
-	}
-	defer done()
-	if err := rctx.Err(); err != nil {
-		return err
-	}
-	s.deletes.Inc()
-	if cd, ok := s.store.(ctxDeleter); ok {
-		return cd.DeleteContext(rctx, id)
-	}
-	return s.store.Delete(id)
+	return s.DeleteDocumentIn(ctx, "", id)
 }
 
-// DeleteDocumentIn is DeleteDocument scoped to a collection: a
-// document that exists under a different collection reports
-// ErrNotFound and is left untouched, so one tenant can never delete
-// another's data by guessing IDs.
+// DeleteDocumentIn removes one document through admission control,
+// journaling the removal on a durable store. Absent IDs report
+// ErrNotFound. A non-empty collection scopes the delete: a document
+// that exists under a different collection reports ErrNotFound and is
+// left untouched, so one tenant can never delete another's data by
+// guessing IDs.
 func (s *Server) DeleteDocumentIn(ctx context.Context, collection string, id int64) error {
-	if vecdb.NormalizeCollection(collection) == vecdb.DefaultCollection && collection == "" {
-		return s.DeleteDocument(ctx, id)
-	}
 	rctx, done, err := s.admit(ctx)
 	if err != nil {
 		return err
@@ -716,7 +594,7 @@ func (s *Server) DeleteDocumentIn(ctx context.Context, collection string, id int
 		return err
 	}
 	s.deletes.Inc()
-	return s.store.DeleteIn(collection, id)
+	return s.store.DeleteContext(rctx, collection, id)
 }
 
 // verdictKey separates fields with unit separators so distinct triples

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/telemetry"
 	"repro/internal/vecdb"
 )
 
@@ -112,6 +114,66 @@ func TestShardedMergeMatchesSingle(t *testing.T) {
 	}
 }
 
+// TestShardedSearchTraceShape: whatever the filter, a traced search on
+// a multi-shard store records the same spans and the same stage
+// observations. (Filtered searches used to open no spans, so they were
+// invisible to /debug/traces.)
+func TestShardedSearchTraceShape(t *testing.T) {
+	s, err := NewShardedDefault(2, 32, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := make([]vecdb.Document, len(handbook))
+	for i, text := range handbook {
+		docs[i] = vecdb.Document{Collection: "acme", Text: text, Meta: map[string]string{"tag": "hr"}}
+	}
+	if _, err := s.AddBulkDocsContext(context.Background(), docs); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	s.SetTelemetry(reg)
+	tracer := telemetry.NewTracer(telemetry.TracerConfig{SampleEvery: 1})
+	stageCounts := func() map[string]uint64 {
+		counts := map[string]uint64{}
+		for key, hs := range reg.HistogramSnapshots("stage_duration_seconds") {
+			counts[strings.TrimPrefix(key, "stage=")] = hs.Count
+		}
+		return counts
+	}
+	for _, tc := range []struct {
+		name   string
+		filter vecdb.Filter
+	}{
+		{"unfiltered", vecdb.Filter{}},
+		{"collection-filtered", vecdb.Filter{Collection: "acme"}},
+		{"meta-filtered", vecdb.Filter{Meta: map[string]string{"tag": "hr"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := stageCounts()
+			ctx, root := tracer.StartTrace(context.Background(), "/search", "")
+			hits, err := s.SearchFilteredContext(ctx, "days of annual leave", 3, tc.filter)
+			root.End(err)
+			tracer.Finish(telemetry.TraceFrom(ctx), 200, false, false)
+			if err != nil || len(hits) != 3 {
+				t.Fatalf("search: %d hits, %v", len(hits), err)
+			}
+			var spans []string
+			for _, sp := range tracer.Traces(1, "")[0].Spans {
+				spans = append(spans, sp.Name)
+			}
+			if want := []string{"/search", "embed", "shard_fanout"}; !reflect.DeepEqual(spans, want) {
+				t.Errorf("spans = %v, want %v", spans, want)
+			}
+			after := stageCounts()
+			for _, stage := range []string{"embed", "shard_fanout", "merge"} {
+				if got := after[stage] - before[stage]; got != 1 {
+					t.Errorf("stage %q observed %d times, want 1", stage, got)
+				}
+			}
+		})
+	}
+}
+
 // TestShardSpreadAndRouting: documents spread across shards, and every
 // ID routes back to its owning shard for Get and Delete.
 func TestShardSpreadAndRouting(t *testing.T) {
@@ -149,7 +211,7 @@ func TestShardSpreadAndRouting(t *testing.T) {
 			t.Errorf("Get(%d): %v", id, err)
 		}
 	}
-	if err := s.Delete(ids[0]); err != nil {
+	if err := s.DeleteContext(context.Background(), "", ids[0]); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 99 {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/rag"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
 	"repro/internal/vecdb"
@@ -45,6 +44,17 @@ type searchStageTimers struct {
 	fanout *telemetry.Histogram
 	merge  *telemetry.Histogram
 }
+
+// timers returns the bound stage histograms, or the zero set — nil
+// histograms, whose observations no-op — before SetTelemetry.
+func (s *ShardedDB) timers() *searchStageTimers {
+	if t := s.tele.Load(); t != nil {
+		return t
+	}
+	return &noStageTimers
+}
+
+var noStageTimers searchStageTimers
 
 // SetTelemetry binds the query-path stage histograms (embed,
 // shard_search, shard_fanout, merge, rerank) to reg. Safe to call
@@ -84,8 +94,8 @@ var ErrNotFound = vecdb.ErrNotFound
 
 // NewSharded builds n shards over a shared embedder, one index per
 // shard produced by mkIndex. The same embedder serves the ingest path
-// (through each shard's AddWithID) and the query path (Search embeds
-// once, then fans the vector out).
+// (each shard embeds the adds applied to it) and the query path
+// (SearchFilteredContext embeds once, then fans the vector out).
 func NewSharded(n int, embed vecdb.Embedder, mkIndex func() (vecdb.Index, error)) (*ShardedDB, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("serve: shard count must be positive, got %d", n)
@@ -208,80 +218,42 @@ func applyMutations(db *vecdb.DB, ms []vecdb.Mutation) error {
 	return db.ApplyAll(ms)
 }
 
-// Add embeds and stores text on the shard owned by the new document's
-// ID, implementing rag.Store.
+// Add stores one passage, implementing rag.Store.
 func (s *ShardedDB) Add(text string, meta map[string]string) (int64, error) {
-	id := s.nextID.Add(1)
-	m := vecdb.Mutation{Op: vecdb.OpAdd, ID: id, Text: text, Meta: meta}
-	if err := s.apply(s.shardIndex(id), []vecdb.Mutation{m}); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return addOne(s, text, meta)
 }
 
-// AddBulk stores a batch of texts, returning their IDs in input order.
-// Writes are grouped by owning shard and applied with one lock
-// acquisition, one concurrent embedding pass, and (on a durable store)
-// one journal append batch per shard — shards proceed in parallel. On
-// error, shards already applied stay applied; callers treat the batch
-// as all-or-retry.
-func (s *ShardedDB) AddBulk(texts []string) ([]int64, error) {
-	if len(texts) == 0 {
-		return nil, nil
-	}
-	ids := make([]int64, len(texts))
-	groups := make([][]vecdb.Mutation, len(s.shards))
-	for i, text := range texts {
-		id := s.nextID.Add(1)
-		ids[i] = id
-		si := s.shardIndex(id)
-		groups[si] = append(groups[si], vecdb.Mutation{Op: vecdb.OpAdd, ID: id, Text: text})
-	}
-	if err := s.applyGroups(groups); err != nil {
-		return nil, err
-	}
-	return ids, nil
-}
-
-// AddBulkContext is AddBulk checking ctx before starting — the
-// ingest pipeline's write path, so an aborted stream stops spending
-// embedding work at the next batch boundary.
-func (s *ShardedDB) AddBulkContext(ctx context.Context, texts []string) ([]int64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.AddBulk(texts)
-}
-
-// AddBulkDocs stores a batch of documents carrying collection and
-// metadata, returning their IDs in input order. IDs are allocated by
-// the store (any ID on the input documents is ignored); grouping and
-// journaling behave exactly like AddBulk.
-func (s *ShardedDB) AddBulkDocs(docs []vecdb.Document) ([]int64, error) {
-	if len(docs) == 0 {
-		return nil, nil
-	}
-	ids := make([]int64, len(docs))
-	groups := make([][]vecdb.Mutation, len(s.shards))
-	for i, d := range docs {
-		id := s.nextID.Add(1)
-		ids[i] = id
-		si := s.shardIndex(id)
-		groups[si] = append(groups[si], vecdb.Mutation{Op: vecdb.OpAdd, ID: id, Collection: d.Collection, Text: d.Text, Meta: d.Meta})
-	}
-	if err := s.applyGroups(groups); err != nil {
-		return nil, err
-	}
-	return ids, nil
-}
-
-// AddBulkDocsContext is AddBulkDocs checking ctx first — the ingest
-// pipeline's docs-with-metadata write path.
+// AddBulkDocsContext stores a batch of documents, returning their IDs
+// in input order — the store's one write path. IDs are allocated by the
+// store (any ID on the input documents is ignored). Writes are grouped
+// by owning shard and applied with one lock acquisition, one concurrent
+// embedding pass, and (on a durable store) one journal append batch per
+// shard — shards proceed in parallel. ctx is checked before starting,
+// so an aborted ingest stream stops spending embedding work at the next
+// batch boundary. On error, shards already applied stay applied;
+// callers treat the batch as all-or-retry.
 func (s *ShardedDB) AddBulkDocsContext(ctx context.Context, docs []vecdb.Document) ([]int64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.AddBulkDocs(docs)
+	if len(docs) == 0 {
+		return nil, nil
+	}
+	ids, groups := groupAdds(&s.nextID, len(s.shards), docs)
+	if err := s.applyGroups(groups); err != nil {
+		return nil, err
+	}
+	return ids, nil
+}
+
+// AddBulkContext and AddBulk are AddBulkDocsContext for bare passages,
+// kept outside Store for ingest.Store and bench/.
+func (s *ShardedDB) AddBulkContext(ctx context.Context, texts []string) ([]int64, error) {
+	return s.AddBulkDocsContext(ctx, textDocs(texts))
+}
+
+func (s *ShardedDB) AddBulk(texts []string) ([]int64, error) {
+	return s.AddBulkDocsContext(context.Background(), textDocs(texts))
 }
 
 // applyGroups applies per-shard mutation groups in parallel, returning
@@ -344,29 +316,7 @@ func (s *ShardedDB) ApplyAll(ms []vecdb.Mutation) error {
 			break
 		}
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for si, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(si int, group []vecdb.Mutation) {
-			defer wg.Done()
-			if err := s.apply(si, group); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(si, group)
-	}
-	wg.Wait()
-	return firstErr
+	return s.applyGroups(groups)
 }
 
 // NextID reports the next ID the store would allocate — the high-water
@@ -382,23 +332,30 @@ func (s *ShardedDB) NextID() int64 {
 	return next
 }
 
-// Get returns the stored document for id from its owning shard.
+// Get returns the stored document for id from its owning shard (the
+// cluster.NodeStore spelling; GetContext is the Store one).
 func (s *ShardedDB) Get(id int64) (vecdb.Document, error) {
 	return s.shardFor(id).Get(id)
 }
 
-// Delete removes a document from its owning shard, journaling the
-// removal on a durable store. A missing ID reports ErrNotFound.
-func (s *ShardedDB) Delete(id int64) error {
-	m := vecdb.Mutation{Op: vecdb.OpDelete, ID: id}
-	return s.apply(s.shardIndex(id), []vecdb.Mutation{m})
+// GetContext is Get refusing an already-done ctx.
+func (s *ShardedDB) GetContext(ctx context.Context, id int64) (vecdb.Document, error) {
+	if err := ctx.Err(); err != nil {
+		return vecdb.Document{}, err
+	}
+	return s.Get(id)
 }
 
-// DeleteIn is Delete scoped to a collection: a document that exists
-// but belongs to a different collection reports ErrNotFound and is
-// left untouched, so one tenant can never delete another's data by
-// guessing IDs. An empty collection is the unscoped Delete.
-func (s *ShardedDB) DeleteIn(collection string, id int64) error {
+// DeleteContext removes a document from its owning shard, journaling
+// the removal on a durable store. A missing ID reports ErrNotFound. A
+// non-empty collection scopes the delete: a document that exists but
+// belongs to a different collection reports ErrNotFound and is left
+// untouched, so one tenant can never delete another's data by guessing
+// IDs.
+func (s *ShardedDB) DeleteContext(ctx context.Context, collection string, id int64) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	m := vecdb.Mutation{Op: vecdb.OpDelete, ID: id, Collection: collection}
 	return s.apply(s.shardIndex(id), []vecdb.Mutation{m})
 }
@@ -442,84 +399,63 @@ func (s *ShardedDB) ShardSizes() []int {
 // NewShardedDefault).
 func (s *ShardedDB) Embedder() vecdb.Embedder { return s.embed }
 
-// Search embeds the query once and fans it out, implementing
+// Available is always nil: in-process shards live as long as the
+// process does.
+func (s *ShardedDB) Available() error { return nil }
+
+// Search is the unfiltered SearchFilteredContext, implementing
 // rag.Store.
 func (s *ShardedDB) Search(query string, k int) ([]vecdb.Hit, error) {
-	t := s.tele.Load()
-	if t == nil {
-		vec, err := s.embed.Embed(query)
-		if err != nil {
-			return nil, fmt.Errorf("serve: embed query: %w", err)
-		}
-		return s.SearchVector(vec, k)
-	}
-	start := time.Now()
-	vec, err := s.embed.Embed(query)
-	if err != nil {
-		return nil, fmt.Errorf("serve: embed query: %w", err)
-	}
-	t.embed.ObserveSince(start)
-	return s.SearchVector(vec, k)
+	return s.SearchFilteredContext(context.Background(), query, k, vecdb.Filter{})
 }
 
-// SearchContext is Search honoring ctx cancellation between stages —
-// the handler-facing entry point that keeps request deadlines live on
-// the in-process store. (Shard probes themselves are CPU-bound and
-// non-blocking, so cancellation is checked at stage boundaries.) A
-// traced request additionally gets embed and shard_fanout spans, so
-// the in-process store renders the same trace shape as a cluster.
+// SearchContext is the unfiltered SearchFilteredContext, kept outside
+// Store for bench/.
 func (s *ShardedDB) SearchContext(ctx context.Context, query string, k int) ([]vecdb.Hit, error) {
+	return s.SearchFilteredContext(ctx, query, k, vecdb.Filter{})
+}
+
+// SearchFilteredContext embeds the query once and fans the vector out
+// with the filter pushed down to every shard — the store's one text
+// search path. ctx is checked at the stage boundaries (shard probes are
+// CPU-bound and non-blocking), and a traced request gets embed and
+// shard_fanout spans, so the in-process store renders the same trace
+// shape as a cluster whatever the filter.
+func (s *ShardedDB) SearchFilteredContext(ctx context.Context, query string, k int, f vecdb.Filter) ([]vecdb.Hit, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if telemetry.TraceFrom(ctx) == nil {
-		return s.Search(query, k)
-	}
-	t := s.tele.Load()
-	_, esp := telemetry.StartSpan(ctx, "embed")
+	_, sp := telemetry.StartSpan(ctx, "embed")
 	start := time.Now()
-	vec, err := s.embed.Embed(query)
-	esp.End(err)
+	vec, err := embedIn(s.embed, f.Collection, query)
+	sp.End(err)
 	if err != nil {
 		return nil, fmt.Errorf("serve: embed query: %w", err)
 	}
-	if t != nil {
-		t.embed.ObserveSinceCtx(ctx, start)
-	}
+	s.timers().embed.ObserveSinceCtx(ctx, start)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	_, fsp := telemetry.StartSpan(ctx, "shard_fanout")
-	hits, err := s.SearchVector(vec, k)
-	fsp.End(err)
+	_, sp = telemetry.StartSpan(ctx, "shard_fanout")
+	hits, err := s.SearchVectorFiltered(vec, k, f)
+	sp.End(err)
 	return hits, err
 }
 
-// SearchVector queries every shard in parallel with the same vector
-// and merges the per-shard top-k into a global top-k, best first, with
-// the same deterministic (score desc, ID asc) order a single index
-// returns.
-func (s *ShardedDB) SearchVector(vec []float32, k int) ([]vecdb.Hit, error) {
-	return s.SearchVectorFiltered(vec, k, vecdb.Filter{})
-}
-
-// SearchVectorFiltered is SearchVector with the filter pushed down to
-// every shard before its top-k is taken, so the merged result equals
-// an unfiltered search over the matching subset.
+// SearchVectorFiltered queries every shard in parallel with the same
+// vector and merges the per-shard top-k into a global top-k, best
+// first, with the same deterministic (score desc, ID asc) order a
+// single index returns. The filter is applied on each shard before its
+// top-k is taken, so the merged result equals an unfiltered search
+// over the matching subset (the zero Filter matches everything). This
+// is also the cluster.NodeStore search a shard node serves.
 func (s *ShardedDB) SearchVectorFiltered(vec []float32, k int, f vecdb.Filter) ([]vecdb.Hit, error) {
-	t := s.tele.Load()
+	t := s.timers()
+	start := time.Now()
 	if len(s.shards) == 1 {
-		if t == nil {
-			return s.shards[0].SearchVectorFiltered(vec, k, f)
-		}
-		start := time.Now()
 		hits, err := s.shards[0].SearchVectorFiltered(vec, k, f)
 		t.search.ObserveSince(start)
 		return hits, err
-	}
-	var fanoutStart time.Time
-	if t != nil {
-		fanoutStart = time.Now()
 	}
 	var (
 		wg       sync.WaitGroup
@@ -547,55 +483,12 @@ func (s *ShardedDB) SearchVectorFiltered(vec []float32, k int, f vecdb.Filter) (
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	if t == nil {
-		return cluster.MergeTopK(lists, k), nil
-	}
 	mergeStart := time.Now()
-	t.fanout.Observe(mergeStart.Sub(fanoutStart).Seconds())
+	t.fanout.Observe(mergeStart.Sub(start).Seconds())
 	hits := cluster.MergeTopK(lists, k)
 	t.merge.ObserveSince(mergeStart)
 	return hits, nil
 }
-
-// SearchFilteredContext embeds the query once and fans it out with the
-// filter pushed down to every shard — the handler-facing filtered
-// search entry point.
-func (s *ShardedDB) SearchFilteredContext(ctx context.Context, query string, k int, f vecdb.Filter) ([]vecdb.Hit, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t := s.tele.Load()
-	var start time.Time
-	if t != nil {
-		start = time.Now()
-	}
-	vec, err := s.embedIn(f.Collection, query)
-	if err != nil {
-		return nil, fmt.Errorf("serve: embed query: %w", err)
-	}
-	if t != nil {
-		t.embed.ObserveSince(start)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.SearchVectorFiltered(vec, k, f)
-}
-
-// embedIn embeds through the collection-namespaced cache entry point
-// when the store's embedder has one, so two tenants with the same
-// query text keep independent cache entries (the vector itself is a
-// pure function of the text either way).
-func (s *ShardedDB) embedIn(collection, query string) ([]float32, error) {
-	if ce, ok := s.embed.(interface {
-		EmbedIn(collection, text string) ([]float32, error)
-	}); ok {
-		return ce.EmbedIn(collection, query)
-	}
-	return s.embed.Embed(query)
-}
-
-var _ rag.Store = (*ShardedDB)(nil)
 
 // A ShardedDB is also a complete shard-protocol store: cmd/shardnode
 // mounts cluster.NewNodeHandler over a one-shard durable ShardedDB.

@@ -37,11 +37,9 @@ func (s *Server) IngestStream(ctx context.Context, r io.Reader, progress func(in
 // so two tenants can stream concurrently and filtered search keeps
 // them fully separate. Empty collection means the default collection.
 func (s *Server) IngestStreamIn(ctx context.Context, collection string, r io.Reader, progress func(ingest.Stats)) (ingest.Stats, error) {
-	if av, ok := s.store.(availabilityReporter); ok {
-		if err := av.Available(); err != nil {
-			s.unavailableShed.Inc()
-			return ingest.Stats{}, err
-		}
+	if err := s.store.Available(); err != nil {
+		s.unavailableShed.Inc()
+		return ingest.Stats{}, err
 	}
 	release, err := s.admission.Acquire(ctx)
 	if err != nil {
@@ -50,7 +48,7 @@ func (s *Server) IngestStreamIn(ctx context.Context, collection string, r io.Rea
 	defer release()
 	s.stream.streams.Add(1)
 	st, runErr := ingest.Run(ctx, ingest.Config{
-		Store:      s.store,
+		Store:      ingestSink{s.store},
 		Collection: collection,
 		Chunker:    s.cfg.Chunker,
 		Workers:    s.cfg.StreamWorkers,
@@ -62,6 +60,17 @@ func (s *Server) IngestStreamIn(ctx context.Context, collection string, r io.Rea
 	s.stream.accumulate(st)
 	s.ingests.Add(st.Accepted)
 	return st, runErr
+}
+
+// ingestSink types a Store as ingest.Config.Store. The pipeline writes
+// every batch through the sink's AddBulkDocsContext (promoted from
+// Store: ingest prefers it whenever the sink has one), under the
+// stream's context; the texts-only AddBulk is what ingest.Store's
+// frozen signature asks of any sink.
+type ingestSink struct{ Store }
+
+func (s ingestSink) AddBulk(texts []string) ([]int64, error) {
+	return s.AddBulkDocsContext(context.Background(), textDocs(texts))
 }
 
 // streamCounters accumulates per-stream results into server-lifetime

@@ -113,18 +113,13 @@ func (db *DB) AddIn(collection, text string, meta map[string]string) (int64, err
 	return id, nil
 }
 
-// AddWithID embeds and stores text under a caller-assigned ID in the
-// default collection, replacing any existing document with that ID. It
-// exists for external routers (e.g. a shard router) that allocate IDs
-// globally; mixing it with Add is safe because the internal counter is
-// advanced past every caller-assigned ID.
-func (db *DB) AddWithID(id int64, text string, meta map[string]string) error {
-	return db.AddDocument(Document{ID: id, Text: text, Meta: meta})
-}
-
-// AddDocument is AddWithID carrying the full document — including its
-// collection — so restore paths (rollback after a failed batch)
-// reinstall a document exactly as it was stored.
+// AddDocument embeds and stores d under its caller-assigned ID and
+// collection (empty means default), replacing any existing document
+// with that ID. It exists for external routers (e.g. a shard router)
+// that allocate IDs globally, and for restore paths (rollback after a
+// failed batch) that reinstall a document exactly as it was stored;
+// mixing it with Add is safe because the internal counter is advanced
+// past every caller-assigned ID.
 func (db *DB) AddDocument(d Document) error {
 	if d.ID <= 0 {
 		return fmt.Errorf("vecdb: document ID must be positive, got %d", d.ID)
