@@ -341,6 +341,7 @@ func BenchmarkDetectorScore(b *testing.B) {
 	if err := d.Calibrate(ctx, []core.Triple{{Question: q, Context: contextText, Response: response}}); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := d.Score(ctx, q, contextText, response); err != nil {
@@ -429,8 +430,8 @@ func BenchmarkServeSeedPathParallel(b *testing.B) {
 }
 
 // BenchmarkServeShardedPathParallel is the internal/serve hot path:
-// sharded retrieval, micro-batched verification, embedding + verdict
-// caches and admission control. The acceptance bar is ≥2× the ops/sec
+// sharded retrieval, verification, embedding + verdict caches and
+// admission control. The acceptance bar is ≥2× the ops/sec
 // of BenchmarkServeSeedPathParallel on a multi-core runner.
 func BenchmarkServeShardedPathParallel(b *testing.B) {
 	docs, questions, triples := serveCorpus(b)
@@ -440,8 +441,6 @@ func BenchmarkServeShardedPathParallel(b *testing.B) {
 		TopK:        3,
 		Threshold:   3.2,
 		Detector:    calibratedProposed(b, triples),
-		MaxBatch:    16,
-		MaxWait:     500 * time.Microsecond,
 		MaxInFlight: 128,
 	})
 	if err != nil {
@@ -455,6 +454,7 @@ func BenchmarkServeShardedPathParallel(b *testing.B) {
 	}
 	ctx := context.Background()
 	var n atomic.Uint64
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
@@ -468,7 +468,6 @@ func BenchmarkServeShardedPathParallel(b *testing.B) {
 	b.StopTimer()
 	st := srv.Stats()
 	b.ReportMetric(st.VerdictCache.HitRate*1000, "verdict_hit_e3")
-	b.ReportMetric(st.Batch.MeanOccupancy, "batch_occupancy")
 }
 
 // BenchmarkShardedSearchParallel isolates retrieval: the sharded
@@ -741,61 +740,50 @@ func BenchmarkStreamIngest(b *testing.B) {
 	})
 }
 
-// --- adaptive vs static micro-batching under bursty load ---
+// --- verification under bursty load ---
 
-// BenchmarkAdaptiveBatchingBursty drives the verification batcher
-// with a bursty arrival pattern — short salvos of concurrent requests
-// separated by idle gaps, the regime where a static (MaxBatch,
-// MaxWait) pair must pick one loss: a long wait taxes the lone
-// requests, a short one shreds the bursts into tiny batches. The
-// AIMD controller must hold mean latency no worse than the best
-// static setting.
-func BenchmarkAdaptiveBatchingBursty(b *testing.B) {
+// BenchmarkVerifyBursty drives Server.Verify with a bursty arrival
+// pattern — short salvos of back-to-back requests from each worker,
+// separated by idle gaps — and reports the mean request latency. A
+// one-entry verdict cache keeps the rotating triples from ever
+// hitting it, so every request pays for a detector call.
+func BenchmarkVerifyBursty(b *testing.B) {
 	_, _, triples := serveCorpus(b)
-	det := calibratedProposed(b, triples)
-	ctx := context.Background()
-
-	run := func(b *testing.B, cfg serve.BatcherConfig) {
-		batcher := serve.NewBatcher(det, cfg)
-		defer batcher.Close()
-		var latNanos, ops atomic.Int64
-		var n atomic.Uint64
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				// Burst boundary: pause so the batcher sees a gap, then a
-				// salvo of back-to-back requests from this worker.
-				if i%8 == 0 {
-					time.Sleep(2 * time.Millisecond)
-				}
-				i++
-				t := triples[n.Add(1)%uint64(len(triples))]
-				start := time.Now()
-				if _, err := batcher.Verify(ctx, t); err != nil {
-					b.Error(err)
-					return
-				}
-				latNanos.Add(time.Since(start).Nanoseconds())
-				ops.Add(1)
-			}
-		})
-		b.StopTimer()
-		if ops.Load() > 0 {
-			b.ReportMetric(float64(latNanos.Load())/float64(ops.Load())/1e6, "ms/req")
-		}
+	srv, err := serve.New(serve.Config{
+		Shards:           1,
+		Detector:         calibratedProposed(b, triples),
+		VerdictCacheSize: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
-
-	b.Run("adaptive", func(b *testing.B) {
-		run(b, serve.BatcherConfig{MaxBatch: 16, MaxWait: 2 * time.Millisecond})
+	defer srv.Close()
+	ctx := context.Background()
+	var latNanos, ops atomic.Int64
+	var n atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			// Burst boundary: an idle gap, then a salvo of back-to-back
+			// requests from this worker.
+			if i%8 == 0 {
+				time.Sleep(2 * time.Millisecond)
+			}
+			i++
+			t := triples[n.Add(1)%uint64(len(triples))]
+			start := time.Now()
+			if _, err := srv.Verify(ctx, t.Question, t.Context, t.Response); err != nil {
+				b.Error(err)
+				return
+			}
+			latNanos.Add(time.Since(start).Nanoseconds())
+			ops.Add(1)
+		}
 	})
-	b.Run("static-16-2ms", func(b *testing.B) {
-		run(b, serve.BatcherConfig{MaxBatch: 16, MaxWait: 2 * time.Millisecond, Static: true})
-	})
-	b.Run("static-16-500us", func(b *testing.B) {
-		run(b, serve.BatcherConfig{MaxBatch: 16, MaxWait: 500 * time.Microsecond, Static: true})
-	})
-	b.Run("static-1", func(b *testing.B) {
-		run(b, serve.BatcherConfig{MaxBatch: 1, Static: true})
-	})
+	b.StopTimer()
+	if ops.Load() > 0 {
+		b.ReportMetric(float64(latNanos.Load())/float64(ops.Load())/1e6, "ms/req")
+	}
 }

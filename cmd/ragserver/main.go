@@ -2,8 +2,8 @@
 // service on the internal/serve layer: documents are sharded across
 // parallel vector-database shards, questions are answered with
 // retrieval-augmented generation, and every answer is verified by the
-// multi-SLM framework — with micro-batched verification, embedding and
-// verdict caches, and admission control in front of the hot path.
+// multi-SLM framework — with embedding and verdict caches, and
+// per-tenant and global admission control in front of the hot path.
 //
 // Endpoints (JSON):
 //
@@ -41,10 +41,9 @@
 // bounded pipeline with credit-based backpressure (an overwhelmed
 // server slows the upload via TCP flow control instead of buffering
 // unboundedly), and streams progress heartbeat frames back while the
-// upload runs. Verification micro-batches and ingest index batches
-// are sized adaptively (AIMD on observed occupancy and queue depth)
-// within [-max-batch, -max-wait] bounds; -static-batch pins them. See
-// docs/ingest.md.
+// upload runs. Ingest index batches are sized adaptively (AIMD on
+// observed occupancy and queue depth); -static-batch pins them at
+// their upper bounds. See docs/ingest.md.
 //
 // Overloaded requests are shed with 429 Too Many Requests; operations
 // on absent document IDs return 404. The listener comes up before
@@ -76,8 +75,6 @@
 // request; -debug-addr serves net/http/pprof on a separate listener.
 // See docs/observability.md.
 //
-// Usage:
-//
 // The vector index behind the shards is configurable: -index selects
 // flat (exact scan), ivf (clustered probes) or hnsw (graph), -quantize
 // int8 switches the scan to int8 codes with an exact float32 re-rank
@@ -89,9 +86,9 @@
 // Usage:
 //
 //	ragserver [-addr :8080] [-topk 3] [-threshold 3.2] [-seed-demo]
-//	          [-shards 4] [-max-batch 16] [-max-wait 2ms] [-static-batch]
-//	          [-ingest-pending 1024]
+//	          [-shards 4] [-static-batch] [-ingest-pending 1024]
 //	          [-max-inflight 64] [-max-queue 256]
+//	          [-tenant-rate 0] [-tenant-burst 0] [-tenant-inflight 0]
 //	          [-index flat|ivf|hnsw] [-quantize none|int8] [-rerank-k 0]
 //	          [-nprobe 8] [-ef-search 64]
 //	          [-data-dir ""] [-fsync never|always|interval]
@@ -147,9 +144,7 @@ func main() {
 		threshold   = flag.Float64("threshold", 3.2, "verification acceptance threshold")
 		seedDemo    = flag.Bool("seed-demo", false, "preload the synthetic HR handbook and calibrate on it")
 		shards      = flag.Int("shards", 0, "vector DB shards (0 = auto, or the stored count when -data-dir exists)")
-		maxBatch    = flag.Int("max-batch", 16, "upper bound on verification requests per micro-batch")
-		maxWait     = flag.Duration("max-wait", 2*time.Millisecond, "upper bound on the wait to fill a micro-batch")
-		staticBatch = flag.Bool("static-batch", false, "pin batches at -max-batch/-max-wait instead of adapting (AIMD)")
+		staticBatch = flag.Bool("static-batch", false, "pin streaming-ingest index batches at their upper bounds instead of adapting (AIMD)")
 		ingestPend  = flag.Int("ingest-pending", 0, "chunk credit pool bounding in-flight streaming-ingest memory (0 = 1024)")
 		maxInflight = flag.Int("max-inflight", 64, "max concurrently executing requests")
 		maxQueue    = flag.Int("max-queue", 256, "max requests waiting for a slot before shedding (-1 disables queueing)")
@@ -220,8 +215,6 @@ func main() {
 		Shards:            *shards,
 		TopK:              *topK,
 		Threshold:         *threshold,
-		MaxBatch:          *maxBatch,
-		MaxWait:           *maxWait,
 		StaticBatch:       *staticBatch,
 		StreamMaxPending:  *ingestPend,
 		MaxInFlight:       *maxInflight,
@@ -414,8 +407,8 @@ func newServer(cfg serve.Config, seedDemo bool) (*server, error) {
 
 // seedDemoCorpus ingests the synthetic handbook and calibrates the
 // detector's normalization moments on its responses (Eq. 4's
-// "previous responses"), freezing them so the parallel batch path and
-// the verdict cache see a pure scoring function.
+// "previous responses"), freezing them so parallel scoring and the
+// verdict cache see a pure scoring function.
 func seedDemoCorpus(sv *serve.Server) error {
 	set, err := dataset.Default()
 	if err != nil {
@@ -594,18 +587,12 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx := serve.WithTenant(r.Context(), req.Collection)
-	var n int
-	var err error
-	if req.Collection == "" && len(req.Meta) == 0 {
-		n, err = c.Ingest(ctx, req.Text)
-	} else {
-		if req.Text == "" {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("empty text"))
-			return
-		}
-		n, err = c.IngestDocs(ctx, []vecdb.Document{{Collection: req.Collection, Text: req.Text, Meta: req.Meta}})
+	if req.Text == "" {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("empty text"))
+		return
 	}
+	ctx := serve.WithTenant(r.Context(), req.Collection)
+	n, err := c.IngestDocs(ctx, []vecdb.Document{{Collection: req.Collection, Text: req.Text, Meta: req.Meta}})
 	if err != nil {
 		writeError(w, statusFor(err, http.StatusBadRequest), err)
 		return
@@ -639,26 +626,19 @@ func (s *server) handleIngestBulk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := serve.WithTenant(r.Context(), req.Collection)
-	var chunks int
-	var err error
-	ndocs := len(req.Texts) + len(req.Docs)
-	if req.Collection == "" && len(req.Docs) == 0 {
-		chunks, err = c.IngestBulk(ctx, req.Texts)
-	} else {
-		docs := make([]vecdb.Document, 0, ndocs)
-		for _, t := range req.Texts {
-			docs = append(docs, vecdb.Document{Collection: req.Collection, Text: t})
-		}
-		for _, d := range req.Docs {
-			docs = append(docs, vecdb.Document{Collection: req.Collection, Text: d.Text, Meta: d.Meta})
-		}
-		chunks, err = c.IngestDocs(ctx, docs)
+	docs := make([]vecdb.Document, 0, len(req.Texts)+len(req.Docs))
+	for _, t := range req.Texts {
+		docs = append(docs, vecdb.Document{Collection: req.Collection, Text: t})
 	}
+	for _, d := range req.Docs {
+		docs = append(docs, vecdb.Document{Collection: req.Collection, Text: d.Text, Meta: d.Meta})
+	}
+	chunks, err := c.IngestDocs(ctx, docs)
 	if err != nil {
 		writeError(w, statusFor(err, http.StatusBadRequest), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"docs": ndocs, "chunks": chunks})
+	writeJSON(w, http.StatusOK, map[string]int{"docs": len(docs), "chunks": chunks})
 }
 
 // streamFrame is one NDJSON line of the /ingest/stream response:
@@ -805,13 +785,7 @@ func (s *server) handleDocument(w http.ResponseWriter, r *http.Request) {
 			"id": doc.ID, "collection": doc.Collection, "text": doc.Text, "meta": doc.Meta,
 		})
 	case http.MethodDelete:
-		var err error
-		if collection != "" {
-			err = c.DeleteDocumentIn(ctx, collection, id)
-		} else {
-			err = c.DeleteDocument(ctx, id)
-		}
-		if err != nil {
+		if err := c.DeleteDocumentIn(ctx, collection, id); err != nil {
 			writeError(w, statusFor(err, http.StatusInternalServerError), err)
 			return
 		}

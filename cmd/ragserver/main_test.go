@@ -195,6 +195,13 @@ func TestBadRequests(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("empty response status = %d", rec.Code)
 	}
+	// Ingest with empty text, scoped or not.
+	for _, body := range []map[string]string{{"text": ""}, {"text": "", "collection": "t"}} {
+		rec = postJSON(t, h, "/ingest", body)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("ingest %v status = %d", body, rec.Code)
+		}
+	}
 }
 
 func TestSeedDemo(t *testing.T) {
@@ -211,8 +218,8 @@ func TestSeedDemo(t *testing.T) {
 	}
 }
 
-// TestStatsEndpoint: GET /stats exposes shard sizes, cache and batch
-// counters after traffic has flowed. The verdict cache only engages
+// TestStatsEndpoint: GET /stats exposes shard sizes and cache counters
+// after traffic has flowed. The verdict cache only engages
 // once the detector is calibrated (frozen), so this server calibrates
 // on a tiny fixture first.
 func TestStatsEndpoint(t *testing.T) {

@@ -1,10 +1,10 @@
-// Package adaptive implements the AIMD batch-tuning controller shared
-// by the verification micro-batcher and the streaming ingest pipeline
-// (internal/serve and internal/ingest). Instead of pinning a static
+// Package adaptive implements the AIMD batch-tuning controller of the
+// streaming ingest pipeline (internal/ingest; internal/serve owns the
+// instance every stream shares). Instead of pinning a static
 // MaxBatch/MaxWait, the controller moves a (batch limit, linger wait)
 // pair inside configured bounds from two observed signals: how full
 // dispatched batches run (occupancy) and whether work is queued behind
-// the batcher (queue depth) — the same fields GET /stats exposes.
+// the assembler (queue depth) — the same fields GET /stats exposes.
 //
 // The control law is classic AIMD:
 //
@@ -121,8 +121,8 @@ func (c *Controller) Limits() (limit int, wait time.Duration) {
 
 // Observe feeds one dispatch back into the controller: n items were
 // flushed, full reports whether the batch hit its limit before the
-// linger timer, and queued is the backlog visible behind the batcher
-// at flush time.
+// linger timer, and queued is the backlog visible behind the
+// assembler at flush time.
 func (c *Controller) Observe(n int, full bool, queued int) {
 	if c.cfg.Static || n <= 0 {
 		return
@@ -133,7 +133,7 @@ func (c *Controller) Observe(n int, full bool, queued int) {
 	case queued > 0 || (full && c.limit > 1):
 		// Pressure: more work wanted in than the limit allowed. A full
 		// batch at limit 1 is vacuous (any lone request fills it), so
-		// growth from the floor needs a real backlog behind the batcher.
+		// growth from the floor needs a real backlog behind the assembler.
 		if c.limit < c.cfg.MaxBatch {
 			c.limit += c.cfg.IncreaseStep
 			if c.limit > c.cfg.MaxBatch {

@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/slm"
 )
@@ -103,65 +103,20 @@ type ScoredTriple struct {
 // BatchScore scores many triples concurrently with `workers`
 // goroutines (1 = sequential), preserving input order in the result.
 // The detector's scaler must be frozen (or stateless) when workers > 1.
-// It fails fast on the first error — the behaviour the experiment
-// harness wants; serving layers needing per-item error isolation use
-// ScoreBatch (batch.go) instead.
+// It fails fast on the first error, which cancels the triples still
+// running — the behaviour the experiment harness wants.
 func (d *Detector) BatchScore(ctx context.Context, triples []Triple, workers int) ([]ScoredTriple, error) {
-	if workers <= 1 {
-		out := make([]ScoredTriple, 0, len(triples))
-		for _, t := range triples {
-			v, err := d.Score(ctx, t.Question, t.Context, t.Response)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ScoredTriple{Triple: t, Verdict: v})
-		}
-		return out, nil
-	}
-	if n, ok := d.scale.(*Normalizer); ok && !n.Frozen() {
-		return nil, fmt.Errorf("core: parallel batch requires a frozen normalizer (calibrate first)")
+	if workers > 1 && !d.Calibrated() {
+		return nil, errors.New("core: parallel batch requires a frozen normalizer (calibrate first)")
 	}
 	out := make([]ScoredTriple, len(triples))
-	idx := make(chan int)
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				t := triples[i]
-				v, err := d.Score(cctx, t.Question, t.Context, t.Response)
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = err
-						cancel()
-					})
-					continue
-				}
-				out[i] = ScoredTriple{Triple: t, Verdict: v}
-			}
-		}()
-	}
-	for i := range triples {
-		select {
-		case idx <- i:
-		case <-cctx.Done():
-		}
-	}
-	close(idx)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	// The caller's context may have been cancelled before any job was
-	// dispatched; don't return a silently-zeroed result set.
-	if err := ctx.Err(); err != nil {
+	err := forEach(ctx, len(triples), workers, func(ctx context.Context, i int) error {
+		t := triples[i]
+		v, err := d.Score(ctx, t.Question, t.Context, t.Response)
+		out[i] = ScoredTriple{Triple: t, Verdict: v}
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -4,10 +4,15 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/slm"
 )
 
@@ -309,35 +314,87 @@ func TestDetectorParallelRequiresFrozen(t *testing.T) {
 	}
 }
 
+// failingModel fails its first call; every later call waits for the
+// context it was handed to be cancelled and counts the ones that
+// never saw that happen.
+type failingModel struct {
+	calls       atomic.Int64
+	uncancelled atomic.Int64
+}
+
+func (*failingModel) Name() string { return "failing" }
+func (m *failingModel) YesProbability(ctx context.Context, _ slm.VerifyRequest) (float64, error) {
+	if m.calls.Add(1) == 1 {
+		return 0, errors.New("boom")
+	}
+	select {
+	case <-ctx.Done():
+	case <-time.After(5 * time.Second):
+		m.uncancelled.Add(1)
+	}
+	return 0, ctx.Err()
+}
+
+// TestParallelMatchesSequential: the worker count is a pure scheduling
+// choice. A calibrated detector returns bit-identical verdicts — score,
+// per-sentence Combined and Raw — for every response of the default
+// dataset at every worker count, an empty response is ErrEmptyResponse
+// at every worker count, and a failing model's error names the model
+// and cancels the context the remaining calls see.
 func TestParallelMatchesSequential(t *testing.T) {
 	ctx := context.Background()
-	response := "The working hours are 9 AM to 5 PM. The store is open from Sunday to Saturday. At least three shopkeepers are needed."
-	triples := []Triple{{"q", detCtx, response}}
+	set, err := dataset.Default()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var triples []Triple
+	for _, it := range set.Items {
+		for _, r := range it.Responses {
+			triples = append(triples, Triple{it.Question, it.Context, r.Text})
+		}
+	}
+	d, err := NewProposed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Calibrate(ctx, triples[:30]); err != nil {
+		t.Fatal(err)
+	}
+	var want []Verdict // the workers=1 row, which every other row must equal
+	ran := map[int]bool{}
+	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0), 8} {
+		if ran[workers] {
+			continue
+		}
+		ran[workers] = true
+		for i, tr := range triples {
+			got, err := d.ScoreWorkers(ctx, tr.Question, tr.Context, tr.Response, workers)
+			if err != nil {
+				t.Fatalf("workers=%d triple %d: %v", workers, i, err)
+			}
+			if workers == 1 {
+				want = append(want, got)
+			} else if !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("workers=%d triple %d: verdict %+v != sequential %+v", workers, i, got, want[i])
+			}
+		}
+		if _, err := d.ScoreWorkers(ctx, "q", detCtx, " ", workers); !errors.Is(err, ErrEmptyResponse) {
+			t.Errorf("workers=%d empty response: err = %v, want ErrEmptyResponse", workers, err)
+		}
 
-	seq, err := NewDetector("seq", Config{Models: []slm.Model{slm.NewQwen2(), slm.NewMiniCPM()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := NewDetector("par", Config{Models: []slm.Model{slm.NewQwen2(), slm.NewMiniCPM()}, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seq.Calibrate(ctx, triples); err != nil {
-		t.Fatal(err)
-	}
-	if err := par.Calibrate(ctx, triples); err != nil {
-		t.Fatal(err)
-	}
-	vs, err := seq.Score(ctx, "q", detCtx, response)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vp, err := par.Score(ctx, "q", detCtx, response)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(vs.Score-vp.Score) > 1e-12 {
-		t.Errorf("parallel %.9f != sequential %.9f", vp.Score, vs.Score)
+		m := &failingModel{}
+		fd, err := NewDetector("failing", Config{Models: []slm.Model{m, slm.NewQwen2()}, Scale: Identity{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := triples[0]
+		_, err = fd.ScoreWorkers(ctx, tr.Question, tr.Context, tr.Response, workers)
+		if err == nil || !strings.Contains(err.Error(), "model failing: boom") {
+			t.Errorf("workers=%d failing model: err = %v, want it to name the model", workers, err)
+		}
+		if n := m.uncancelled.Load(); n != 0 {
+			t.Errorf("workers=%d failing model: %d later calls never saw the context cancelled", workers, n)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/parallel"
 	"repro/internal/slm"
 	"repro/internal/splitter"
 )
@@ -142,7 +143,7 @@ func (d *Detector) Scaler() Scaler { return d.scale }
 
 // Calibrated reports whether scoring is a pure function of its inputs:
 // true unless the scaler is a Normalizer still accumulating online
-// moments. Result caches and parallel batch scoring require this.
+// moments. Result caches and parallel scoring require this.
 func (d *Detector) Calibrated() bool {
 	n, ok := d.scale.(*Normalizer)
 	return !ok || n.Frozen()
@@ -177,83 +178,77 @@ func (v Verdict) IsCorrect(threshold float64) bool { return v.Score > threshold 
 var ErrEmptyResponse = errors.New("core: response has no checkable sentences")
 
 // Score runs the full pipeline of Fig. 2 (b) for one
-// (question, context, response) triple.
+// (question, context, response) triple, with the detector's configured
+// Workers bounding concurrent model calls.
 func (d *Detector) Score(ctx context.Context, question, contextText, response string) (Verdict, error) {
+	return d.ScoreWorkers(ctx, question, contextText, response, d.workers)
+}
+
+// ScoreWorkers is Score with the bound on concurrent model calls given
+// by the caller (0 or 1 means sequential) — a server sizes it to the
+// machine rather than to the detector's configuration. More than one
+// worker requires a calibrated detector. The verdict is bit-identical
+// for every worker count: calls fill a [sentence][model] matrix by
+// index and Eq. 4–6 run over it in order afterwards.
+func (d *Detector) ScoreWorkers(ctx context.Context, question, contextText, response string, workers int) (Verdict, error) {
 	sentences := d.split(response)
 	if len(sentences) == 0 {
 		return Verdict{}, fmt.Errorf("%w: %q", ErrEmptyResponse, response)
 	}
-	raw := make([][]float64, len(sentences)) // [sentence][model]
-	if d.workers > 1 {
-		if n, ok := d.scale.(*Normalizer); ok && !n.Frozen() {
-			return Verdict{}, errors.New("core: parallel scoring requires a frozen normalizer (calibrate first)")
-		}
-		if err := d.scoreParallel(ctx, question, contextText, sentences, raw); err != nil {
-			return Verdict{}, err
-		}
-	} else {
-		for si, sentence := range sentences {
-			raw[si] = make([]float64, len(d.models))
-			for mi, m := range d.models {
-				p, err := m.YesProbability(ctx, slm.VerifyRequest{
-					Question: question, Context: contextText, Claim: sentence,
-				})
-				if err != nil {
-					return Verdict{}, fmt.Errorf("core: model %s: %w", m.Name(), err)
-				}
-				raw[si][mi] = p
-			}
-		}
+	if workers > 1 && !d.Calibrated() {
+		return Verdict{}, errors.New("core: parallel scoring requires a frozen normalizer (calibrate first)")
+	}
+	raw, err := d.yesProbabilities(ctx, question, contextText, sentences, workers)
+	if err != nil {
+		return Verdict{}, err
 	}
 	return d.assemble(sentences, raw)
 }
 
-// scoreParallel fans (sentence, model) calls across a bounded worker
-// pool. raw must be pre-sized to len(sentences).
-func (d *Detector) scoreParallel(ctx context.Context, question, contextText string, sentences []string, raw [][]float64) error {
-	type job struct{ si, mi int }
-	jobs := make(chan job)
-	for si := range sentences {
-		raw[si] = make([]float64, len(d.models))
+// yesProbabilities is the one place the (sentence × model) calls of
+// Eq. 3 are issued: raw[si][mi] = P_mi(yes | q, c, r_si), on up to
+// `workers` goroutines. The first failing call cancels the context the
+// remaining calls see, and its error — naming the model — is returned.
+func (d *Detector) yesProbabilities(ctx context.Context, question, contextText string, sentences []string, workers int) ([][]float64, error) {
+	nm := len(d.models)
+	raw := make([][]float64, len(sentences))
+	for si := range raw {
+		raw[si] = make([]float64, nm)
 	}
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	workers := d.workers
-	if max := len(sentences) * len(d.models); workers > max {
-		workers = max
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				p, err := d.models[j.mi].YesProbability(cctx, slm.VerifyRequest{
-					Question: question, Context: contextText, Claim: sentences[j.si],
-				})
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = fmt.Errorf("core: model %s: %w", d.models[j.mi].Name(), err)
-						cancel()
-					})
-					continue
-				}
-				raw[j.si][j.mi] = p
-			}
-		}()
-	}
-	for si := range sentences {
-		for mi := range d.models {
-			jobs <- job{si, mi}
+	err := forEach(ctx, len(sentences)*nm, workers, func(ctx context.Context, i int) error {
+		si, mi := i/nm, i%nm
+		p, err := d.models[mi].YesProbability(ctx, slm.VerifyRequest{
+			Question: question, Context: contextText, Claim: sentences[si],
+		})
+		if err != nil {
+			return fmt.Errorf("core: model %s: %w", d.models[mi].Name(), err)
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	return firstErr
+		raw[si][mi] = p
+		return nil
+	})
+	return raw, err
+}
+
+// forEach runs fn(ctx, i) for every i in [0, n) on up to `workers`
+// goroutines (parallel.ForWorkers; 0 or 1 runs inline). The first
+// error wins: it cancels the context every later call receives and is
+// the one returned.
+func forEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		once  sync.Once
+		first error
+	)
+	parallel.ForWorkers(n, workers, func(i int) {
+		if err := fn(ctx, i); err != nil {
+			once.Do(func() {
+				first = err
+				cancel()
+			})
+		}
+	})
+	return first
 }
 
 // assemble applies Eq. 4–6 to the raw probability matrix. The paper's

@@ -27,8 +27,7 @@
 // visible in /stats.
 //
 // Batch sizing is adaptive: the assembler asks an AIMD controller
-// (internal/adaptive — the same controller type the verification
-// micro-batcher uses) for its live batch limit and linger wait before
+// (internal/adaptive) for its live batch limit and linger wait before
 // each flush, and feeds occupancy and backlog back after.
 package ingest
 

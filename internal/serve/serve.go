@@ -1,15 +1,19 @@
 // Package serve is the traffic-ready serving layer over the paper's
 // RAG + verification pipeline (Fig. 2): a shard router that spreads
 // documents over N independent vector-database shards and fans queries
-// out in parallel, a micro-batching scheduler that verifies many
-// concurrent requests in one detector fan-out, LRU caches with
-// singleflight deduplication for embeddings and verdicts, and an
-// admission gate that sheds load instead of queueing unboundedly.
+// out in parallel, LRU caches with singleflight deduplication for
+// embeddings and verdicts in front of the detector, and per-tenant and
+// global admission gates that shed load instead of queueing
+// unboundedly.
 //
 // Request lifecycle for Ask:
 //
 //	admission → embed (cache) → shard fan-out → merge top-k →
-//	generate → verdict cache → micro-batch verify → respond
+//	generate → verdict cache → singleflight → detector → respond
+//
+// Verification is one direct detector call per distinct triple, under
+// the request's own context: the paper's (sentence × SLM) calls share
+// no work across requests, so there is nothing for a batch to amortize.
 //
 // See docs/serving.md for the architecture rationale.
 package serve
@@ -51,15 +55,16 @@ type Config struct {
 	// rag.DefaultChunker().
 	Chunker rag.Chunker
 
-	// MaxBatch / MaxWait bound the micro-batcher's adaptive controller
-	// from above, MinBatch / MinWait from below; StaticBatch pins
-	// (MaxBatch, MaxWait) instead of adapting (see BatcherConfig).
-	MaxBatch     int
-	MaxWait      time.Duration
-	MinBatch     int
-	MinWait      time.Duration
-	StaticBatch  bool
-	BatchWorkers int
+	// MaxBatch / MaxWait are read by nothing: they bounded the verify
+	// micro-batcher, which is gone. They stay only because the frozen
+	// bench/loadbench/inproc.go sets them; the next [benchmark] PR
+	// removes them together with that use.
+	MaxBatch int
+	MaxWait  time.Duration
+
+	// StaticBatch pins streaming-ingest index batches at their upper
+	// bounds instead of adapting them (see internal/adaptive).
+	StaticBatch bool
 
 	// StreamWorkers / StreamMaxPending / StreamMaxErrors tune the
 	// streaming ingest pipeline (see ingest.Config): chunking
@@ -156,18 +161,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the serving facade: it owns the sharded store, the
-// micro-batcher, the caches and the admission gate, and exposes the
-// same Ask/Verify/Ingest surface as the seed pipeline.
+// Server is the serving facade: it owns the sharded store, the caches
+// and the admission gates, and exposes the same Ask/Verify/Ingest
+// surface as the seed pipeline.
 type Server struct {
 	cfg       Config
 	store     Store
 	pipeline  *rag.Pipeline
-	batcher   *Batcher
 	admission *Admission
 	tenants   *TenantGate
 	verdicts  *lruCache[string, core.Verdict]
 	vflight   flightGroup[string, core.Verdict]
+	// verifyExec times one detector call (stage="verify_exec").
+	verifyExec *telemetry.Histogram
 	// ingestCtrl is the adaptive batch controller shared by every
 	// ingest stream, so the learned operating point carries between
 	// streams; stream accumulates their lifetime totals.
@@ -187,8 +193,7 @@ type Server struct {
 	unavailableShed *telemetry.Counter
 }
 
-// New builds and starts a Server (the batcher's collection loop runs
-// until Close).
+// New builds a Server.
 func New(cfg Config) (*Server, error) {
 	// Shards=0 means "auto" for a fresh store but "adopt the stored
 	// count" when reopening a data directory — resolve before
@@ -248,18 +253,6 @@ func New(cfg Config) (*Server, error) {
 		store.Close()
 		return nil, err
 	}
-	batcher := NewBatcher(det, BatcherConfig{
-		MaxBatch: cfg.MaxBatch,
-		MaxWait:  cfg.MaxWait,
-		MinBatch: cfg.MinBatch,
-		MinWait:  cfg.MinWait,
-		Static:   cfg.StaticBatch,
-		Workers:  cfg.BatchWorkers,
-		// Queue depth behind the batcher is the admission queue —
-		// the same field /stats exposes feeds the AIMD controller.
-		QueueDepth: admission.QueueDepth,
-		Telemetry:  cfg.Telemetry,
-	})
 	verdicts := newLRU[string, core.Verdict](cfg.VerdictCacheSize)
 	tenants := NewTenantGate(TenantLimits{
 		Rate:        cfg.TenantRate,
@@ -272,10 +265,11 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		store:     store,
 		pipeline:  pipeline,
-		batcher:   batcher,
 		admission: admission,
 		tenants:   tenants,
 		verdicts:  verdicts,
+		verifyExec: reg.Histogram("stage_duration_seconds", "Hot-path stage latency in seconds.", nil,
+			telemetry.L("stage", "verify_exec")),
 		ingestCtrl: adaptive.New(adaptive.Config{
 			// The batch limit must stay acquirable from the credit pool:
 			// past it, batches could never fill and every flush would
@@ -300,10 +294,6 @@ func New(cfg Config) (*Server, error) {
 	reg.GaugeFunc("admission_queue_depth", "Requests queued for an admission slot.",
 		func() float64 { return float64(admission.QueueDepth()) })
 	reg.CounterFunc("admission_shed_total", "Requests shed by the admission gate.", admission.Shed)
-	reg.CounterFunc("verify_batches_total", "Micro-batch dispatches to the detector.",
-		func() uint64 { b, _, _ := batcher.Stats(); return b })
-	reg.CounterFunc("verify_batch_items_total", "Requests carried by micro-batch dispatches.",
-		func() uint64 { _, i, _ := batcher.Stats(); return i })
 	reg.CounterFunc("cache_hits_total", "Verdict-cache hits.",
 		func() uint64 { h, _ := verdicts.Counters(); return h }, telemetry.L("cache", "verdict"))
 	reg.CounterFunc("cache_misses_total", "Verdict-cache misses.",
@@ -323,18 +313,12 @@ func New(cfg Config) (*Server, error) {
 	reg.CounterFunc("ingest_stream_throttle_events_total", "Pipeline blocks on the ingest chunk credit gate.", s.stream.throttled.Load)
 	reg.CounterFunc("ingest_stream_bytes_total", "Stream bytes read off ingest sockets.",
 		func() uint64 { return uint64(s.stream.bytes.Load()) })
-	// The AIMD controllers' live operating points, so dashboards can
-	// overlay batch-limit/linger moves on the latency they cause.
-	for _, c := range []struct {
-		name string
-		ctrl *adaptive.Controller
-	}{{"verify", batcher.Controller()}, {"ingest", s.ingestCtrl}} {
-		ctrl := c.ctrl
-		reg.GaugeFunc("adaptive_batch_limit", "Adaptive controller's current batch size limit.",
-			func() float64 { return float64(ctrl.Stats().Limit) }, telemetry.L("controller", c.name))
-		reg.GaugeFunc("adaptive_linger_wait_seconds", "Adaptive controller's current linger wait.",
-			func() float64 { return float64(ctrl.Stats().WaitMicros) / 1e6 }, telemetry.L("controller", c.name))
-	}
+	// The ingest AIMD controller's live operating point, so dashboards
+	// can overlay batch-limit/linger moves on the latency they cause.
+	reg.GaugeFunc("adaptive_batch_limit", "Adaptive controller's current batch size limit.",
+		func() float64 { return float64(s.ingestCtrl.Stats().Limit) }, telemetry.L("controller", "ingest"))
+	reg.GaugeFunc("adaptive_linger_wait_seconds", "Adaptive controller's current linger wait.",
+		func() float64 { return float64(s.ingestCtrl.Stats().WaitMicros) / 1e6 }, telemetry.L("controller", "ingest"))
 	return s, nil
 }
 
@@ -353,24 +337,18 @@ func streamPool(configured int) int {
 	return configured
 }
 
-// Ingest batches are chunk writes, far cheaper per item than a
-// verification, so the ingest controller runs in a much wider band
-// than the verify batcher: a full-width batch amortizes the per-shard
-// fan-out (lock + embed pass + WAL append) the way one bulk ingest
-// call does.
+// Ingest batches are chunk writes: a full-width batch amortizes the
+// per-shard fan-out (lock + embed pass + WAL append) the way one bulk
+// ingest call does, so the controller's band is wide.
 const (
 	ingestMaxBatch = 512
 	ingestMaxWait  = 20 * time.Millisecond
 )
 
-// Close stops the batcher and — on a durable store — takes a final
-// checkpoint and closes the per-shard WALs, so a clean shutdown
-// restarts from a snapshot with nothing to replay. In-flight requests
-// finish.
-func (s *Server) Close() error {
-	s.batcher.Close()
-	return s.store.Close()
-}
+// Close — on a durable store — takes a final checkpoint and closes
+// the per-shard WALs, so a clean shutdown restarts from a snapshot
+// with nothing to replay.
+func (s *Server) Close() error { return s.store.Close() }
 
 // Checkpoint snapshots every dirty shard and truncates its WAL — the
 // operation behind POST /admin/checkpoint. It errors on a memory-only
@@ -386,7 +364,7 @@ func (s *Server) Threshold() float64 { return s.pipeline.Threshold }
 
 // Calibrate accumulates the detector's normalization moments on the
 // given triples and freezes them — the preparation step that makes
-// verdicts pure functions, which both the parallel batcher and the
+// verdicts pure functions, which both parallel scoring and the
 // verdict cache rely on.
 func (s *Server) Calibrate(ctx context.Context, triples []core.Triple) error {
 	return s.pipeline.Detector().Calibrate(ctx, triples)
@@ -426,8 +404,8 @@ func (s *Server) Ask(ctx context.Context, question string) (rag.Answer, error) {
 // AskIn is Ask scoped to one collection: retrieval draws context only
 // from that collection's documents (empty means unscoped, the default
 // collection plus everything else — the pre-collection behaviour).
-// The verdict cache and batcher read the tenant off ctx (WithTenant),
-// which HTTP handlers set alongside the collection.
+// The verdict cache reads the tenant off ctx (WithTenant), which HTTP
+// handlers set alongside the collection.
 func (s *Server) AskIn(ctx context.Context, collection, question string) (rag.Answer, error) {
 	if question == "" {
 		return rag.Answer{}, errors.New("serve: empty question")
@@ -459,7 +437,7 @@ func (s *Server) AskIn(ctx context.Context, collection, question string) (rag.An
 }
 
 // Verify scores one (question, context, response) triple through the
-// cache + batcher path.
+// verdict cache, calling the detector on a miss.
 func (s *Server) Verify(ctx context.Context, question, contextText, response string) (core.Verdict, error) {
 	rctx, done, err := s.admit(ctx)
 	if err != nil {
@@ -606,15 +584,15 @@ func verdictKey(tenant string, t core.Triple) string {
 	return tenant + "\x1f" + t.Question + "\x1f" + t.Context + "\x1f" + t.Response
 }
 
-// verdict resolves one triple via LRU cache → singleflight → batcher.
+// verdict resolves one triple via LRU cache → singleflight → detector.
 // Identical concurrent claims are verified once; errors are never
 // cached. Caching and deduplication require a calibrated (frozen)
 // detector — before calibration, verdicts are order-dependent online
-// functions, so every request goes to the batcher and the seed's
+// functions, so every request is scored, sequentially, and the seed's
 // online-normalization semantics are preserved.
 func (s *Server) verdict(ctx context.Context, t core.Triple) (core.Verdict, error) {
 	if !s.pipeline.Detector().Calibrated() {
-		return s.batcher.Verify(ctx, t)
+		return s.score(ctx, t, 1)
 	}
 	key := verdictKey(TenantFrom(ctx), t)
 	for {
@@ -622,7 +600,7 @@ func (s *Server) verdict(ctx context.Context, t core.Triple) (core.Verdict, erro
 			return v, nil
 		}
 		v, err, shared := s.vflight.Do(ctx, key, func() (core.Verdict, error) {
-			v, err := s.batcher.Verify(ctx, t)
+			v, err := s.score(ctx, t, runtime.GOMAXPROCS(0))
 			if err != nil {
 				return core.Verdict{}, err
 			}
@@ -643,6 +621,14 @@ func (s *Server) verdict(ctx context.Context, t core.Triple) (core.Verdict, erro
 	}
 }
 
+// score is the one detector call of the serving path, under the
+// request's context: a cancelled or timed-out request stops calling
+// models.
+func (s *Server) score(ctx context.Context, t core.Triple, workers int) (core.Verdict, error) {
+	defer s.verifyExec.ObserveSince(time.Now())
+	return s.pipeline.Detector().ScoreWorkers(ctx, t.Question, t.Context, t.Response, workers)
+}
+
 // Stats assembles the current Snapshot.
 func (s *Server) Stats() Snapshot {
 	embed, _ := s.store.Embedder().(*CachedEmbedder)
@@ -652,11 +638,6 @@ func (s *Server) Stats() Snapshot {
 		ec = cacheStats(embed.Size(), h, m)
 	}
 	vh, vm := s.verdicts.Counters()
-	batches, items, maxBatch := s.batcher.Stats()
-	bs := BatchStats{Batches: batches, Items: items, MaxBatch: maxBatch, Tuner: s.batcher.Controller().Stats()}
-	if batches > 0 {
-		bs.MeanOccupancy = float64(items) / float64(batches)
-	}
 	// One ShardSizes pass feeds both fields: on a cluster store each
 	// call is a shard fan-out, so Docs is derived rather than fetched
 	// again.
@@ -683,7 +664,6 @@ func (s *Server) Stats() Snapshot {
 		},
 		EmbedCache:   ec,
 		VerdictCache: cacheStats(s.verdicts.Len(), vh, vm),
-		Batch:        bs,
 		Admission: AdmissionStats{
 			InFlight:   s.admission.InFlight(),
 			QueueDepth: s.admission.QueueDepth(),

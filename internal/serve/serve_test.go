@@ -5,12 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/slm"
 	"repro/internal/telemetry"
 	"repro/internal/vecdb"
 )
@@ -320,94 +323,6 @@ func TestAdmissionQueueHonorsContext(t *testing.T) {
 	}
 }
 
-// TestBatcherMatchesDirectScore: with a frozen detector, verdicts from
-// the concurrent micro-batched path must equal direct Score calls
-// exactly — batching is a pure scheduling transform.
-func TestBatcherMatchesDirectScore(t *testing.T) {
-	d := calibratedDetector(t)
-	ctx := context.Background()
-	doc := strings.Join(handbook, " ")
-	b := NewBatcher(d, BatcherConfig{MaxBatch: 8, MaxWait: 5 * time.Millisecond, Workers: 4})
-	defer b.Close()
-
-	type result struct {
-		i   int
-		v   core.Verdict
-		err error
-	}
-	n := len(handbook)
-	results := make(chan result, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, err := b.Verify(ctx, core.Triple{
-				Question: "What does the handbook say?", Context: doc, Response: handbook[i],
-			})
-			results <- result{i, v, err}
-		}(i)
-	}
-	wg.Wait()
-	close(results)
-	for r := range results {
-		if r.err != nil {
-			t.Fatalf("batched verify %d: %v", r.i, r.err)
-		}
-		want, err := d.Score(ctx, "What does the handbook say?", doc, handbook[r.i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.v.Score != want.Score {
-			t.Errorf("triple %d: batched score %v != direct score %v", r.i, r.v.Score, want.Score)
-		}
-	}
-	batches, items, _ := b.Stats()
-	if items != uint64(n) {
-		t.Errorf("batch items = %d, want %d", items, n)
-	}
-	if batches == 0 || batches > uint64(n) {
-		t.Errorf("batches = %d, want in [1, %d]", batches, n)
-	}
-}
-
-// TestBatcherEmptyResponseIsolated: one bad request fails alone; its
-// batchmates succeed.
-func TestBatcherEmptyResponseIsolated(t *testing.T) {
-	d := calibratedDetector(t)
-	b := NewBatcher(d, BatcherConfig{MaxBatch: 4, MaxWait: 10 * time.Millisecond, Workers: 2})
-	defer b.Close()
-	doc := strings.Join(handbook, " ")
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	for i, resp := range []string{handbook[0], "", handbook[1]} {
-		wg.Add(1)
-		go func(i int, resp string) {
-			defer wg.Done()
-			_, errs[i] = b.Verify(context.Background(), core.Triple{
-				Question: "q", Context: doc, Response: resp,
-			})
-		}(i, resp)
-	}
-	wg.Wait()
-	if errs[0] != nil || errs[2] != nil {
-		t.Errorf("good triples failed: %v, %v", errs[0], errs[2])
-	}
-	if !errors.Is(errs[1], core.ErrEmptyResponse) {
-		t.Errorf("empty response err = %v, want ErrEmptyResponse", errs[1])
-	}
-}
-
-// TestBatcherClosed: Verify after Close fails fast.
-func TestBatcherClosed(t *testing.T) {
-	d := calibratedDetector(t)
-	b := NewBatcher(d, BatcherConfig{})
-	b.Close()
-	if _, err := b.Verify(context.Background(), core.Triple{Question: "q", Context: "c", Response: "r."}); !errors.Is(err, ErrClosed) {
-		t.Errorf("err = %v, want ErrClosed", err)
-	}
-}
-
 func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	if cfg.Detector == nil {
@@ -514,14 +429,14 @@ func TestServerVerifyCaching(t *testing.T) {
 	if st.VerdictCache.Hits != 1 {
 		t.Errorf("verdict cache hits = %d, want 1", st.VerdictCache.Hits)
 	}
-	if st.Batch.Items != 1 {
-		t.Errorf("batch items = %d, want 1 (second call must not reach the batcher)", st.Batch.Items)
+	if n := st.Stages["verify_exec"].Count; n != 1 {
+		t.Errorf("detector calls = %d, want 1 (second call must not reach the detector)", n)
 	}
 }
 
 // TestServerUncalibratedBypassesCache: with an unfrozen normalizer,
 // verdicts are order-dependent online functions, so the serving layer
-// must not cache them — every request reaches the batcher.
+// must not cache them — every request reaches the detector.
 func TestServerUncalibratedBypassesCache(t *testing.T) {
 	d, err := core.NewProposed()
 	if err != nil {
@@ -539,8 +454,116 @@ func TestServerUncalibratedBypassesCache(t *testing.T) {
 	if st.VerdictCache.Hits != 0 || st.VerdictCache.Size != 0 {
 		t.Errorf("uncalibrated detector used the verdict cache: %+v", st.VerdictCache)
 	}
-	if st.Batch.Items != 3 {
-		t.Errorf("batch items = %d, want 3 (every call must reach the batcher)", st.Batch.Items)
+	if n := st.Stages["verify_exec"].Count; n != 3 {
+		t.Errorf("detector calls = %d, want 3 (every call must reach the detector)", n)
+	}
+}
+
+// TestServerVerifyMatchesDetector: the serving path adds caching and
+// deduplication, never arithmetic — Server.Verify returns the bits
+// det.Score returns, cold and again from the verdict cache.
+func TestServerVerifyMatchesDetector(t *testing.T) {
+	d := calibratedDetector(t)
+	s := newTestServer(t, Config{Shards: 2, Dim: 64, Detector: d})
+	ctx := context.Background()
+	doc := strings.Join(handbook, " ")
+	for i, resp := range handbook {
+		want, err := d.Score(ctx, "What does the handbook say?", doc, resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pass := range []string{"cold", "cached"} {
+			got, err := s.Verify(ctx, "What does the handbook say?", doc, resp)
+			if err != nil {
+				t.Fatalf("%s verify %d: %v", pass, i, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s verify %d: %+v != det.Score %+v", pass, i, got, want)
+			}
+		}
+	}
+	st := s.Stats()
+	if n := len(handbook); st.VerdictCache.Hits != uint64(n) || st.Stages["verify_exec"].Count != uint64(n) {
+		t.Errorf("cache hits %d, detector calls %d; want %d each", st.VerdictCache.Hits, st.Stages["verify_exec"].Count, n)
+	}
+}
+
+// blockingModel counts the calls that arrive on a live context and
+// parks each until released or until its context is cancelled.
+type blockingModel struct {
+	calls   atomic.Int64
+	once    sync.Once
+	entered chan struct{} // closed by the first parked call
+	release chan struct{}
+}
+
+func (*blockingModel) Name() string { return "blocking" }
+func (m *blockingModel) YesProbability(ctx context.Context, _ slm.VerifyRequest) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	m.calls.Add(1)
+	m.once.Do(func() { close(m.entered) })
+	select {
+	case <-m.release:
+		return 0.5, nil
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
+}
+
+// TestVerifyStopsOnCancel: verification runs under the request's
+// context, so a cancelled Verify returns ctx.Err() and no further
+// model call is made on its behalf; a singleflight follower whose own
+// context is live is not failed by the leader's cancellation — it
+// retries, becomes the leader and still gets a verdict.
+func TestVerifyStopsOnCancel(t *testing.T) {
+	m := &blockingModel{entered: make(chan struct{}), release: make(chan struct{})}
+	d, err := core.NewDetector("blocking", core.Config{Models: []slm.Model{m}, Scale: core.Identity{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Shards: 1, Dim: 64, Detector: d})
+	// More sentences than the detector call has workers, so a
+	// verification that stops early is distinguishable from one that
+	// ran to completion.
+	workers := runtime.GOMAXPROCS(0)
+	doc := strings.Repeat(strings.Join(handbook, " ")+" ", workers/len(handbook)+2)
+	sentences := len(handbook) * (workers/len(handbook) + 2)
+
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := s.Verify(leaderCtx, "q", doc, doc)
+		leaderErr <- err
+	}()
+	<-m.entered // the leader is inside the detector
+	type result struct {
+		v   core.Verdict
+		err error
+	}
+	follower := make(chan result, 1)
+	go func() {
+		v, err := s.Verify(context.Background(), "q", doc, doc)
+		follower <- result{v, err}
+	}()
+	cancel()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Verify: err = %v, want context.Canceled", err)
+	}
+	close(m.release)
+	r := <-follower
+	if r.err != nil {
+		t.Fatalf("follower with a live context: %v", r.err)
+	}
+	if len(r.v.Sentences) != sentences {
+		t.Errorf("follower verdict has %d sentences, want %d", len(r.v.Sentences), sentences)
+	}
+	// The leader had at most `workers` calls parked when it was
+	// cancelled and started none after; the follower's verification is
+	// the only one that ran every sentence.
+	if got, limit := m.calls.Load(), int64(workers+sentences); got > limit {
+		t.Errorf("%d model calls, want at most %d: the cancelled Verify kept calling models", got, limit)
 	}
 }
 

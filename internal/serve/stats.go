@@ -30,8 +30,6 @@ type Snapshot struct {
 	EmbedCache CacheStats `json:"embed_cache"`
 	// VerdictCache reports the verification result cache.
 	VerdictCache CacheStats `json:"verdict_cache"`
-	// Batch reports the micro-batching scheduler.
-	Batch BatchStats `json:"batch"`
 	// Admission reports the load-shedding gate.
 	Admission AdmissionStats `json:"admission"`
 	// IngestStream reports the streaming ingest pipeline (POST
@@ -51,9 +49,8 @@ type Snapshot struct {
 	Cluster ClusterStats `json:"cluster"`
 	// Stages summarizes the telemetry registry's per-stage latency
 	// histograms (stage_duration_seconds) as count + p50/p95/p99 per
-	// hot-path stage: embed, shard_fanout, merge, verify_wait,
-	// verify_exec, rerank, wal_append, wal_fsync, checkpoint,
-	// ingest_chunk.
+	// hot-path stage: embed, shard_fanout, merge, verify_exec, rerank,
+	// wal_append, wal_fsync, checkpoint, ingest_chunk.
 	// Stages that have observed nothing are omitted; /metrics exposes
 	// the full bucket detail.
 	Stages map[string]StageStats `json:"stages,omitempty"`
@@ -115,21 +112,6 @@ func cacheStats(size int, hits, misses uint64) CacheStats {
 		s.HitRate = float64(hits) / float64(total)
 	}
 	return s
-}
-
-// BatchStats describes the micro-batcher's dispatch history.
-type BatchStats struct {
-	// Batches is the number of dispatches to the detector.
-	Batches uint64 `json:"batches"`
-	// Items is the number of requests carried by those dispatches.
-	Items uint64 `json:"items"`
-	// MeanOccupancy is Items/Batches — how full batches run on average.
-	MeanOccupancy float64 `json:"mean_occupancy"`
-	// MaxBatch is the largest single dispatch observed.
-	MaxBatch int `json:"max_batch"`
-	// Tuner is the AIMD controller's live operating point: current
-	// batch limit, linger wait, and grow/shrink counts.
-	Tuner adaptive.Stats `json:"tuner"`
 }
 
 // StreamStats is the streaming-ingest section of the snapshot,

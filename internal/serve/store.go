@@ -15,7 +15,7 @@ import (
 // ShardedDB (in-process shards, optionally durable via per-shard WAL +
 // checkpoints) and RemoteStore (a cluster.Router fanning the same
 // operations out to shard nodes over HTTP). The Server is agnostic: the
-// full Ask path — admission, caches, micro-batched verification — is
+// full Ask path — admission, caches, verification — is
 // identical in both modes; only where the vectors live changes.
 //
 // Every ctx-taking method returns ctx.Err() without doing work when ctx

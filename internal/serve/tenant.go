@@ -23,9 +23,8 @@ var ErrTenantThrottled = fmt.Errorf("%w: tenant rate limit", ErrOverloaded)
 type tenantKey struct{}
 
 // WithTenant tags ctx with the request's collection. Handlers set it
-// once at the boundary; the tenant gate, the verification batcher's
-// fair scheduler, and the verdict cache all read it from there, so no
-// internal signature had to grow a tenant parameter.
+// once at the boundary; the tenant gate and the verdict cache read it
+// from there, so no internal signature had to grow a tenant parameter.
 func WithTenant(ctx context.Context, collection string) context.Context {
 	if collection == "" {
 		return ctx

@@ -3,13 +3,11 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/telemetry"
 	"repro/internal/vecdb"
 )
@@ -129,53 +127,6 @@ func TestTenantGateInFlightQuota(t *testing.T) {
 	rel3()
 	if st := g.Stats()["tenant-a"]; st.InFlight != 0 {
 		t.Errorf("in-flight after all releases = %d, want 0", st.InFlight)
-	}
-}
-
-// TestPendingJobsRoundRobin pins the weighted-fair batch formation as
-// pure data-structure behaviour (no goroutines, no timing): a batch
-// cut from queues holding 6 tenant-a jobs, 2 tenant-b jobs and 1
-// unscoped job must carry every waiting tenant before any tenant's
-// second job.
-func TestPendingJobsRoundRobin(t *testing.T) {
-	job := func(tenant string, n int) batchJob {
-		return batchJob{
-			triple: core.Triple{Question: fmt.Sprintf("%s/%d", tenant, n)},
-			ctx:    WithTenant(context.Background(), tenant),
-		}
-	}
-	p := newPendingJobs()
-	for i := 0; i < 6; i++ {
-		p.push(job("a", i))
-	}
-	p.push(job("b", 0))
-	p.push(job("b", 1))
-	p.push(job("", 0)) // unscoped traffic is one more queue in the rotation
-
-	got := func(batch []batchJob) []string {
-		qs := make([]string, len(batch))
-		for i, j := range batch {
-			qs[i] = j.triple.Question
-		}
-		return qs
-	}
-
-	batch := p.take(6)
-	want := []string{"a/0", "b/0", "/0", "a/1", "b/1", "a/2"}
-	if strings.Join(got(batch), " ") != strings.Join(want, " ") {
-		t.Fatalf("fair batch = %v, want %v", got(batch), want)
-	}
-	if p.size != 3 {
-		t.Fatalf("pending after cut = %d, want 3", p.size)
-	}
-	// The remainder drains in FIFO order for the only non-empty queue.
-	rest := p.take(10)
-	want = []string{"a/3", "a/4", "a/5"}
-	if strings.Join(got(rest), " ") != strings.Join(want, " ") {
-		t.Fatalf("drained remainder = %v, want %v", got(rest), want)
-	}
-	if p.size != 0 {
-		t.Fatalf("pending after drain = %d, want 0", p.size)
 	}
 }
 
