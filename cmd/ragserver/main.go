@@ -434,7 +434,12 @@ func seedDemoCorpus(sv *serve.Server) error {
 		}
 	}
 	log.Printf("seeding demo: %d passages, calibrating on %d responses", sv.Store().Len(), len(triples))
-	return sv.Calibrate(ctx, triples)
+	start := time.Now()
+	if err := sv.Calibrate(ctx, triples); err != nil {
+		return err
+	}
+	log.Printf("calibrated on %d responses in %s", len(triples), time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
 func (s *server) routes() http.Handler {

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -509,5 +510,130 @@ func TestMeanStrings(t *testing.T) {
 	}
 	if len(Means()) != 5 {
 		t.Error("Means() must enumerate all five aggregations")
+	}
+}
+
+// TestCalibrateMatchesSequential: fanning the model calls out moves no
+// bit of the calibration. The reference is the plain triple → sentence
+// → model loop into a fresh Normalizer; the frozen moments and what
+// Standardize makes of them must be equal per model.
+func TestCalibrateMatchesSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // more than one worker on any box
+	ctx := context.Background()
+	triples := defaultTriples(t)
+	d, err := NewProposed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Calibrate(ctx, triples); err != nil {
+		t.Fatal(err)
+	}
+	if !d.Calibrated() {
+		t.Fatal("Calibrate left the scaler unfrozen")
+	}
+	models := proposedModels()
+	ref := NewNormalizer()
+	for _, tr := range triples {
+		for _, sentence := range SentenceSplitter(tr.Response) {
+			for _, m := range models {
+				p, err := m.YesProbability(ctx, slm.VerifyRequest{Question: tr.Question, Context: tr.Context, Claim: sentence})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref.Observe(m.Name(), p)
+			}
+		}
+	}
+	ref.Freeze()
+	got := d.Scaler().(*Normalizer)
+	for _, m := range models {
+		gm, _ := got.Moments(m.Name())
+		rm, _ := ref.Moments(m.Name())
+		if gm != rm {
+			t.Errorf("%s: moments %+v, sequential %+v", m.Name(), gm, rm)
+		}
+		for _, p := range []float64{1e-4, 0.25, 0.5, 0.9, 1 - 1e-4} {
+			g, r := got.Standardize(m.Name(), p), ref.Standardize(m.Name(), p)
+			if math.Float64bits(g) != math.Float64bits(r) {
+				t.Errorf("%s: Standardize(%v) = %x, sequential %x", m.Name(), p, math.Float64bits(g), math.Float64bits(r))
+			}
+		}
+	}
+}
+
+// parkingModel answers its first `free` calls at once and parks every
+// later one until the context it was handed is cancelled. It counts
+// every call, cancelled context or not.
+type parkingModel struct {
+	free   int64
+	calls  atomic.Int64
+	once   sync.Once
+	parked chan struct{} // closed by the first parked call
+}
+
+func (*parkingModel) Name() string { return "parking" }
+func (m *parkingModel) YesProbability(ctx context.Context, _ slm.VerifyRequest) (float64, error) {
+	if m.calls.Add(1) <= m.free {
+		return 0.5, nil
+	}
+	m.once.Do(func() { close(m.parked) })
+	<-ctx.Done()
+	return 0, ctx.Err()
+}
+
+// TestCalibrateStopsOnCancel: a cancelled Calibrate returns ctx's error,
+// issues no model call beyond the ones its workers had in flight, and
+// leaves the scaler as it found it — nothing observed, nothing frozen.
+func TestCalibrateStopsOnCancel(t *testing.T) {
+	const workers = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+	triples := defaultTriples(t)
+	m := &parkingModel{free: 100, parked: make(chan struct{})}
+	d, err := NewDetector("parking", Config{Models: []slm.Model{m}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- d.Calibrate(ctx, triples) }()
+	<-m.parked
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Calibrate: err = %v, want context.Canceled", err)
+	}
+	if got, limit := m.calls.Load(), m.free+workers; got > limit {
+		t.Errorf("%d model calls, want at most %d: the cancelled Calibrate kept calling models", got, limit)
+	}
+	if d.Calibrated() {
+		t.Error("cancelled Calibrate froze the scaler")
+	}
+	if s, ok := d.Scaler().(*Normalizer).Moments(m.Name()); ok {
+		t.Errorf("cancelled Calibrate observed %d probabilities", s.N)
+	}
+}
+
+// TestCalibrateFailingModel: the first failing call's error comes back
+// naming its model, the calls still running see their context
+// cancelled, and nothing is observed or frozen.
+func TestCalibrateFailingModel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	m := &failingModel{}
+	good := slm.NewQwen2()
+	d, err := NewDetector("failing", Config{Models: []slm.Model{good, m}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = d.Calibrate(context.Background(), defaultTriples(t)[:12])
+	if err == nil || !strings.Contains(err.Error(), "model failing: boom") {
+		t.Errorf("err = %v, want it to name the model", err)
+	}
+	if n := m.uncancelled.Load(); n != 0 {
+		t.Errorf("%d later calls never saw the context cancelled", n)
+	}
+	if d.Calibrated() {
+		t.Error("failed Calibrate froze the scaler")
+	}
+	if s, ok := d.Scaler().(*Normalizer).Moments(good.Name()); ok {
+		t.Errorf("failed Calibrate observed %d probabilities", s.N)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -232,7 +233,8 @@ func (d *Detector) yesProbabilities(ctx context.Context, question, contextText s
 // forEach runs fn(ctx, i) for every i in [0, n) on up to `workers`
 // goroutines (parallel.ForWorkers; 0 or 1 runs inline). The first
 // error wins: it cancels the context every later call receives and is
-// the one returned.
+// the one returned. Once the context is done — that error, or the
+// caller giving up — the remaining indices are skipped, not called.
 func forEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -241,7 +243,11 @@ func forEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 		first error
 	)
 	parallel.ForWorkers(n, workers, func(i int) {
-		if err := fn(ctx, i); err != nil {
+		err := ctx.Err()
+		if err == nil {
+			err = fn(ctx, i)
+		}
+		if err != nil {
 			once.Do(func() {
 				first = err
 				cancel()
@@ -288,18 +294,30 @@ func (d *Detector) assemble(sentences []string, raw [][]float64) (Verdict, error
 // accumulate normalization moments (the "previous responses" of Eq. 4),
 // then freezes the scaler. It is the recommended preparation step
 // before batch evaluation or parallel scoring.
+//
+// The model calls — all of the cost — fan out over GOMAXPROCS workers,
+// one triple per task, so the models must be safe for concurrent use,
+// as slm.Model requires of every implementation. The moments do not
+// depend on that schedule: Welford updates are order-dependent, so the
+// raw probabilities are collected by index first and observed
+// afterwards in triple → sentence → model order, the order a
+// sequential pass would produce. On error (the first failing call's,
+// naming its model, or ctx's) nothing is observed and nothing frozen.
 func (d *Detector) Calibrate(ctx context.Context, triples []Triple) error {
-	for _, t := range triples {
-		sentences := d.split(t.Response)
-		for _, sentence := range sentences {
-			for _, m := range d.models {
-				p, err := m.YesProbability(ctx, slm.VerifyRequest{
-					Question: t.Question, Context: t.Context, Claim: sentence,
-				})
-				if err != nil {
-					return fmt.Errorf("core: calibrate: model %s: %w", m.Name(), err)
-				}
-				d.scale.Observe(m.Name(), p)
+	raw := make([][][]float64, len(triples)) // [triple][sentence][model]
+	err := forEach(ctx, len(triples), runtime.GOMAXPROCS(0), func(ctx context.Context, i int) error {
+		t := triples[i]
+		var err error
+		raw[i], err = d.yesProbabilities(ctx, t.Question, t.Context, d.split(t.Response), 1)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("core: calibrate: %w", err)
+	}
+	for _, sentences := range raw {
+		for _, probs := range sentences {
+			for mi, m := range d.models {
+				d.scale.Observe(m.Name(), probs[mi])
 			}
 		}
 	}

@@ -24,15 +24,40 @@ func BenchmarkTransformerStep(b *testing.B) {
 	b.ReportMetric(float64(len(prompt)), "tokens/op")
 }
 
+// BenchmarkHiddenSignature times the verification forward pass alone:
+// one full 96-token window (idiosyncrasyConfig.MaxSeq) through a
+// model-sized network, the work behind every signature-memo miss.
+func BenchmarkHiddenSignature(b *testing.B) {
+	tr, err := NewTransformer(idiosyncrasyConfig, tokenizer.New(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids := tr.Tokenizer().Encode(VerificationPrompt(VerifyRequest{
+		Question: "What are the working hours?",
+		Context:  "The store operates from 9 AM to 5 PM, from Sunday to Saturday.",
+		Claim:    "The working hours are 9 AM to 5 PM.",
+	}))
+	ids = ids[len(ids)-tr.Config().MaxSeq:]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tr.HiddenSignature(ids); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkYesProbabilityColdCache(b *testing.B) {
 	ctx := context.Background()
+	m := NewQwen2() // built once: weight initialisation is not what a cold call costs
 	r := VerifyRequest{
 		Question: "What are the working hours?",
 		Context:  "The store operates from 9 AM to 5 PM, from Sunday to Saturday.",
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := NewQwen2() // fresh cache each iteration
+		// A claim no earlier iteration used, so the signature memo misses.
 		r.Claim = fmt.Sprintf("The working hours are 9 AM to 5 PM, run %d.", i)
 		if _, err := m.YesProbability(ctx, r); err != nil {
 			b.Fatal(err)
@@ -51,6 +76,7 @@ func BenchmarkYesProbabilityWarmCache(b *testing.B) {
 	if _, err := m.YesProbability(ctx, r); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.YesProbability(ctx, r); err != nil {

@@ -2,6 +2,7 @@ package slm
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"sync"
 
@@ -120,7 +121,7 @@ type CalibratedVerifier struct {
 	tok     *tokenizer.Tokenizer
 
 	mu    sync.Mutex
-	cache map[string]float64 // prompt → hidden signature
+	cache map[string]float64 // token window fed to net (uvarint ids) → hidden signature
 }
 
 // idiosyncrasyConfig is the tiny network used only to derive a
@@ -281,18 +282,28 @@ func (v *CalibratedVerifier) evidenceScore(f textproc.Features, missQuantity, mi
 	return score
 }
 
-// signature returns the cached hidden-state signature of the prompt
-// under this model's private network.
+// signature returns the hidden-state signature of the prompt under this
+// model's private network, memoized on what the network is fed: the
+// last MaxSeq tokens (HiddenSignature keeps only that tail). Keying on
+// the window rather than the whole prompt lets prompts that share it
+// share the entry, and bounds a key at a few bytes per token of it.
 func (v *CalibratedVerifier) signature(prompt string) (float64, error) {
-	v.mu.Lock()
-	if s, ok := v.cache[prompt]; ok {
-		v.mu.Unlock()
-		return s, nil
-	}
-	v.mu.Unlock()
 	ids := v.tok.Encode(prompt)
 	if len(ids) == 0 {
 		ids = []int{tokenizer.BosID}
+	}
+	if n := v.net.Config().MaxSeq; len(ids) > n {
+		ids = ids[len(ids)-n:]
+	}
+	key := make([]byte, 0, 256) // on the stack for windows up to 128 two-byte ids
+	for _, id := range ids {
+		key = binary.AppendUvarint(key, uint64(id))
+	}
+	v.mu.Lock()
+	s, ok := v.cache[string(key)] // a lookup converts without copying
+	v.mu.Unlock()
+	if ok {
+		return s, nil
 	}
 	s, err := v.net.HiddenSignature(ids)
 	if err != nil {
@@ -305,7 +316,7 @@ func (v *CalibratedVerifier) signature(prompt string) (float64, error) {
 	if len(v.cache) > 1<<16 {
 		v.cache = map[string]float64{}
 	}
-	v.cache[prompt] = s
+	v.cache[string(key)] = s
 	v.mu.Unlock()
 	return s, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/rng"
 	"repro/internal/tokenizer"
@@ -76,6 +77,10 @@ type Transformer struct {
 	cfg Config
 	tok *tokenizer.Tokenizer
 
+	// sessions recycles the Sessions HiddenSignature runs on, so a
+	// verification call allocates no KV cache or scratch of its own.
+	sessions sync.Pool
+
 	tokEmb []float32 // VocabSize×Dim
 	posEmb []float32 // MaxSeq×Dim
 	layers []layerWeights
@@ -141,20 +146,24 @@ func (t *Transformer) Tokenizer() *tokenizer.Tokenizer { return t.tok }
 
 // Session holds the per-sequence KV cache for incremental decoding.
 // A Session is single-goroutine; create one per concurrent decode.
+// Every buffer a step writes — the caches at their full MaxSeq×Dim
+// capacity, the attention scores, the scratch vectors — is allocated
+// once here, so stepping allocates nothing.
 type Session struct {
 	t *Transformer
-	// kCache/vCache are [layer][pos*Dim] grown as tokens arrive.
+	// kCache/vCache are [layer][pos*Dim], appended to as tokens arrive.
 	kCache [][]float32
 	vCache [][]float32
 	pos    int
 	// scratch buffers reused across steps.
 	x, xn, q, k, v, attnOut, ffnHid, ffnOut []float32
+	scores                                  []float32 // MaxSeq; one head's attention weights
 	logits                                  []float32
 }
 
 // NewSession creates an empty decoding session.
 func (t *Transformer) NewSession() *Session {
-	return &Session{
+	s := &Session{
 		t:       t,
 		kCache:  make([][]float32, t.cfg.Layers),
 		vCache:  make([][]float32, t.cfg.Layers),
@@ -166,8 +175,30 @@ func (t *Transformer) NewSession() *Session {
 		attnOut: make([]float32, t.cfg.Dim),
 		ffnHid:  make([]float32, t.cfg.FFNDim),
 		ffnOut:  make([]float32, t.cfg.Dim),
+		scores:  make([]float32, t.cfg.MaxSeq),
 		logits:  make([]float32, t.cfg.VocabSize),
 	}
+	for l := range s.kCache {
+		s.kCache[l] = make([]float32, 0, t.cfg.MaxSeq*t.cfg.Dim)
+		s.vCache[l] = make([]float32, 0, t.cfg.MaxSeq*t.cfg.Dim)
+	}
+	return s
+}
+
+// pooledSession returns an empty session from the transformer's pool
+// (a new one when the pool is empty). Hand it back with
+// t.sessions.Put once nothing reads its buffers any more.
+func (t *Transformer) pooledSession() *Session {
+	s, ok := t.sessions.Get().(*Session)
+	if !ok {
+		return t.NewSession()
+	}
+	s.pos = 0
+	for l := range s.kCache {
+		s.kCache[l] = s.kCache[l][:0]
+		s.vCache[l] = s.vCache[l][:0]
+	}
+	return s
 }
 
 // Len returns the number of tokens consumed so far.
@@ -176,17 +207,46 @@ func (s *Session) Len() int { return s.pos }
 // ErrSequenceTooLong is returned when feeding beyond MaxSeq.
 var ErrSequenceTooLong = errors.New("slm: sequence exceeds MaxSeq")
 
+// depth says how much of a step's forward pass something will read.
+// Each depth computes a prefix of the next one's work with the same
+// calls in the same order, so whatever a shallower step does produce —
+// the K/V rows every later position attends to, the residual stream —
+// is bit-identical to what a full step would have left there.
+type depth int
+
+const (
+	// depthKV stops in the last layer as soon as its K/V rows are
+	// appended. The rest of that layer (query, attention, wo, FFN)
+	// feeds only this position's own residual stream, which nothing
+	// reads unless the position is the final one.
+	depthKV depth = iota
+	// depthHidden runs every layer, leaving the final residual stream
+	// in s.x, and skips the final layernorm and the output head.
+	depthHidden
+	// depthLogits is the whole pass: s.logits holds the next-token
+	// logits.
+	depthLogits
+)
+
 // Step feeds one token ID and returns the logits for the next token.
 // The returned slice aliases session scratch space and is valid until
 // the next Step.
 func (s *Session) Step(id int) ([]float32, error) {
+	if err := s.step(id, depthLogits); err != nil {
+		return nil, err
+	}
+	return s.logits, nil
+}
+
+// step consumes one token ID, computing as far as dp asks.
+func (s *Session) step(id int, dp depth) error {
 	t := s.t
 	cfg := t.cfg
 	if s.pos >= cfg.MaxSeq {
-		return nil, fmt.Errorf("%w (max %d)", ErrSequenceTooLong, cfg.MaxSeq)
+		return fmt.Errorf("%w (max %d)", ErrSequenceTooLong, cfg.MaxSeq)
 	}
 	if id < 0 || id >= cfg.VocabSize {
-		return nil, fmt.Errorf("slm: token id %d out of vocab range %d", id, cfg.VocabSize)
+		return fmt.Errorf("slm: token id %d out of vocab range %d", id, cfg.VocabSize)
 	}
 	d := cfg.Dim
 	// Embedding = token + position.
@@ -195,22 +255,25 @@ func (s *Session) Step(id int) ([]float32, error) {
 
 	headDim := d / cfg.Heads
 	scale := float32(1 / math.Sqrt(float64(headDim)))
+	steps := s.pos + 1
+	scores := s.scores[:steps]
 	for l := range t.layers {
 		lw := &t.layers[l]
 		// --- attention sublayer (pre-LN) ---
 		copy(s.xn, s.x)
 		layerNorm(s.xn, lw.ln1g, lw.ln1b, 1e-5)
-		matVec(s.q, lw.wq, s.xn, d, d)
 		matVec(s.k, lw.wk, s.xn, d, d)
 		matVec(s.v, lw.wv, s.xn, d, d)
 		s.kCache[l] = append(s.kCache[l], s.k...)
 		s.vCache[l] = append(s.vCache[l], s.v...)
-		steps := s.pos + 1
+		if dp == depthKV && l == len(t.layers)-1 {
+			break
+		}
+		matVec(s.q, lw.wq, s.xn, d, d)
 		// Causal attention: the new query attends to all cached keys.
 		for h := 0; h < cfg.Heads; h++ {
 			qh := s.q[h*headDim : (h+1)*headDim]
 			// softmax over `steps` scores.
-			scores := make([]float32, steps)
 			for p := 0; p < steps; p++ {
 				kh := s.kCache[l][p*d+h*headDim : p*d+(h+1)*headDim]
 				scores[p] = dot(qh, kh) * scale
@@ -241,11 +304,14 @@ func (s *Session) Step(id int) ([]float32, error) {
 		addInPlace(s.x, s.ffnOut)
 	}
 	s.pos++
+	if dp < depthLogits {
+		return nil
+	}
 	// Final norm + tied output head.
 	copy(s.xn, s.x)
 	layerNorm(s.xn, t.lnFg, t.lnFb, 1e-5)
 	matVec(s.logits, t.tokEmb, s.xn, cfg.VocabSize, d)
-	return s.logits, nil
+	return nil
 }
 
 // Feed consumes a sequence of token IDs, returning the logits after the
@@ -343,6 +409,15 @@ func sampleLogits(logits []float32, temperature float64, src *rng.Source) int {
 // prompt to different, deterministic signatures — the engine's way of
 // giving each synthetic SLM input-correlated idiosyncrasies (see
 // CalibratedVerifier).
+//
+// Only the last position's residual stream is folded, and an earlier
+// position reaches it through nothing but the K/V rows it leaves in
+// each layer's cache. So every position but the last runs to depthKV,
+// the last to depthHidden, and no position pays for the output head:
+// the skipped results are ones no later computation reads, the ones
+// that are read come from the same calls in the same order, and the
+// signature equals — to the bit — the fold after NewSession().Feed.
+// The session comes from the transformer's pool and goes back to it.
 func (t *Transformer) HiddenSignature(promptIDs []int) (float64, error) {
 	if len(promptIDs) == 0 {
 		return 0, errors.New("slm: empty prompt")
@@ -352,9 +427,17 @@ func (t *Transformer) HiddenSignature(promptIDs []int) (float64, error) {
 	if len(promptIDs) > t.cfg.MaxSeq {
 		promptIDs = promptIDs[len(promptIDs)-t.cfg.MaxSeq:]
 	}
-	s := t.NewSession()
-	if _, err := s.Feed(promptIDs); err != nil {
-		return 0, err
+	s := t.pooledSession()
+	defer t.sessions.Put(s)
+	last := len(promptIDs) - 1
+	for i, id := range promptIDs {
+		dp := depthKV
+		if i == last {
+			dp = depthHidden
+		}
+		if err := s.step(id, dp); err != nil {
+			return 0, err
+		}
 	}
 	var acc float64
 	for i, v := range s.x {

@@ -3,6 +3,7 @@ package slm
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/rng"
@@ -279,4 +280,120 @@ func TestMatVecShapePanics(t *testing.T) {
 		}
 	}()
 	matVec(make([]float32, 2), make([]float32, 4), make([]float32, 3), 2, 2)
+}
+
+// feedSignature is HiddenSignature as first written: a fresh session,
+// every position through the whole forward pass (Feed), then the fold
+// over the final residual stream. It is the reference the K/V-only
+// prefill on pooled sessions must equal to the bit.
+func feedSignature(tr *Transformer, ids []int) (float64, error) {
+	if n := tr.Config().MaxSeq; len(ids) > n {
+		ids = ids[len(ids)-n:]
+	}
+	s := tr.NewSession()
+	if _, err := s.Feed(ids); err != nil {
+		return 0, err
+	}
+	var acc float64
+	for i, v := range s.x {
+		if i%2 == 0 {
+			acc += float64(v)
+		} else {
+			acc -= float64(v)
+		}
+	}
+	return math.Tanh(acc / math.Sqrt(float64(tr.Config().Dim))), nil
+}
+
+// randomIDs draws n token ids across the whole vocabulary.
+func randomIDs(src *rng.Source, vocab, n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = src.Intn(vocab)
+	}
+	return ids
+}
+
+// checkSignature fails unless HiddenSignature(ids) has exactly the
+// reference's bits. Safe to call from any goroutine.
+func checkSignature(t *testing.T, tr *Transformer, ids []int) {
+	want, err := feedSignature(tr, ids)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	got, err := tr.HiddenSignature(ids)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("%d tokens: signature %x (%v), full Feed %x (%v)", len(ids), math.Float64bits(got), got, math.Float64bits(want), want)
+	}
+}
+
+func TestHiddenSignatureMatchesFullFeed(t *testing.T) {
+	lengths := []int{1, 2, 95, 96, 97, 600} // idiosyncrasyConfig.MaxSeq is 96
+	for _, seed := range []uint64{1, 20250612} {
+		tr, err := NewTransformer(idiosyncrasyConfig, tokenizer.New(), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := rng.New(seed)
+		prompts := make([][]int, len(lengths))
+		for i, n := range lengths {
+			prompts[i] = randomIDs(src, tr.Config().VocabSize, n)
+			checkSignature(t, tr, prompts[i])
+		}
+		// A pooled session that last held a longer, different prompt
+		// must come back empty.
+		for i := len(prompts) - 1; i >= 0; i-- {
+			if _, err := tr.HiddenSignature(randomIDs(src, tr.Config().VocabSize, 96)); err != nil {
+				t.Fatal(err)
+			}
+			checkSignature(t, tr, prompts[i])
+		}
+		// And pooled sessions are never shared: 8 goroutines, mixed
+		// lengths (run with -race).
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := range prompts {
+					checkSignature(t, tr, prompts[(i+g)%len(prompts)])
+				}
+			}(g)
+		}
+		wg.Wait()
+		// A rejected token fails the call and poisons nothing.
+		if _, err := tr.HiddenSignature([]int{5, tr.Config().VocabSize, 7}); err == nil {
+			t.Error("out-of-vocab token accepted")
+		}
+		checkSignature(t, tr, prompts[2])
+	}
+}
+
+func FuzzHiddenSignatureMatchesFeed(f *testing.F) {
+	tr, err := NewTransformer(idiosyncrasyConfig, tokenizer.New(), 7)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Seeds: testdata/fuzz/FuzzHiddenSignatureMatchesFeed (one token, a
+	// prompt tail, id wrap-around, 120 tokens — longer than the window).
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 4*tr.Config().MaxSeq {
+			return
+		}
+		// Every byte is a valid id (the vocabulary holds the 256 byte
+		// tokens above the specials); shifting by the previous byte
+		// reaches the specials and the top of the range too.
+		ids := make([]int, len(data))
+		prev := 0
+		for i, b := range data {
+			ids[i] = (int(b) + prev) % tr.Config().VocabSize
+			prev = ids[i]
+		}
+		checkSignature(t, tr, ids)
+	})
 }

@@ -180,13 +180,24 @@ func (t *Tokenizer) Train(corpus []string, maxMerges int) error {
 }
 
 // Encode converts text to token IDs (no BOS/EOS added; see EncodeSpecial).
+// The result is allocated once: a token covers at least one byte of a
+// word or the single space standing for the whitespace before it, so
+// len(text) bounds the count.
 func (t *Tokenizer) Encode(text string) []int {
-	var out []int
-	for i, w := range strings.Fields(text) {
+	words := strings.Fields(text)
+	if len(words) == 0 {
+		return nil
+	}
+	out := make([]int, 0, len(text))
+	for i, w := range words {
+		start := len(out)
 		if i > 0 || strings.HasPrefix(text, " ") {
-			w = " " + w
+			out = append(out, byteID(' '))
 		}
-		out = append(out, t.encodeWord(w)...)
+		for j := 0; j < len(w); j++ {
+			out = append(out, byteID(w[j]))
+		}
+		out = out[:start+t.mergeWord(out[start:])]
 	}
 	return out
 }
@@ -199,13 +210,10 @@ func (t *Tokenizer) EncodeSpecial(text string) []int {
 	return append(ids, EosID)
 }
 
-// encodeWord applies the learned merges to one word, lowest rank first.
-func (t *Tokenizer) encodeWord(w string) []int {
-	ids := make([]int, len(w))
-	for i := 0; i < len(w); i++ {
-		ids[i] = byteID(w[i])
-	}
-	for len(ids) >= 2 {
+// mergeWord applies the learned merges to one word's byte tokens in
+// place, lowest rank first, and returns how many tokens remain.
+func (t *Tokenizer) mergeWord(ids []int) int {
+	for len(ids) >= 2 && len(t.ranks) > 0 {
 		// Find lowest-rank applicable merge.
 		bestRank := int(^uint(0) >> 1)
 		bestAt := -1
@@ -217,10 +225,10 @@ func (t *Tokenizer) encodeWord(w string) []int {
 		if bestAt < 0 {
 			break
 		}
-		merged := t.merges[[2]int{ids[bestAt], ids[bestAt+1]}]
-		ids = append(ids[:bestAt], append([]int{merged}, ids[bestAt+2:]...)...)
+		ids[bestAt] = t.merges[[2]int{ids[bestAt], ids[bestAt+1]}]
+		ids = append(ids[:bestAt+1], ids[bestAt+2:]...)
 	}
-	return ids
+	return len(ids)
 }
 
 // Decode converts token IDs back to text. Special tokens are skipped.

@@ -2,6 +2,7 @@ package tokenizer
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -74,6 +75,60 @@ func TestRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceEncode is Encode as first written — one concatenation and
+// one slice per word, merges by re-slicing — kept as the oracle for the
+// single-allocation, merge-in-place Encode.
+func referenceEncode(t *Tokenizer, text string) []int {
+	var out []int
+	for i, w := range strings.Fields(text) {
+		if i > 0 || strings.HasPrefix(text, " ") {
+			w = " " + w
+		}
+		ids := make([]int, len(w))
+		for i := 0; i < len(w); i++ {
+			ids[i] = byteID(w[i])
+		}
+		for len(ids) >= 2 {
+			bestRank := int(^uint(0) >> 1)
+			bestAt := -1
+			for i := 0; i+1 < len(ids); i++ {
+				if r, ok := t.ranks[[2]int{ids[i], ids[i+1]}]; ok && r < bestRank {
+					bestRank, bestAt = r, i
+				}
+			}
+			if bestAt < 0 {
+				break
+			}
+			merged := t.merges[[2]int{ids[bestAt], ids[bestAt+1]}]
+			ids = append(ids[:bestAt], append([]int{merged}, ids[bestAt+2:]...)...)
+		}
+		out = append(out, ids...)
+	}
+	return out
+}
+
+func TestEncodeMatchesReference(t *testing.T) {
+	fixed := []string{
+		"", " ", "\n", "x", " x", "\nx", "x ", "a  b\t\nc",
+		"the answer is supported by the context",
+		" yes the  working hours\nare 9 AM",
+		"nbsp\u00a0and\u2003em\u0085nel spaces",
+		"bad utf8 \xff\xfe mid\xc3 word \xe2\x80",
+		"unicode: café – “quotes” 中文",
+	}
+	for _, tok := range []*Tokenizer{New(), trained(t, 30), trained(t, 200)} {
+		for _, in := range fixed {
+			if got, want := tok.Encode(in), referenceEncode(tok, in); !reflect.DeepEqual(got, want) {
+				t.Errorf("Encode(%q) = %v, reference %v", in, got, want)
+			}
+		}
+		f := func(s string) bool { return reflect.DeepEqual(tok.Encode(s), referenceEncode(tok, s)) }
+		if err := quick.Check(f, nil); err != nil {
+			t.Error(err)
+		}
 	}
 }
 
