@@ -90,8 +90,10 @@ func (x *AutoIVFIndex) Add(id int64, vec []float32) error {
 // insertion order.
 func (x *AutoIVFIndex) migrate() error {
 	rs := &x.flat.rs
-	sample := make([][]float32, len(rs.vecs))
-	copy(sample, rs.vecs)
+	sample := make([][]float32, rs.len())
+	for row := range sample {
+		sample[row] = rs.vector(row)
+	}
 	ivf, err := NewIVFIndexQ(x.metric, x.dim, x.nlist, x.nprobe, x.quant)
 	if err != nil {
 		return err
@@ -100,7 +102,7 @@ func (x *AutoIVFIndex) migrate() error {
 		return err
 	}
 	for row, id := range rs.ids {
-		if err := ivf.Add(id, rs.vecs[row]); err != nil {
+		if err := ivf.Add(id, sample[row]); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,8 @@ package vecdb
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -21,27 +23,66 @@ func randomVectors(n, dim int, seed uint64) [][]float32 {
 	return out
 }
 
+// hashedTexts makes n texts of the given word count drawn from a
+// 4096-word vocabulary: the shape of the served corpora, where a
+// 12-word text sets ~23 of 256 HashedEmbedder coordinates.
+func hashedTexts(n, words int, seed uint64) []string {
+	src := rng.New(seed)
+	out := make([]string, n)
+	var b strings.Builder
+	for i := range out {
+		b.Reset()
+		for j := 0; j < words; j++ {
+			fmt.Fprintf(&b, "w%d ", src.Intn(4096))
+		}
+		out[i] = b.String()
+	}
+	return out
+}
+
+// BenchmarkFlatSearch scans dense Gaussian rows and feature-hashed text
+// rows (stored as their nonzeros). B/row is the heap the index holds
+// per stored vector.
 func BenchmarkFlatSearch(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			const dim = 128
-			x, err := NewFlatIndex(Cosine, dim)
+	e, err := NewHashedEmbedder(256)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hashed := embedAllTexts(b, e, hashedTexts(20000, 12, 1))
+	for _, c := range []struct {
+		name    string
+		vecs    [][]float32
+		queries [][]float32
+		k       int
+	}{
+		{"n=1000", randomVectors(1000, 128, 1), randomVectors(64, 128, 2), 10},
+		{"n=10000", randomVectors(10000, 128, 1), randomVectors(64, 128, 2), 10},
+		{"corpus=hashed", hashed, embedAllTexts(b, e, hashedTexts(64, 8, 2)), 5},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			x, err := NewFlatIndex(Cosine, len(c.vecs[0]))
 			if err != nil {
 				b.Fatal(err)
 			}
-			vecs := randomVectors(n, dim, 1)
-			for i, v := range vecs {
+			for i, v := range c.vecs {
 				if err := x.Add(int64(i), v); err != nil {
 					b.Fatal(err)
 				}
 			}
-			queries := randomVectors(64, dim, 2)
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := x.Search(queries[i%len(queries)], 10); err != nil {
+				if _, err := x.Search(c.queries[i%len(c.queries)], c.k); err != nil {
 					b.Fatal(err)
 				}
 			}
+			// Reported after the loop: ResetTimer drops earlier metrics.
+			b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/float64(len(c.vecs)), "B/row")
 		})
 	}
 }
@@ -80,30 +121,6 @@ func BenchmarkHashedEmbed(b *testing.B) {
 		b.Fatal(err)
 	}
 	text := "Full-time employees are entitled to 14 days of paid annual leave per year."
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Embed(text); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTFIDFEmbed(b *testing.B) {
-	e, err := NewTFIDFEmbedder(256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	corpus := make([]string, 0, 100)
-	for i := 0; i < 100; i++ {
-		corpus = append(corpus, fmt.Sprintf("document %d about leave, uniforms and training hours", i))
-	}
-	if err := e.Fit(corpus); err != nil {
-		b.Fatal(err)
-	}
-	text := "Full-time employees are entitled to 14 days of paid annual leave per year."
-	if _, err := e.Embed(text); err != nil {
-		b.Fatal(err) // warm projection cache
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Embed(text); err != nil {

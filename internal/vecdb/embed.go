@@ -1,11 +1,7 @@
 package vecdb
 
 import (
-	"errors"
 	"fmt"
-	"math"
-	"sort"
-	"sync"
 
 	"repro/internal/rng"
 	"repro/internal/textproc"
@@ -55,141 +51,6 @@ func (e *HashedEmbedder) Embed(text string) ([]float32, error) {
 			sign = -1
 		}
 		v[idx] += sign
-	}
-	NormalizeInPlace(v)
-	return v, nil
-}
-
-// TFIDFEmbedder is a corpus-fitted embedder: each vocabulary term gets
-// a random-projection direction weighted by its inverse document
-// frequency, so rare, discriminative handbook terms ("probation",
-// "reimbursement") dominate the geometry. Fit must be called before
-// Embed.
-type TFIDFEmbedder struct {
-	dim int
-
-	mu     sync.RWMutex
-	fitted bool
-	idf    map[string]float64
-	proj   map[string][]float32 // term → projection row (lazily built)
-	seed   uint64
-	nDocs  int
-}
-
-// NewTFIDFEmbedder creates an unfitted TF-IDF embedder.
-func NewTFIDFEmbedder(dim int) (*TFIDFEmbedder, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("vecdb: embedder dim must be positive, got %d", dim)
-	}
-	return &TFIDFEmbedder{
-		dim:  dim,
-		idf:  map[string]float64{},
-		proj: map[string][]float32{},
-		seed: rng.HashString("tfidf-projection"),
-	}, nil
-}
-
-// Dim implements Embedder.
-func (e *TFIDFEmbedder) Dim() int { return e.dim }
-
-// ErrNotFitted is returned by Embed before Fit.
-var ErrNotFitted = errors.New("vecdb: embedder not fitted")
-
-// Fit computes document frequencies over the corpus. Calling Fit again
-// refits from scratch.
-func (e *TFIDFEmbedder) Fit(corpus []string) error {
-	if len(corpus) == 0 {
-		return errors.New("vecdb: empty corpus")
-	}
-	df := map[string]int{}
-	for _, doc := range corpus {
-		seen := map[string]struct{}{}
-		for _, w := range textproc.ContentWords(doc) {
-			seen[w] = struct{}{}
-		}
-		for w := range seen {
-			df[w]++
-		}
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.idf = make(map[string]float64, len(df))
-	e.nDocs = len(corpus)
-	for w, n := range df {
-		e.idf[w] = math.Log(float64(1+len(corpus)) / float64(1+n))
-	}
-	e.proj = map[string][]float32{}
-	e.fitted = true
-	return nil
-}
-
-// Fitted reports whether Fit has completed.
-func (e *TFIDFEmbedder) Fitted() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.fitted
-}
-
-// projection returns the deterministic random direction for a term.
-// Caller must hold at least the read lock; the method upgrades to the
-// write lock when it must create the row.
-func (e *TFIDFEmbedder) projection(term string) []float32 {
-	e.mu.RLock()
-	row, ok := e.proj[term]
-	e.mu.RUnlock()
-	if ok {
-		return row
-	}
-	src := rng.New(e.seed ^ rng.HashString(term))
-	row = make([]float32, e.dim)
-	for i := range row {
-		row[i] = float32(src.NormFloat64())
-	}
-	e.mu.Lock()
-	if existing, ok := e.proj[term]; ok {
-		row = existing
-	} else {
-		e.proj[term] = row
-	}
-	e.mu.Unlock()
-	return row
-}
-
-// Embed implements Embedder: the IDF-weighted sum of per-term
-// projections, L2-normalized. Unknown terms fall back to IDF of the
-// rarest seen class (log(1+N)), keeping out-of-vocabulary queries
-// usable.
-func (e *TFIDFEmbedder) Embed(text string) ([]float32, error) {
-	e.mu.RLock()
-	fitted, nDocs := e.fitted, e.nDocs
-	e.mu.RUnlock()
-	if !fitted {
-		return nil, ErrNotFitted
-	}
-	tf := map[string]int{}
-	for _, w := range textproc.ContentWords(text) {
-		tf[w]++
-	}
-	v := make([]float32, e.dim)
-	// Deterministic iteration order so float accumulation is stable.
-	terms := make([]string, 0, len(tf))
-	for w := range tf {
-		terms = append(terms, w)
-	}
-	sort.Strings(terms)
-	oovIDF := math.Log(float64(1 + nDocs))
-	for _, w := range terms {
-		e.mu.RLock()
-		idf, ok := e.idf[w]
-		e.mu.RUnlock()
-		if !ok {
-			idf = oovIDF
-		}
-		weight := float32((1 + math.Log(float64(tf[w]))) * idf)
-		row := e.projection(w)
-		for i := range v {
-			v[i] += weight * row[i]
-		}
 	}
 	NormalizeInPlace(v)
 	return v, nil

@@ -50,8 +50,8 @@ func NewHNSWIndex(metric Metric, dim, m, efConstruction, efSearch int) (*HNSWInd
 // NewHNSWIndexQ creates an HNSW index with the given quantization
 // config (QuantConfig{} keeps exact float traversal).
 func NewHNSWIndexQ(metric Metric, dim, m, efConstruction, efSearch int, q QuantConfig) (*HNSWIndex, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("vecdb: index dim must be positive, got %d", dim)
+	if err := checkIndexDim(dim); err != nil {
+		return nil, err
 	}
 	if m < 2 {
 		return nil, fmt.Errorf("vecdb: HNSW m must be ≥ 2, got %d", m)
@@ -125,8 +125,7 @@ func (h *HNSWIndex) Add(id int64, vec []float32) error {
 		h.Remove(id)
 	}
 	level := h.randomLevel()
-	row := h.rs.add(id, vec)
-	cp := h.rs.vecs[row]
+	h.rs.add(id, vec)
 	h.levels[id] = level
 	h.links[id] = make([][]int64, level+1)
 
@@ -135,7 +134,7 @@ func (h *HNSWIndex) Add(id int64, vec []float32) error {
 		h.maxLevel = level
 		return nil
 	}
-	pq := h.rs.prepare(cp)
+	pq := h.rs.prepare(h.metric, vec)
 	// Greedy descent from the global entry to the insertion level.
 	cur := h.entry
 	for l := h.maxLevel; l > level; l-- {
@@ -153,7 +152,7 @@ func (h *HNSWIndex) Add(id int64, vec []float32) error {
 		for _, n := range neighbours {
 			h.links[n][l] = append(h.links[n][l], id)
 			if cap := h.capacity(l); len(h.links[n][l]) > cap {
-				npq := h.rs.prepare(h.rs.vecs[h.rs.pos[n]])
+				npq := h.rs.prepare(h.metric, h.rs.vector(h.rs.pos[n]))
 				h.links[n][l] = h.selectNeighbours(h.links[n][l], &npq, cap)
 			}
 		}
@@ -275,15 +274,16 @@ func (h *HNSWIndex) selectNeighbours(candidates []int64, pq *preparedQuery, cap 
 		return scored[i].ID < scored[j].ID // deterministic tie order
 	})
 	out := make([]int64, 0, cap)
+	sel := make([][]float32, 0, cap) // out's rows, materialised once each
 	var pruned []int64
 	for _, c := range scored {
 		if len(out) == cap {
 			break
 		}
 		keep := true
-		cvec := h.rs.vecs[h.rs.pos[c.ID]]
-		for _, s := range out {
-			toSel, _ := Similarity(h.metric, cvec, h.rs.vecs[h.rs.pos[s]])
+		cvec := h.rs.vector(h.rs.pos[c.ID])
+		for _, svec := range sel {
+			toSel, _ := Similarity(h.metric, cvec, svec)
 			if toSel > c.Score {
 				keep = false
 				break
@@ -291,6 +291,7 @@ func (h *HNSWIndex) selectNeighbours(candidates []int64, pq *preparedQuery, cap 
 		}
 		if keep {
 			out = append(out, c.ID)
+			sel = append(sel, cvec)
 		} else {
 			pruned = append(pruned, c.ID)
 		}
@@ -374,7 +375,7 @@ func (h *HNSWIndex) Search(query []float32, k int) ([]Result, error) {
 	if h.entry == -1 {
 		return nil, nil
 	}
-	pq := h.rs.prepare(query)
+	pq := h.rs.prepare(h.metric, query)
 	cur := h.entry
 	for l := h.maxLevel; l > 0; l-- {
 		cur = h.greedyStep(cur, &pq, l)

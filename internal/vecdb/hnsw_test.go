@@ -21,6 +21,9 @@ func TestHNSWValidation(t *testing.T) {
 	if _, err := NewHNSWIndex(Cosine, 0, 8, 32, 24); err == nil {
 		t.Error("zero dim accepted")
 	}
+	if _, err := NewHNSWIndex(Cosine, maxIndexDim+1, 8, 32, 24); err == nil {
+		t.Error("dim beyond uint16 coordinates accepted")
+	}
 	if _, err := NewHNSWIndex(Cosine, 8, 1, 32, 24); err == nil {
 		t.Error("m=1 accepted")
 	}

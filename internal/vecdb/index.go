@@ -104,8 +104,8 @@ func NewFlatIndex(metric Metric, dim int) (*FlatIndex, error) {
 // config (QuantConfig{} scans exact floats, preserving NewFlatIndex
 // semantics).
 func NewFlatIndexQ(metric Metric, dim int, q QuantConfig) (*FlatIndex, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("vecdb: index dim must be positive, got %d", dim)
+	if err := checkIndexDim(dim); err != nil {
+		return nil, err
 	}
 	return &FlatIndex{metric: metric, rs: newRowSet(dim, q)}, nil
 }
@@ -147,7 +147,7 @@ func (x *FlatIndex) Search(query []float32, k int) ([]Result, error) {
 	if err := validMetric(x.metric); err != nil {
 		return nil, err
 	}
-	pq := x.rs.prepare(query)
+	pq := x.rs.prepare(x.metric, query)
 	if !x.rs.quantized() {
 		h := make(resultHeap, 0, k)
 		x.rs.scanInto(&h, k, x.metric, &pq)
@@ -181,7 +181,7 @@ func validMetric(m Metric) error {
 // nlist clusters by k-means on insertion-time training data, and a
 // query scans only the nprobe nearest clusters. Recall trades against
 // speed via nprobe; the benchmark suite measures both. Vector storage
-// is the same dense rowSet the flat index scans — with QuantInt8 each
+// is the same rowSet the flat index scans — with QuantInt8 each
 // probed list is scored through the int8 kernel and the merged
 // candidates re-ranked exactly.
 type IVFIndex struct {
@@ -206,8 +206,8 @@ func NewIVFIndex(metric Metric, dim, nlist, nprobe int) (*IVFIndex, error) {
 // NewIVFIndexQ creates an IVF index with the given quantization
 // config.
 func NewIVFIndexQ(metric Metric, dim, nlist, nprobe int, q QuantConfig) (*IVFIndex, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("vecdb: index dim must be positive, got %d", dim)
+	if err := checkIndexDim(dim); err != nil {
+		return nil, err
 	}
 	if nlist <= 0 || nprobe <= 0 || nprobe > nlist {
 		return nil, fmt.Errorf("vecdb: need 0 < nprobe(%d) <= nlist(%d)", nprobe, nlist)
@@ -387,7 +387,7 @@ func (x *IVFIndex) Search(query []float32, k int) ([]Result, error) {
 		order[c] = cs{c: c, s: s}
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i].s > order[j].s })
-	pq := x.rs.prepare(query)
+	pq := x.rs.prepare(x.metric, query)
 	depth := k
 	if x.rs.quantized() {
 		depth = x.rs.quant.rerankDepth(k)

@@ -82,52 +82,6 @@ func TestHashedEmbedder(t *testing.T) {
 	}
 }
 
-func TestTFIDFEmbedder(t *testing.T) {
-	corpus := []string{
-		"the probation period lasts three months",
-		"employees receive annual leave every year",
-		"the store opens at nine and closes at five",
-		"uniforms must be worn on the shop floor",
-	}
-	// 256 dims keep random-projection cross-talk well below the
-	// shared-term signal for these short passages.
-	e, err := NewTFIDFEmbedder(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Embed("anything"); !errors.Is(err, ErrNotFitted) {
-		t.Errorf("unfitted embed err = %v, want ErrNotFitted", err)
-	}
-	if err := e.Fit(corpus); err != nil {
-		t.Fatal(err)
-	}
-	if !e.Fitted() {
-		t.Error("Fitted() = false after Fit")
-	}
-	q, _ := e.Embed("how long is probation")
-	best, bestScore := -1, -2.0
-	for i, doc := range corpus {
-		v, err := e.Embed(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, _ := Similarity(Cosine, q, v)
-		if s > bestScore {
-			best, bestScore = i, s
-		}
-	}
-	if best != 0 {
-		t.Errorf("probation query retrieved corpus[%d], want corpus[0]", best)
-	}
-	if err := e.Fit(nil); err == nil {
-		t.Error("empty corpus accepted")
-	}
-	// Out-of-vocabulary queries still embed.
-	if v, err := e.Embed("zygomorphic flowers"); err != nil || len(v) != 256 {
-		t.Errorf("OOV embed failed: %v", err)
-	}
-}
-
 func newFlat(t *testing.T, dim int) *FlatIndex {
 	t.Helper()
 	x, err := NewFlatIndex(Cosine, dim)
@@ -180,6 +134,12 @@ func TestFlatIndexErrors(t *testing.T) {
 	}
 	if _, err := x.Search([]float32{1}, 1); !errors.Is(err, ErrDimMismatch) {
 		t.Errorf("query dim err = %v", err)
+	}
+	if _, err := NewFlatIndex(Cosine, maxIndexDim+1); err == nil {
+		t.Error("dim beyond uint16 coordinates accepted")
+	}
+	if _, err := NewFlatIndex(Cosine, maxIndexDim); err != nil {
+		t.Errorf("dim %d rejected: %v", maxIndexDim, err)
 	}
 }
 
@@ -313,6 +273,9 @@ func TestIVFLifecycleErrors(t *testing.T) {
 	}
 	if _, err := NewIVFIndex(Cosine, 4, 2, 3); err == nil {
 		t.Error("nprobe > nlist accepted")
+	}
+	if _, err := NewIVFIndex(Cosine, maxIndexDim+1, 4, 2); err == nil {
+		t.Error("dim beyond uint16 coordinates accepted")
 	}
 	// Tiny training sample shrinks nlist instead of failing.
 	if err := ivf.Train([][]float32{{1, 0, 0, 0}, {0, 1, 0, 0}}, 5); err != nil {
