@@ -87,6 +87,53 @@ func BenchmarkFlatSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkDBAddMeta stores 20 000 tagged 12-word documents through
+// ApplyAll, the serving write path. B/doc is the heap the DB holds per
+// document beyond its inputs (rows, docs map, metadata): tag10 is the
+// served shape (ten distinct tags), unique the worst case for sharing
+// (every document its own set).
+func BenchmarkDBAddMeta(b *testing.B) {
+	const n = 20000
+	texts := hashedTexts(n, 12, 1)
+	for _, c := range []struct {
+		name string
+		tag  func(i int) string
+	}{
+		{"meta=tag10", func(i int) string { return fmt.Sprintf("t%d", i%10) }},
+		{"meta=unique", func(i int) string { return fmt.Sprintf("u%d", i) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ms := make([]Mutation, n)
+			for i := range ms {
+				ms[i] = Mutation{Op: OpAdd, ID: int64(i + 1), Text: texts[i], Meta: map[string]string{"tag": c.tag(i)}}
+			}
+			var before, after runtime.MemStats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				b.StartTimer()
+				db, err := NewDefault(256)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := db.ApplyAll(ms); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				runtime.KeepAlive(db)
+				runtime.KeepAlive(ms) // inputs stay out of the delta
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/n, "B/doc")
+		})
+	}
+}
+
 func BenchmarkIVFSearch(b *testing.B) {
 	const dim, n = 128, 10000
 	vecs := randomVectors(n, dim, 1)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"reflect"
 	"sync"
 
 	"repro/internal/storage"
@@ -28,7 +30,9 @@ func NormalizeCollection(c string) string {
 }
 
 // Document is one stored passage with optional caller metadata,
-// scoped to a named collection (tenant).
+// scoped to a named collection (tenant). A Meta map the DB hands out
+// (Get, searches, SnapshotDocs) is shared by every stored document
+// carrying the same metadata set and must be treated as read-only.
 type Document struct {
 	ID         int64
 	Collection string
@@ -59,6 +63,9 @@ type DB struct {
 	// maintained by addLocked/deleteLocked so CollectionCounts is O(1)
 	// in the document count.
 	colls map[string]int
+	// metas holds the one map per distinct metadata set that stored
+	// documents share.
+	metas metaPool
 }
 
 // New creates a database over the given embedder and index. The index
@@ -67,7 +74,7 @@ func New(embed Embedder, index Index) (*DB, error) {
 	if embed == nil || index == nil {
 		return nil, errors.New("vecdb: nil embedder or index")
 	}
-	return &DB{embed: embed, index: index, docs: map[int64]Document{}, colls: map[string]int{}, nextID: 1}, nil
+	return &DB{embed: embed, index: index, docs: map[int64]Document{}, colls: map[string]int{}, metas: metaPool{}, nextID: 1}, nil
 }
 
 // NewDefault builds a DB with a hashed embedder and a flat cosine
@@ -142,21 +149,15 @@ func (db *DB) addLocked(id int64, collection, text string, meta map[string]strin
 	if err := db.index.Add(id, vec); err != nil {
 		return fmt.Errorf("vecdb: index add: %w", err)
 	}
-	var metaCopy map[string]string
-	if meta != nil {
-		metaCopy = make(map[string]string, len(meta))
-		for k, v := range meta {
-			metaCopy[k] = v
-		}
-	}
+	doc := Document{ID: id, Collection: NormalizeCollection(collection), Text: text, Meta: db.metas.intern(meta)}
 	if old, ok := db.docs[id]; ok {
 		db.check ^= docHash(old) // replacement: retire the old content hash
 		db.colls[old.Collection]--
 		if db.colls[old.Collection] == 0 {
 			delete(db.colls, old.Collection)
 		}
+		db.metas.release(old.Meta)
 	}
-	doc := Document{ID: id, Collection: NormalizeCollection(collection), Text: text, Meta: metaCopy}
 	db.docs[id] = doc
 	db.check ^= docHash(doc)
 	db.colls[doc.Collection]++
@@ -230,7 +231,75 @@ func (db *DB) deleteLocked(id int64, collection string) error {
 	if db.colls[old.Collection] == 0 {
 		delete(db.colls, old.Collection)
 	}
+	db.metas.release(old.Meta)
 	return nil
+}
+
+// metaPool interns document metadata: one read-only map per distinct
+// non-empty set, shared by every stored document that carries it, so a
+// corpus tagged with ten values holds ten maps rather than one per
+// document. It is keyed by metaHash; a set whose hash is already taken
+// by different content is stored as a private copy outside the pool.
+// Callers hold DB.mu.
+type metaPool map[uint64]metaEntry
+
+type metaEntry struct {
+	meta map[string]string
+	refs int // stored documents sharing meta
+}
+
+// intern returns the form of a caller's metadata a document stores:
+// nil stays nil, an empty map stays an empty map, and a non-empty set
+// resolves to the pooled map, copied from the caller's on its first
+// sighting so the caller keeps its own map to itself. Each call that
+// returns a pooled map takes one reference; release gives it back.
+func (p metaPool) intern(meta map[string]string) map[string]string {
+	if len(meta) == 0 {
+		return copyMeta(meta)
+	}
+	h := metaHash(meta)
+	e, ok := p[h]
+	switch {
+	case !ok:
+		e.meta = copyMeta(meta)
+	case !maps.Equal(e.meta, meta):
+		return copyMeta(meta) // hash collision: keep a private copy
+	}
+	e.refs++
+	p[h] = e
+	return e.meta
+}
+
+// release drops one stored document's reference to its metadata and
+// deletes the pool entry with the last one. Empty maps and private
+// copies hold no reference.
+func (p metaPool) release(meta map[string]string) {
+	if len(meta) == 0 {
+		return
+	}
+	h := metaHash(meta)
+	e, ok := p[h]
+	if !ok || reflect.ValueOf(e.meta).UnsafePointer() != reflect.ValueOf(meta).UnsafePointer() {
+		return
+	}
+	e.refs--
+	if e.refs == 0 {
+		delete(p, h)
+		return
+	}
+	p[h] = e
+}
+
+// copyMeta copies a metadata map, keeping nil as nil.
+func copyMeta(meta map[string]string) map[string]string {
+	if meta == nil {
+		return nil
+	}
+	c := make(map[string]string, len(meta))
+	for k, v := range meta {
+		c[k] = v
+	}
+	return c
 }
 
 // CollectionCounts reports the stored document count per collection.
@@ -414,10 +483,7 @@ const SnapshotVersion uint32 = currentVersion
 // format independent of embedder internals.
 func (db *DB) Save(w io.Writer) error {
 	db.mu.RLock()
-	snap := snapshot{Version: currentVersion, NextID: db.nextID, Seq: db.seq}
-	for _, d := range db.docs {
-		snap.Docs = append(snap.Docs, d)
-	}
+	snap := snapshot{Version: currentVersion, Docs: db.docsByIDLocked(), NextID: db.nextID, Seq: db.seq}
 	db.mu.RUnlock()
 	if err := gob.NewEncoder(w).Encode(snap); err != nil {
 		return fmt.Errorf("vecdb: save: %w", err)
@@ -457,17 +523,15 @@ func Load(r io.Reader, embed Embedder, index Index) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Pre-collection snapshots decode with Collection "" (gob's
+	// missing-field zero); addLocked normalizes it, so they land in the
+	// default collection with the checksum a fresh write produces. It
+	// also interns the metadata. db.mu is not taken: no other goroutine
+	// can reach db yet.
 	for i, d := range snap.Docs {
-		if err := index.Add(d.ID, vecs[i]); err != nil {
+		if err := db.addLocked(d.ID, d.Collection, d.Text, d.Meta, vecs[i]); err != nil {
 			return nil, err
 		}
-		// Pre-collection snapshots decode with Collection "" (gob's
-		// missing-field zero); normalize so they land in the default
-		// collection with the same checksum a fresh write produces.
-		d.Collection = NormalizeCollection(d.Collection)
-		db.docs[d.ID] = d
-		db.check ^= docHash(d)
-		db.colls[d.Collection]++
 	}
 	db.nextID = snap.NextID
 	db.seq = snap.Seq

@@ -195,7 +195,10 @@ func EncodeMutation(m Mutation) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Text)))
 	buf = append(buf, m.Text...)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(m.Meta)))
-	for k, v := range m.Meta {
+	// Pairs go out in key order, so one mutation always encodes to one
+	// byte sequence; the decoder accepts any order.
+	for _, k := range appendSortedKeys(make([]string, 0, len(m.Meta)), m.Meta) {
+		v := m.Meta[k]
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(k)))
 		buf = append(buf, k...)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))

@@ -1,8 +1,10 @@
 package vecdb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -165,4 +167,57 @@ func TestCheckpointFileRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertDBsEqual(t, db, restored, "checkpoint")
+}
+
+// TestEncodeMutationDeterministic: a multi-key mutation encodes to one
+// byte sequence every time, and still round-trips.
+func TestEncodeMutationDeterministic(t *testing.T) {
+	m := Mutation{Op: OpAdd, ID: 11, Collection: "acme", Text: "five keys", Meta: map[string]string{
+		"source": "handbook", "lang": "en", "tier": "1", "owner": "hr", "": "empty key",
+	}}
+	want := mustEncode(t, m)
+	for i := 0; i < 50; i++ {
+		if got := mustEncode(t, m); !bytes.Equal(got, want) {
+			t.Fatalf("encode %d differs:\n got %x\nwant %x", i, got, want)
+		}
+	}
+	got, err := DecodeMutation(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, m) {
+		t.Errorf("roundtrip = %+v, want %+v", got, m)
+	}
+}
+
+// TestSaveFileDeterministic: one document set checkpoints to one byte
+// sequence. Documents carry at most one metadata key because gob writes
+// a map's entries in iteration order.
+func TestSaveFileDeterministic(t *testing.T) {
+	db := newTestDB(t)
+	for i := 0; i < 64; i++ {
+		var meta map[string]string
+		if i%2 == 0 {
+			meta = map[string]string{"tag": fmt.Sprint(i % 5)}
+		}
+		if _, err := db.AddIn([]string{"", "acme"}[i%2], fmt.Sprintf("passage %d about leave", i), meta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	var files [2][]byte
+	for i := range files {
+		path := filepath.Join(dir, fmt.Sprintf("%d.snap", i))
+		if err := db.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = b
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Error("two checkpoints of one document set differ")
+	}
 }

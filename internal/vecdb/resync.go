@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -81,12 +82,7 @@ func docHash(d Document) uint64 {
 	h.Write([]byte{0x1f})
 	h.Write([]byte(d.Text))
 	if len(d.Meta) > 0 {
-		keys := make([]string, 0, len(d.Meta))
-		for k := range d.Meta {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range appendSortedKeys(make([]string, 0, len(d.Meta)), d.Meta) {
 			h.Write([]byte{0x1f})
 			h.Write([]byte(k))
 			h.Write([]byte{0x1e})
@@ -94,6 +90,40 @@ func docHash(d Document) uint64 {
 		}
 	}
 	return h.Sum64()
+}
+
+// metaHash keys the metadata pool: 64-bit FNV-1a over the set's
+// entries in key order, each written as key 0x1e value 0x1f. It
+// allocates nothing for sets of up to eight keys.
+func metaHash(meta map[string]string) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	write := func(s string) {
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= prime
+		}
+	}
+	var buf [8]string
+	for _, k := range appendSortedKeys(buf[:0], meta) {
+		write(k)
+		write("\x1e")
+		write(meta[k])
+		write("\x1f")
+	}
+	return h
+}
+
+// appendSortedKeys appends m's keys to dst in ascending order: the one
+// order every encoding of a metadata set uses, since map iteration
+// order changes from run to run.
+func appendSortedKeys(dst []string, m map[string]string) []string {
+	n := len(dst)
+	for k := range m {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // MutationsSince on a bare DB always reports ErrSeqTruncated: the DB
@@ -164,12 +194,19 @@ func (db *DB) ApplyResync(ms []SeqMutation) error {
 func (db *DB) SnapshotDocs() (uint64, []Document, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	return db.seq, db.docsByIDLocked(), nil
+}
+
+// docsByIDLocked lists the stored documents sorted by ID, so one
+// document set always reads out, and checkpoints, in one order.
+// Callers hold db.mu.
+func (db *DB) docsByIDLocked() []Document {
 	docs := make([]Document, 0, len(db.docs))
 	for _, d := range db.docs {
 		docs = append(docs, d)
 	}
 	sort.Slice(docs, func(i, j int) bool { return docs[i].ID < docs[j].ID })
-	return db.seq, docs, nil
+	return docs
 }
 
 // ApplySnapshot replaces the DB's contents with a peer's full

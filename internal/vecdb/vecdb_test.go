@@ -3,6 +3,7 @@ package vecdb
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -455,12 +456,24 @@ func TestDBConcurrentReadWrite(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			// Writers intern and release shared metadata maps while
+			// readers read them.
 			for i := 0; i < 20; i++ {
-				if _, err := db.Add("concurrent doc", nil); err != nil {
+				id, err := db.Add("concurrent doc", map[string]string{"tag": fmt.Sprint(i % 3)})
+				if err != nil {
 					errs <- err
 				}
-				if _, err := db.Search("doc", 3); err != nil {
+				if err := db.AddDocument(Document{ID: id, Text: "concurrent doc", Meta: map[string]string{"tag": fmt.Sprint(w % 2)}}); err != nil {
 					errs <- err
+				}
+				hits, err := db.Search("doc", 3)
+				if err != nil {
+					errs <- err
+				}
+				for _, h := range hits {
+					if h.Meta != nil && h.Meta["tag"] == "" {
+						errs <- fmt.Errorf("doc %d: metadata %v lost its tag", h.ID, h.Meta)
+					}
 				}
 			}
 		}(w)
