@@ -41,9 +41,9 @@
 // bounded pipeline with credit-based backpressure (an overwhelmed
 // server slows the upload via TCP flow control instead of buffering
 // unboundedly), and streams progress heartbeat frames back while the
-// upload runs. Ingest index batches are sized adaptively (AIMD on
-// observed occupancy and queue depth); -static-batch pins them at
-// their upper bounds. See docs/ingest.md.
+// upload runs. Each index batch is whatever is queued when the store
+// is free: an idle stream writes at once, a busy one in larger batches,
+// with no timer to tune. See docs/ingest.md.
 //
 // Overloaded requests are shed with 429 Too Many Requests; operations
 // on absent document IDs return 404. The listener comes up before
@@ -86,7 +86,7 @@
 // Usage:
 //
 //	ragserver [-addr :8080] [-topk 3] [-threshold 3.2] [-seed-demo]
-//	          [-shards 4] [-static-batch] [-ingest-pending 1024]
+//	          [-shards 4] [-ingest-pending 1024]
 //	          [-max-inflight 64] [-max-queue 256]
 //	          [-tenant-rate 0] [-tenant-burst 0] [-tenant-inflight 0]
 //	          [-index flat|ivf|hnsw] [-quantize none|int8] [-rerank-k 0]
@@ -144,7 +144,6 @@ func main() {
 		threshold   = flag.Float64("threshold", 3.2, "verification acceptance threshold")
 		seedDemo    = flag.Bool("seed-demo", false, "preload the synthetic HR handbook and calibrate on it")
 		shards      = flag.Int("shards", 0, "vector DB shards (0 = auto, or the stored count when -data-dir exists)")
-		staticBatch = flag.Bool("static-batch", false, "pin streaming-ingest index batches at their upper bounds instead of adapting (AIMD)")
 		ingestPend  = flag.Int("ingest-pending", 0, "chunk credit pool bounding in-flight streaming-ingest memory (0 = 1024)")
 		maxInflight = flag.Int("max-inflight", 64, "max concurrently executing requests")
 		maxQueue    = flag.Int("max-queue", 256, "max requests waiting for a slot before shedding (-1 disables queueing)")
@@ -215,7 +214,6 @@ func main() {
 		Shards:            *shards,
 		TopK:              *topK,
 		Threshold:         *threshold,
-		StaticBatch:       *staticBatch,
 		StreamMaxPending:  *ingestPend,
 		MaxInFlight:       *maxInflight,
 		MaxQueue:          *maxQueue,

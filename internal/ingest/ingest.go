@@ -26,9 +26,13 @@
 // pipeline had to block on credits, making engaged backpressure
 // visible in /stats.
 //
-// Batch sizing is adaptive: the assembler asks an AIMD controller
-// (internal/adaptive) for its live batch limit and linger wait before
-// each flush, and feeds occupancy and backlog back after.
+// Batches size themselves (smart batching, the group-commit pattern):
+// whenever the store is free, the assembler writes every chunked
+// document already queued as one batch. An idle stream's lone document
+// is written at once; under load, documents queue while the previous
+// batch is being written and the next batch grows to match. There is
+// no timer and no size knob — every queued chunk holds a credit, so a
+// batch never exceeds MaxPending chunks.
 package ingest
 
 import (
@@ -44,7 +48,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/adaptive"
 	"repro/internal/telemetry"
 	"repro/internal/vecdb"
 )
@@ -125,11 +128,6 @@ type Config struct {
 	// MaxErrors is how many malformed lines a stream tolerates before
 	// aborting (default 100; negative means unlimited).
 	MaxErrors int
-	// Controller sizes the index batches; nil builds a per-run adaptive
-	// controller with MaxBatch 256 / MaxWait 20ms bounds. Sharing one
-	// controller across runs (as serve.Server does) carries the learned
-	// operating point between streams.
-	Controller *adaptive.Controller
 	// ProgressEvery is the heartbeat period for the progress callback
 	// (default 500ms).
 	ProgressEvery time.Duration
@@ -154,20 +152,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxErrors == 0 {
 		c.MaxErrors = 100
 	}
-	if c.Controller == nil {
-		// The default batch cap stays acquirable from the credit pool —
-		// a limit past MaxPending could never fill and every flush
-		// would stall on the linger timer.
-		maxBatch := 256
-		if maxBatch > c.MaxPending {
-			maxBatch = c.MaxPending
-		}
-		c.Controller = adaptive.New(adaptive.Config{
-			MaxBatch: maxBatch,
-			MinWait:  time.Millisecond,
-			MaxWait:  20 * time.Millisecond,
-		})
-	}
 	if c.ProgressEvery <= 0 {
 		c.ProgressEvery = 500 * time.Millisecond
 	}
@@ -186,7 +170,8 @@ type Stats struct {
 	// Failed counts unusable lines skipped (malformed JSON, empty
 	// text, or a document the chunker rejected).
 	Failed uint64 `json:"failed"`
-	// Bytes counts stream bytes consumed.
+	// Bytes counts stream bytes consumed: every byte of the body,
+	// line terminators (LF or CRLF) and blank lines included.
 	Bytes int64 `json:"bytes"`
 	// Chunks counts passages written to the store.
 	Chunks uint64 `json:"chunks"`
@@ -312,9 +297,9 @@ type chunkedDoc struct {
 }
 
 // Run streams r through the pipeline: parse → chunk (Workers-wide) →
-// adaptive batch → Store.AddBulk. It blocks until the stream is fully
-// indexed, the context dies (client disconnect), or the stream is
-// aborted by a store or format error, and always returns the stats
+// batch what is queued → Store.AddBulk. It blocks until the stream is
+// fully indexed, the context dies (client disconnect), or the stream
+// is aborted by a store or format error, and always returns the stats
 // accumulated so far. progress, when non-nil, is called with a
 // snapshot every ProgressEvery while the stream runs (from a single
 // goroutine; it must not block for long or heartbeats skew).
@@ -338,8 +323,11 @@ func Run(ctx context.Context, cfg Config, r io.Reader, progress func(Stats)) (St
 		cnt  counters
 		gate = credits{sem: make(chan struct{}, cfg.MaxPending), throttled: &cnt.throttled}
 
-		lines     = make(chan []byte, 2*cfg.Workers)
-		assembled = make(chan chunkedDoc, 2*cfg.Workers)
+		lines = make(chan []byte, 2*cfg.Workers)
+		// Every queued piece holds at least one credit, so a worker that
+		// holds its credits never blocks on this handoff: the credit pool
+		// stays the one bound on what is buffered past parsing.
+		assembled = make(chan chunkedDoc, cfg.MaxPending)
 
 		mu       sync.Mutex
 		firstErr error
@@ -457,10 +445,12 @@ func Run(ctx context.Context, cfg Config, r io.Reader, progress func(Stats)) (St
 		}()
 	}
 
-	// Stage 3: the assembler — single goroutine batching chunked docs
-	// up to the controller's live limit (cut at document boundaries, so
-	// one document's chunks always land in one AddBulk and Indexed
-	// counts whole documents) and flushing through the store.
+	// Stage 3: the assembler — one goroutine that blocks for a chunked
+	// document, takes every other one already queued, and writes them
+	// all as one batch (smart batching). Pieces are never split, so one
+	// document's chunks always land in one AddBulk and Indexed counts
+	// whole documents; every queued chunk holds a credit, so a batch is
+	// at most MaxPending chunks.
 	var assembler sync.WaitGroup
 	assembler.Add(1)
 	go func() {
@@ -469,14 +459,15 @@ func Run(ctx context.Context, cfg Config, r io.Reader, progress func(Stats)) (St
 			batch     []vecdb.Document
 			batchDocs uint64
 		)
-		// drain marks the end-of-stream flush: a partial final batch
-		// says nothing about arrival rate and must not be fed to the
-		// controller (it would read every stream's tail as sparse
-		// traffic and halve the learned limit).
-		flush := func(full, drain bool) {
-			if len(batch) == 0 {
-				return
+		add := func(cd chunkedDoc) {
+			for _, c := range cd.chunks {
+				batch = append(batch, vecdb.Document{Collection: cfg.Collection, Text: c, Meta: cd.meta})
 			}
+			if cd.docDone {
+				batchDocs++
+			}
+		}
+		flush := func() {
 			n, nd := len(batch), batchDocs
 			var err error
 			switch st := cfg.Store.(type) {
@@ -506,57 +497,30 @@ func Run(ctx context.Context, cfg Config, r io.Reader, progress func(Stats)) (St
 			}
 			cnt.chunks.Add(uint64(n))
 			cnt.indexed.Add(nd)
-			if !drain {
-				cfg.Controller.Observe(n, full, len(assembled))
-			}
 		}
-		var timer *time.Timer
-		var timeout <-chan time.Time
-		stopTimer := func() {
-			if timer != nil {
-				timer.Stop()
-				timer, timeout = nil, nil
+		for cd := range assembled {
+			add(cd)
+		queued:
+			for {
+				select {
+				case cd, ok := <-assembled:
+					if !ok {
+						break queued
+					}
+					add(cd)
+				default:
+					break queued
+				}
 			}
-		}
-		defer stopTimer()
-		for {
-			limit, wait := cfg.Controller.Limits()
-			select {
-			case cd, ok := <-assembled:
-				if !ok {
-					stopTimer()
-					flush(false, true)
-					return
-				}
-				if len(batch) == 0 {
-					stopTimer()
-					timer = time.NewTimer(wait)
-					timeout = timer.C
-				}
-				for _, c := range cd.chunks {
-					batch = append(batch, vecdb.Document{Collection: cfg.Collection, Text: c, Meta: cd.meta})
-				}
-				if cd.docDone {
-					batchDocs++
-				}
-				if len(batch) >= limit {
-					stopTimer()
-					flush(true, false)
-				}
-			case <-timeout:
-				timer, timeout = nil, nil
-				flush(false, false)
-			case <-ctx.Done():
-				// Canceled mid-stream: drop the partial batch; its credits
-				// must still return so blocked workers can observe ctx.
-				gate.release(len(batch))
-				batch, batchDocs = nil, 0
-				// Drain whatever workers already handed over.
-				for cd := range assembled {
-					gate.release(len(cd.chunks))
-				}
-				return
+			if ctx.Err() == nil {
+				flush()
+				continue
 			}
+			// Canceled: drop the batch unwritten. Its credits still return
+			// so blocked workers can observe ctx, and the loop keeps
+			// dropping whatever they handed over until assembled closes.
+			gate.release(len(batch))
+			batch, batchDocs = nil, 0
 		}
 	}()
 
@@ -572,11 +536,17 @@ func Run(ctx context.Context, cfg Config, r io.Reader, progress func(Stats)) (St
 		initial = cfg.MaxLineBytes
 	}
 	sc.Buffer(make([]byte, initial), cfg.MaxLineBytes)
+	// Bytes are counted by what the scanner consumes, not by the line it
+	// returns: ScanLines strips a CR before the LF, and a final line may
+	// end at EOF with no newline at all.
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		advance, token, err := bufio.ScanLines(data, atEOF)
+		cnt.bytes.Add(int64(advance))
+		return advance, token, err
+	})
 	readErr := func() error {
 		for sc.Scan() {
-			line := sc.Bytes()
-			cnt.bytes.Add(int64(len(line)) + 1) // +1 for the newline
-			trimmed := bytes.TrimSpace(line)
+			trimmed := bytes.TrimSpace(sc.Bytes())
 			if len(trimmed) == 0 {
 				continue
 			}

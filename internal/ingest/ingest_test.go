@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/adaptive"
 	"repro/internal/vecdb"
 )
 
@@ -19,9 +18,12 @@ import (
 // simulate a slow index (cold shard, saturated disk, slow WAL fsync).
 // It also implements the docs write surface, recording each chunk's
 // collection and metadata, so streams carrying meta are accepted.
+// onBatch, when set, runs inside each call after the batch is recorded,
+// with the call's 1-based number, and may block to hold the call open.
 type memStore struct {
-	delay time.Duration
-	fail  error
+	delay   time.Duration
+	fail    error
+	onBatch func(n int)
 
 	mu      sync.Mutex
 	batches [][]string
@@ -53,7 +55,11 @@ func (m *memStore) AddBulk(texts []string) ([]int64, error) {
 	}
 	m.mu.Lock()
 	m.batches = append(m.batches, append([]string(nil), texts...))
+	n := len(m.batches)
 	m.mu.Unlock()
+	if m.onBatch != nil {
+		m.onBatch(n)
+	}
 	ids := make([]int64, len(texts))
 	m.chunks.Add(uint64(len(texts)))
 	return ids, nil
@@ -256,9 +262,6 @@ func TestSlowStoreThrottlesProducer(t *testing.T) {
 		Chunker:    oneChunk{},
 		Workers:    workers,
 		MaxPending: maxPending,
-		// Small static batches keep AddBulk calls frequent so the store
-		// delay actually throttles.
-		Controller: adaptive.New(adaptive.Config{MaxBatch: 4, Static: true, MaxWait: time.Millisecond}),
 	}, r, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -270,11 +273,14 @@ func TestSlowStoreThrottlesProducer(t *testing.T) {
 		t.Fatal("slow store engaged no throttling")
 	}
 	// How far the producer may legitimately run ahead: the scanner's
-	// read-ahead buffer plus every bounded stage of the pipeline
-	// (docs channel, workers' in-hand docs, the credit pool, and the
-	// assembler handoff channel).
+	// read-ahead buffer plus every bounded stage of the pipeline — the
+	// lines channel (2*workers), one document in each worker's hand
+	// waiting for credits, and the credit pool. A credit is held from
+	// before the handoff until the store call returns, and the store
+	// counts a chunk before that, so everything in the handoff channel,
+	// in the assembler's batch and inside AddBulk sits within maxPending.
 	scannerLines := 64*1024/len(line) + 1
-	bound := scannerLines + 2*workers + workers + maxPending + 2*workers + 8
+	bound := scannerLines + 2*workers + workers + maxPending
 	if r.maxAhead > bound {
 		t.Fatalf("producer ran %d docs ahead of the index (bound %d): backpressure failed", r.maxAhead, bound)
 	}
@@ -324,28 +330,75 @@ func TestClientDisconnectMidStream(t *testing.T) {
 	}
 }
 
-func TestProgressHeartbeat(t *testing.T) {
-	store := &memStore{delay: 2 * time.Millisecond}
-	var beats atomic.Uint64
+// pausingReader serves first, calls pause once, then serves rest —
+// a client that uploads part of its body and then stalls.
+type pausingReader struct {
+	first, rest io.Reader
+	pause       func()
+	paused      bool
+}
+
+func (r *pausingReader) Read(p []byte) (int, error) {
+	if n, err := r.first.Read(p); err != io.EOF {
+		return n, err
+	}
+	if !r.paused {
+		r.paused = true
+		r.pause()
+	}
+	return r.rest.Read(p)
+}
+
+func docLines(from, to int) []string {
 	var lines []string
-	for i := 0; i < 100; i++ {
+	for i := from; i < to; i++ {
 		lines = append(lines, fmt.Sprintf(`{"text":"doc %d"}`, i))
+	}
+	return lines
+}
+
+// TestProgressHeartbeat: heartbeats fire while the stream runs and
+// report its progress. The stream's runtime comes from the reader,
+// which stalls mid-body until two heartbeats have reported its first
+// half indexed.
+func TestProgressHeartbeat(t *testing.T) {
+	store := &memStore{}
+	beats := make(chan Stats, 1)
+	var total atomic.Uint64
+	r := &pausingReader{
+		first: ndjson(docLines(0, 50)...),
+		rest:  ndjson(docLines(50, 100)...),
+		pause: func() {
+			timeout := time.After(10 * time.Second)
+			for seen := 0; seen < 2; {
+				select {
+				case p := <-beats:
+					if p.Indexed == 50 {
+						seen++
+					}
+				case <-timeout:
+					t.Error("no heartbeat reported the first half indexed")
+					return
+				}
+			}
+		},
 	}
 	st, err := Run(context.Background(), Config{
 		Store:         store,
 		Chunker:       oneChunk{},
 		ProgressEvery: 5 * time.Millisecond,
-		Controller:    adaptive.New(adaptive.Config{MaxBatch: 8, Static: true}),
-	}, ndjson(lines...), func(p Stats) {
-		beats.Add(1)
+	}, r, func(p Stats) {
+		total.Add(1)
+		select {
+		case beats <- p:
+		default: // the reader is not waiting; never block the heartbeat
+		}
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	// 100 docs in batches of 8 at 2ms per flush ≈ 26ms of runtime
-	// against a 5ms heartbeat period.
-	if beats.Load() < 2 {
-		t.Fatalf("progress called %d times, want periodic heartbeats", beats.Load())
+	if total.Load() < 2 {
+		t.Fatalf("progress called %d times, want periodic heartbeats", total.Load())
 	}
 	if st.Indexed != 100 {
 		t.Fatalf("indexed = %d", st.Indexed)
@@ -406,12 +459,10 @@ func TestConcurrentMultiChunkDocsNoWedge(t *testing.T) {
 	}
 }
 
-func TestConcurrentStreamsShareController(t *testing.T) {
-	// Two streams into one store through one shared controller, as the
-	// serving layer runs them — race-clean under -race and the
-	// controller's learned state survives both.
+func TestConcurrentStreams(t *testing.T) {
+	// Three streams into one store at once, as the serving layer runs
+	// them — race-clean under -race, every chunk stored.
 	store := &memStore{}
-	ctrl := adaptive.New(adaptive.Config{MaxBatch: 32})
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
@@ -422,7 +473,7 @@ func TestConcurrentStreamsShareController(t *testing.T) {
 				lines = append(lines, fmt.Sprintf(`{"text":"g%d doc %d"}`, g, i))
 			}
 			if _, err := Run(context.Background(), Config{
-				Store: store, Chunker: oneChunk{}, Controller: ctrl,
+				Store: store, Chunker: oneChunk{},
 			}, ndjson(lines...), nil); err != nil {
 				t.Errorf("stream %d: %v", g, err)
 			}
@@ -487,5 +538,134 @@ func TestCollectionNeedsDocsStore(t *testing.T) {
 	st := textsOnly{Store: &memStore{}}
 	if _, err := Run(context.Background(), Config{Store: st, Chunker: oneChunk{}, Collection: "t"}, ndjson(`"x"`), nil); err == nil {
 		t.Fatal("collection-scoped stream accepted by texts-only store")
+	}
+}
+
+// hookChunk is splitChunk that first calls hook on the one document
+// whose text is key.
+type hookChunk struct {
+	key  string
+	hook func()
+}
+
+func (c hookChunk) Chunk(text string) ([]string, error) {
+	if text == c.key {
+		c.hook()
+	}
+	return splitChunk{}.Chunk(text)
+}
+
+// TestBatchTakesWhatIsQueued pins smart batching with no sleeps: each
+// store call carries exactly what was queued when the store became
+// free. A lone document on an idle stream reaches the store while the
+// reader is still blocked (no linger); the store holds that first call
+// open until the rest of the stream is queued, and the next call then
+// carries all of it; no call exceeds MaxPending chunks or splits a
+// document piece.
+func TestBatchTakesWhatIsQueued(t *testing.T) {
+	rest := []string{"a1|a2", "b1", "c1|c2|c3", "d1|d2", "e1"}
+	restChunks := 0
+	for _, d := range rest {
+		restChunks += len(strings.Split(d, "|"))
+	}
+	// The lone document's credit plus the rest's fill the pool exactly.
+	maxPending := 1 + restChunks
+	// The last document is over the pool, so it travels as two pieces.
+	var big []string
+	for i := 0; i < maxPending+2; i++ {
+		big = append(big, fmt.Sprintf("z%d", i))
+	}
+	last := strings.Join(big, "|")
+
+	wait := func(ch <-chan struct{}, what string) {
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Errorf("timed out waiting for %s", what)
+		}
+	}
+	firstCall, restQueued, secondCall := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	store := &memStore{onBatch: func(n int) {
+		switch n {
+		case 1:
+			close(firstCall)
+			wait(restQueued, "the rest of the stream to queue")
+		case 2:
+			close(secondCall)
+		}
+	}}
+	var restLines []string
+	for _, d := range rest {
+		restLines = append(restLines, fmt.Sprintf(`{"text":%q}`, d))
+	}
+	restLines = append(restLines, fmt.Sprintf(`{"text":%q}`, last))
+	r := &pausingReader{
+		first: ndjson(`{"text":"lone"}`),
+		rest:  ndjson(restLines...),
+		pause: func() { wait(firstCall, "the lone document to reach the store") },
+	}
+	// One worker hands pieces over in order, so by the time it reaches
+	// the last document every earlier piece is queued. It then waits
+	// for the second call, keeping the last document out of it.
+	chunker := hookChunk{key: last, hook: func() {
+		close(restQueued)
+		wait(secondCall, "the second store call")
+	}}
+
+	st, err := Run(context.Background(), Config{
+		Store: store, Chunker: chunker, Workers: 1, MaxPending: maxPending,
+	}, r, nil)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var want [][]string
+	want = append(want, []string{"lone"})
+	var restWant []string
+	for _, d := range rest {
+		restWant = append(restWant, strings.Split(d, "|")...)
+	}
+	want = append(want, restWant, big[:maxPending], big[maxPending:])
+
+	store.mu.Lock()
+	got := append([][]string(nil), store.batches...)
+	store.mu.Unlock()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("store calls:\n got %v\nwant %v", got, want)
+	}
+	for i, b := range got {
+		if len(b) > maxPending {
+			t.Fatalf("call %d carried %d chunks, over MaxPending %d", i+1, len(b), maxPending)
+		}
+	}
+	if wantDocs := uint64(1 + len(rest) + 1); st.Indexed != wantDocs || st.Chunks != uint64(1+restChunks+len(big)) {
+		t.Fatalf("stats = %+v, want %d docs / %d chunks", st, wantDocs, 1+restChunks+len(big))
+	}
+}
+
+// TestBytesCountsWholeBody: Stats.Bytes is the body's length whatever
+// its line endings — CRLF, no final newline, blank and
+// whitespace-only lines.
+func TestBytesCountsWholeBody(t *testing.T) {
+	for _, tc := range []struct{ name, body string }{
+		{"lf", "{\"text\":\"a\"}\n\"b\"\n"},
+		{"crlf", "{\"text\":\"a\"}\r\n\"b\"\r\n"},
+		{"no final newline", "{\"text\":\"a\"}\n\"b\""},
+		{"crlf, no final newline", "{\"text\":\"a\"}\r\n\"b\""},
+		{"blank and whitespace-only lines", "\n{\"text\":\"a\"}\n\n  \t\n\"b\"\n\n"},
+		{"crlf blank lines", "\r\n{\"text\":\"a\"}\r\n \r\n\"b\"\r\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := Run(context.Background(), Config{Store: &memStore{}, Chunker: oneChunk{}},
+				strings.NewReader(tc.body), nil)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if st.Indexed != 2 || st.Failed != 0 {
+				t.Fatalf("stats = %+v, want 2 indexed, 0 failed", st)
+			}
+			if st.Bytes != int64(len(tc.body)) {
+				t.Fatalf("bytes = %d, want len(body) = %d", st.Bytes, len(tc.body))
+			}
+		})
 	}
 }

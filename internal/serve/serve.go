@@ -25,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/adaptive"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/parallel"
@@ -61,10 +60,6 @@ type Config struct {
 	// removes them together with that use.
 	MaxBatch int
 	MaxWait  time.Duration
-
-	// StaticBatch pins streaming-ingest index batches at their upper
-	// bounds instead of adapting them (see internal/adaptive).
-	StaticBatch bool
 
 	// StreamWorkers / StreamMaxPending / StreamMaxErrors tune the
 	// streaming ingest pipeline (see ingest.Config): chunking
@@ -174,11 +169,8 @@ type Server struct {
 	vflight   flightGroup[string, core.Verdict]
 	// verifyExec times one detector call (stage="verify_exec").
 	verifyExec *telemetry.Histogram
-	// ingestCtrl is the adaptive batch controller shared by every
-	// ingest stream, so the learned operating point carries between
-	// streams; stream accumulates their lifetime totals.
-	ingestCtrl *adaptive.Controller
-	stream     streamCounters
+	// stream accumulates every ingest stream's lifetime totals.
+	stream streamCounters
 
 	// Request counters live in the telemetry registry so /stats and
 	// /metrics read the same race-clean series (the pre-telemetry
@@ -270,15 +262,6 @@ func New(cfg Config) (*Server, error) {
 		verdicts:  verdicts,
 		verifyExec: reg.Histogram("stage_duration_seconds", "Hot-path stage latency in seconds.", nil,
 			telemetry.L("stage", "verify_exec")),
-		ingestCtrl: adaptive.New(adaptive.Config{
-			// The batch limit must stay acquirable from the credit pool:
-			// past it, batches could never fill and every flush would
-			// stall on the linger timer.
-			MaxBatch: minInt(ingestMaxBatch, streamPool(cfg.StreamMaxPending)),
-			MinWait:  time.Millisecond,
-			MaxWait:  ingestMaxWait,
-			Static:   cfg.StaticBatch,
-		}),
 		asks:     reg.Counter("ask_requests_total", "Admitted Ask requests."),
 		verifies: reg.Counter("verify_requests_total", "Admitted Verify requests."),
 		ingests:  reg.Counter("ingest_docs_total", "Documents admitted for ingest (bulk counts each document)."),
@@ -313,37 +296,8 @@ func New(cfg Config) (*Server, error) {
 	reg.CounterFunc("ingest_stream_throttle_events_total", "Pipeline blocks on the ingest chunk credit gate.", s.stream.throttled.Load)
 	reg.CounterFunc("ingest_stream_bytes_total", "Stream bytes read off ingest sockets.",
 		func() uint64 { return uint64(s.stream.bytes.Load()) })
-	// The ingest AIMD controller's live operating point, so dashboards
-	// can overlay batch-limit/linger moves on the latency they cause.
-	reg.GaugeFunc("adaptive_batch_limit", "Adaptive controller's current batch size limit.",
-		func() float64 { return float64(s.ingestCtrl.Stats().Limit) }, telemetry.L("controller", "ingest"))
-	reg.GaugeFunc("adaptive_linger_wait_seconds", "Adaptive controller's current linger wait.",
-		func() float64 { return float64(s.ingestCtrl.Stats().WaitMicros) / 1e6 }, telemetry.L("controller", "ingest"))
 	return s, nil
 }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// streamPool mirrors ingest.Config's MaxPending default.
-func streamPool(configured int) int {
-	if configured <= 0 {
-		return 1024
-	}
-	return configured
-}
-
-// Ingest batches are chunk writes: a full-width batch amortizes the
-// per-shard fan-out (lock + embed pass + WAL append) the way one bulk
-// ingest call does, so the controller's band is wide.
-const (
-	ingestMaxBatch = 512
-	ingestMaxWait  = 20 * time.Millisecond
-)
 
 // Close — on a durable store — takes a final checkpoint and closes
 // the per-shard WALs, so a clean shutdown restarts from a snapshot
@@ -669,7 +623,7 @@ func (s *Server) Stats() Snapshot {
 			QueueDepth: s.admission.QueueDepth(),
 			Shed:       s.admission.Shed(),
 		},
-		IngestStream: s.stream.stats(s.ingestCtrl),
+		IngestStream: s.stream.stats(),
 		Persist:      s.store.PersistStats(),
 		Stages:       stageStats(s.cfg.Telemetry),
 	}

@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"repro/internal/adaptive"
-	"repro/internal/cluster"
-)
+import "repro/internal/cluster"
 
 // Snapshot is the point-in-time view of the serving layer exposed by
 // GET /stats. All fields are JSON-stable: dashboards and tests key on
@@ -33,8 +30,7 @@ type Snapshot struct {
 	// Admission reports the load-shedding gate.
 	Admission AdmissionStats `json:"admission"`
 	// IngestStream reports the streaming ingest pipeline (POST
-	// /ingest/stream): lifetime totals plus the adaptive controller's
-	// operating point.
+	// /ingest/stream): lifetime totals across every stream.
 	IngestStream StreamStats `json:"ingest_stream"`
 	// Index echoes the per-shard vector index configuration (kind,
 	// quantization, re-rank depth) and its aggregate storage footprint;
@@ -130,8 +126,6 @@ type StreamStats struct {
 	// ThrottleEvents counts pipeline blocks on the chunk credit gate —
 	// non-zero means backpressure engaged and producers were slowed.
 	ThrottleEvents uint64 `json:"throttle_events"`
-	// Batch is the shared ingest batch controller's operating point.
-	Batch adaptive.Stats `json:"batch"`
 }
 
 // AdmissionStats describes the load-shedding gate.

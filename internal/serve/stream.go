@@ -5,7 +5,6 @@ import (
 	"io"
 	"sync/atomic"
 
-	"repro/internal/adaptive"
 	"repro/internal/ingest"
 )
 
@@ -54,7 +53,6 @@ func (s *Server) IngestStreamIn(ctx context.Context, collection string, r io.Rea
 		Workers:    s.cfg.StreamWorkers,
 		MaxPending: s.cfg.StreamMaxPending,
 		MaxErrors:  s.cfg.StreamMaxErrors,
-		Controller: s.ingestCtrl,
 		Telemetry:  s.cfg.Telemetry,
 	}, r, progress)
 	s.stream.accumulate(st)
@@ -94,7 +92,7 @@ func (c *streamCounters) accumulate(st ingest.Stats) {
 	c.bytes.Add(st.Bytes)
 }
 
-func (c *streamCounters) stats(ctrl *adaptive.Controller) StreamStats {
+func (c *streamCounters) stats() StreamStats {
 	return StreamStats{
 		Streams:        c.streams.Load(),
 		AcceptedDocs:   c.accepted.Load(),
@@ -103,6 +101,5 @@ func (c *streamCounters) stats(ctrl *adaptive.Controller) StreamStats {
 		Chunks:         c.chunks.Load(),
 		Bytes:          c.bytes.Load(),
 		ThrottleEvents: c.throttled.Load(),
-		Batch:          ctrl.Stats(),
 	}
 }

@@ -54,9 +54,6 @@ func TestIngestStreamEndToEnd(t *testing.T) {
 	if is.Chunks == 0 || is.Bytes == 0 {
 		t.Fatalf("snapshot stream stats missing chunks/bytes: %+v", is)
 	}
-	if !is.Batch.Adaptive {
-		t.Fatal("ingest controller should be adaptive by default")
-	}
 	if snap.Requests.Ingests != st.Accepted {
 		t.Fatalf("Requests.Ingests = %d, want %d", snap.Requests.Ingests, st.Accepted)
 	}
