@@ -16,11 +16,27 @@ func BenchmarkContentWords(b *testing.B) {
 	}
 }
 
+// BenchmarkStem stems words that end in each Porter step's rules, and
+// words the stemmer returns unchanged.
 func BenchmarkStem(b *testing.B) {
-	words := []string{"employees", "entitled", "operational", "relational", "hopefulness"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Stem(words[i%len(words)])
+	for _, c := range []struct {
+		name  string
+		words []string
+	}{
+		{"step1", []string{"caresses", "ponies", "hopping", "agreed", "conflated", "happy"}},
+		{"step2", []string{"relational", "conditional", "digitizer", "operator", "feudalism", "hopefulness", "sensibiliti"}},
+		{"step3", []string{"triplicate", "formative", "formalize", "electrical", "goodness"}},
+		{"step4", []string{"revival", "allowance", "airliner", "replacement", "adoption", "homologous"}},
+		{"step5", []string{"probate", "cease", "controll", "roll"}},
+		{"handbook", []string{"employees", "entitled", "operational", "annual", "leave"}},
+		{"unchanged", []string{"of", "9:30", "14", "500k"}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Stem(c.words[i%len(c.words)])
+			}
+		})
 	}
 }
 

@@ -11,6 +11,7 @@ package textproc
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Normalize lowercases s, folds common Unicode punctuation to ASCII,
@@ -55,10 +56,10 @@ func foldRune(r rune) rune {
 }
 
 // Words splits s into lowercase word tokens. A word is a maximal run of
-// letters, digits, or the characters '\” and '-' appearing between
-// letters (so "don't" and "part-time" stay whole). Punctuation is
-// dropped. Numbers keep attached suffixes such as "9am" intact so the
-// time parser can handle them.
+// letters, digits, or an apostrophe or hyphen appearing between two
+// letters or digits (so "don't", "part-time" and "9-5" stay whole).
+// Punctuation is dropped. Numbers keep attached suffixes such as "9am"
+// intact so the time parser can handle them.
 func Words(s string) []string {
 	s = Normalize(s)
 	words := make([]string, 0, len(s)/5+1)
@@ -111,6 +112,17 @@ func isAlnum(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
 // is the representation used for lexical-overlap features between a
 // candidate sentence and the retrieved context.
 func ContentWords(s string) []string {
+	if !isASCII(s) {
+		return runeContentWords(s)
+	}
+	out := make([]string, 0, len(s)/5+1)
+	eachASCIIContentWord(s, func(w []byte) { out = append(out, string(w)) })
+	return out
+}
+
+// runeContentWords is ContentWords on any text: Words, then stopword
+// removal, then Stem.
+func runeContentWords(s string) []string {
 	ws := Words(s)
 	out := ws[:0]
 	for _, w := range ws {
@@ -120,6 +132,87 @@ func ContentWords(s string) []string {
 		out = append(out, Stem(w))
 	}
 	return out
+}
+
+// EachContentWord calls fn with each word of ContentWords(s), in order,
+// without building the list. w is valid only during the call: fn must
+// copy any bytes it keeps. On ASCII text no word is allocated; text
+// holding any other byte takes the rune path of ContentWords.
+func EachContentWord(s string, fn func(w []byte)) {
+	if !isASCII(s) {
+		for _, w := range runeContentWords(s) {
+			fn([]byte(w))
+		}
+		return
+	}
+	eachASCIIContentWord(s, fn)
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// eachASCIIContentWord is EachContentWord on ASCII text, in one pass
+// over its bytes. It applies Words' rules to s as it stands: Normalize
+// only lowercases and collapses or trims whitespace there, and every
+// rule asks only whether a neighbour is a letter or a digit, which no
+// whitespace byte is.
+func eachASCIIContentWord(s string, fn func(w []byte)) {
+	var stack [64]byte
+	word := stack[:0]
+	emit := func() {
+		w := word
+		word = word[:0]
+		if _, stop := stopwords[string(w)]; stop {
+			return
+		}
+		if stemmable(w) {
+			w = stemBytes(w)
+		}
+		fn(w)
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case 'a' <= c && c <= 'z', isASCIIDigit(c):
+		case 'A' <= c && c <= 'Z':
+			c += 'a' - 'A'
+		case !joinsASCIIWord(s, i):
+			if len(word) > 0 {
+				emit()
+			}
+			continue
+		}
+		word = append(word, c)
+	}
+	if len(word) > 0 {
+		emit()
+	}
+}
+
+// joinsASCIIWord reports whether the punctuation byte s[i] of the ASCII
+// text s is part of a word, by Words' rules.
+func joinsASCIIWord(s string, i int) bool {
+	switch s[i] {
+	case '\'', '-':
+		return i > 0 && i+1 < len(s) && isASCIIAlnum(s[i-1]) && isASCIIAlnum(s[i+1])
+	case ':', '.':
+		return i > 0 && i+1 < len(s) && isASCIIDigit(s[i-1]) && isASCIIDigit(s[i+1])
+	case '%':
+		return i > 0 && isASCIIDigit(s[i-1])
+	}
+	return false
+}
+
+func isASCIIDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+func isASCIIAlnum(c byte) bool {
+	return isASCIIDigit(c) || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
 }
 
 // Bigrams returns adjacent-pair strings ("a b") over the given tokens.

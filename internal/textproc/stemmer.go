@@ -11,15 +11,30 @@ import "strings"
 // unchanged (times like "9:30" and counts like "14" must stay exact for
 // the numeric-consistency checker).
 func Stem(word string) string {
-	if len(word) <= 2 {
+	if !stemmable(word) {
 		return word
 	}
-	for _, r := range word {
-		if r >= '0' && r <= '9' {
-			return word
+	return string(stemBytes([]byte(strings.ToLower(word))))
+}
+
+// stemmable reports whether Stem rewrites w at all: it must be longer
+// than two bytes and hold no ASCII digit.
+func stemmable[T string | []byte](w T) bool {
+	if len(w) <= 2 {
+		return false
+	}
+	for i := 0; i < len(w); i++ {
+		if w[i] >= '0' && w[i] <= '9' {
+			return false
 		}
 	}
-	w := []byte(strings.ToLower(word))
+	return true
+}
+
+// stemBytes runs the Porter steps on the lowercase word w, rewriting
+// its bytes in place: every replacement is no longer than the suffix
+// it replaces. The stem it returns shares w's bytes.
+func stemBytes(w []byte) []byte {
 	w = step1a(w)
 	w = step1b(w)
 	w = step1c(w)
@@ -27,8 +42,7 @@ func Stem(word string) string {
 	w = step3(w)
 	w = step4(w)
 	w = step5a(w)
-	w = step5b(w)
-	return string(w)
+	return step5b(w)
 }
 
 // isConsonant reports whether w[i] acts as a consonant per Porter's
@@ -99,13 +113,24 @@ func endsCVC(w []byte) bool {
 	return c != 'w' && c != 'x' && c != 'y'
 }
 
+// hasSuffix compares byte by byte from the end: suffixes are a few
+// bytes long, and most candidates differ in their last two.
 func hasSuffix(w []byte, s string) bool {
-	return len(w) >= len(s) && string(w[len(w)-len(s):]) == s
+	if len(w) < len(s) {
+		return false
+	}
+	w = w[len(w)-len(s):]
+	for i := len(s) - 1; i >= 0; i-- {
+		if w[i] != s[i] {
+			return false
+		}
+	}
+	return true
 }
 
-// replaceSuffix swaps suffix from→to when the stem before `from` has
-// measure ≥ minM. Returns the (possibly new) word and whether a rule
-// fired.
+// replaceSuffix swaps suffix from→to in place when the stem before
+// `from` has measure ≥ minM; `to` is never longer than `from`. Returns
+// the (possibly shortened) word and whether a rule fired.
 func replaceSuffix(w []byte, from, to string, minM int) ([]byte, bool) {
 	if !hasSuffix(w, from) {
 		return w, false
@@ -114,10 +139,34 @@ func replaceSuffix(w []byte, from, to string, minM int) ([]byte, bool) {
 	if measure(stem) < minM {
 		return w, true // suffix matched but condition failed: stop trying others
 	}
-	out := make([]byte, 0, len(stem)+len(to))
-	out = append(out, stem...)
-	out = append(out, to...)
-	return out, true
+	return append(stem, to...), true
+}
+
+type suffixRule struct{ from, to string }
+
+// rulesByLastByte buckets rules by the last byte of their suffix,
+// keeping their order, so a step tries only the rules that can match
+// the word's last byte. First match still wins.
+func rulesByLastByte(rules []suffixRule) (out [256][]suffixRule) {
+	for _, r := range rules {
+		c := r.from[len(r.from)-1]
+		out[c] = append(out[c], r)
+	}
+	return out
+}
+
+// applyFirstRule applies the first rule of the word's last-byte bucket
+// whose suffix matches.
+func applyFirstRule(w []byte, rules *[256][]suffixRule, minM int) []byte {
+	if len(w) == 0 {
+		return w
+	}
+	for _, r := range rules[w[len(w)-1]] {
+		if out, ok := replaceSuffix(w, r.from, r.to, minM); ok {
+			return out
+		}
+	}
+	return w
 }
 
 func step1a(w []byte) []byte {
@@ -167,15 +216,12 @@ func step1b(w []byte) []byte {
 
 func step1c(w []byte) []byte {
 	if hasSuffix(w, "y") && hasVowel(w[:len(w)-1]) {
-		out := make([]byte, len(w))
-		copy(out, w)
-		out[len(out)-1] = 'i'
-		return out
+		w[len(w)-1] = 'i'
 	}
 	return w
 }
 
-var step2Rules = []struct{ from, to string }{
+var step2Rules = rulesByLastByte([]suffixRule{
 	{"ational", "ate"}, {"tional", "tion"}, {"enci", "ence"},
 	{"anci", "ance"}, {"izer", "ize"}, {"abli", "able"},
 	{"alli", "al"}, {"entli", "ent"}, {"eli", "e"}, {"ousli", "ous"},
@@ -183,54 +229,36 @@ var step2Rules = []struct{ from, to string }{
 	{"alism", "al"}, {"iveness", "ive"}, {"fulness", "ful"},
 	{"ousness", "ous"}, {"aliti", "al"}, {"iviti", "ive"},
 	{"biliti", "ble"},
-}
+})
 
-func step2(w []byte) []byte {
-	for _, r := range step2Rules {
-		if out, ok := replaceSuffix(w, r.from, r.to, 1); ok {
-			return out
-		}
-	}
-	return w
-}
+func step2(w []byte) []byte { return applyFirstRule(w, &step2Rules, 1) }
 
-var step3Rules = []struct{ from, to string }{
+var step3Rules = rulesByLastByte([]suffixRule{
 	{"icate", "ic"}, {"ative", ""}, {"alize", "al"}, {"iciti", "ic"},
 	{"ical", "ic"}, {"ful", ""}, {"ness", ""},
-}
+})
 
-func step3(w []byte) []byte {
-	for _, r := range step3Rules {
-		if out, ok := replaceSuffix(w, r.from, r.to, 1); ok {
-			return out
-		}
-	}
-	return w
-}
+func step3(w []byte) []byte { return applyFirstRule(w, &step3Rules, 1) }
 
-var step4Suffixes = []string{
-	"al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
-	"ment", "ent", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-}
+// step4Rules drop a suffix outright when m > 1. None ends in 'n', so
+// they and the "(s|t)ion" rule never both match a word, and which is
+// tried first does not matter.
+var step4Rules = rulesByLastByte([]suffixRule{
+	{"al", ""}, {"ance", ""}, {"ence", ""}, {"er", ""}, {"ic", ""},
+	{"able", ""}, {"ible", ""}, {"ant", ""}, {"ement", ""}, {"ment", ""},
+	{"ent", ""}, {"ou", ""}, {"ism", ""}, {"ate", ""}, {"iti", ""},
+	{"ous", ""}, {"ive", ""}, {"ize", ""},
+})
 
 func step4(w []byte) []byte {
-	for _, s := range step4Suffixes {
-		if !hasSuffix(w, s) {
-			continue
-		}
-		stem := w[:len(w)-len(s)]
-		if measure(stem) > 1 {
-			return stem
-		}
-		return w
+	if !hasSuffix(w, "ion") {
+		return applyFirstRule(w, &step4Rules, 2)
 	}
-	if hasSuffix(w, "ion") {
-		stem := w[:len(w)-3]
-		if measure(stem) > 1 && len(stem) > 0 {
-			c := stem[len(stem)-1]
-			if c == 's' || c == 't' {
-				return stem
-			}
+	stem := w[:len(w)-3]
+	if measure(stem) > 1 && len(stem) > 0 {
+		c := stem[len(stem)-1]
+		if c == 's' || c == 't' {
+			return stem
 		}
 	}
 	return w
@@ -248,9 +276,11 @@ func step5a(w []byte) []byte {
 	return w
 }
 
+// step5b drops one 'l' of a final "ll" when m > 1. The cheap byte tests
+// run before measure.
 func step5b(w []byte) []byte {
-	if measure(w) > 1 && endsDoubleConsonant(w) && w[len(w)-1] == 'l' {
-		return w[:len(w)-1]
+	if n := len(w); n >= 2 && w[n-1] == 'l' && w[n-2] == 'l' && measure(w) > 1 {
+		return w[:n-1]
 	}
 	return w
 }

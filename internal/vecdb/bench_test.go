@@ -162,16 +162,28 @@ func BenchmarkIVFSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkHashedEmbed embeds one text per shape: a handbook sentence,
+// a search-corpus passage (12 vocabulary words and a serial token), a
+// 128-word ingested document, and a sentence with typographic
+// punctuation, which takes the tokenizer's rune path.
 func BenchmarkHashedEmbed(b *testing.B) {
 	e, err := NewHashedEmbedder(256)
 	if err != nil {
 		b.Fatal(err)
 	}
-	text := "Full-time employees are entitled to 14 days of paid annual leave per year."
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Embed(text); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct{ name, text string }{
+		{"handbook", "Full-time employees are entitled to 14 days of paid annual leave per year."},
+		{"scan_passage", scanPassages(1, 12, 1)[0]},
+		{"ingest_doc", scanPassages(1, 128, 2)[0]},
+		{"non_ascii", "Full–time employees’ “annual leave” is 14 days — per year…"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Embed(c.text); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
