@@ -33,7 +33,6 @@
 //	GET  /readyz                                      → 200 | 503                  (recovery + seeding complete)
 //	GET  /stats                                       → serving-layer snapshot
 //	GET  /metrics                                     → Prometheus text exposition
-//	GET  /slo                                         → per-route SLO burn rates + alert states
 //	GET  /debug/traces                                → captured span trees + histogram exemplars
 //
 // /ingest/stream reads NDJSON (one document per line — an object
@@ -71,9 +70,13 @@
 // 500. GET /metrics renders the registry — request counters, hot-path
 // stage histograms (embed, shard fan-out, merge, verify, WAL,
 // checkpoint, ingest), per-backend RPC timings in cluster mode — in
-// Prometheus text format. -log-requests emits one line per completed
-// request; -debug-addr serves net/http/pprof on a separate listener.
-// See docs/observability.md.
+// Prometheus text format. GET /debug/traces holds the span trees of
+// every 5xx and every request slower than -slo-latency, plus 1 in
+// -trace-sample of the rest; the probes /healthz and /readyz are only
+// sampled. Burn-rate alerting is PromQL over the /metrics series.
+// -log-requests emits one line per completed request; -debug-addr
+// serves net/http/pprof on a separate listener. See
+// docs/observability.md.
 //
 // The vector index behind the shards is configurable: -index selects
 // flat (exact scan), ivf (clustered probes) or hnsw (graph), -quantize
@@ -161,8 +164,8 @@ func main() {
 		logRequests = flag.Bool("log-requests", false, "log one structured line per completed request")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 		traceCap    = flag.Int("trace-capacity", 256, "captured traces retained in memory for /debug/traces")
-		traceSample = flag.Int("trace-sample", 16, "keep 1 in N healthy traces (SLO breaches and errors are always kept; negative = breaches/errors only)")
-		sloLatency  = flag.Duration("slo-latency", 500*time.Millisecond, "per-request latency objective threshold (requests slower than this burn the SLO budget)")
+		traceSample = flag.Int("trace-sample", 16, "keep 1 in N healthy traces (5xx and requests slower than -slo-latency are always kept; negative = only those)")
+		sloLatency  = flag.Duration("slo-latency", defaultSLOLatency, "always keep the trace of a request slower than this, as reason slo_breach (0 disables)")
 		breakThresh = flag.Int("breaker-threshold", 5, "consecutive live-read failures that open a backend's circuit breaker (0 disables breakers)")
 		breakCool   = flag.Duration("breaker-cooldown", 2*time.Second, "open-breaker cooldown before a half-open trial request")
 		readRetries = flag.Int("read-retries", 1, "retries with jittered backoff for failed idempotent reads (0 disables)")
@@ -194,15 +197,7 @@ func main() {
 	reg := telemetry.NewRegistry()
 	telemetry.RegisterBuildInfo(reg, "ragserver",
 		telemetry.L("index", *indexKind), telemetry.L("quantize", *quantize))
-	tracer := telemetry.NewTracer(telemetry.TracerConfig{
-		Capacity:    *traceCap,
-		SampleEvery: *traceSample,
-	})
-	tracer.Register(reg)
-	slo := telemetry.NewSLO(telemetry.SLOConfig{
-		Default: telemetry.SLOObjective{LatencyThreshold: *sloLatency},
-		Exempt:  []string{"/healthz", "/readyz"},
-	}, reg)
+	tracer := newTracer(reg, *traceCap, *traceSample, *sloLatency)
 	resilience := cluster.ResilienceConfig{
 		BreakerThreshold: *breakThresh,
 		BreakerCooldown:  *breakCool,
@@ -231,7 +226,7 @@ func main() {
 	// The listener comes up before the (possibly long) store recovery
 	// or cluster attach: /healthz answers immediately, /readyz and the
 	// data endpoints flip once init completes.
-	srv := &server{reg: reg, tracer: tracer, slo: slo, logRequests: *logRequests}
+	srv := &server{reg: reg, tracer: tracer, logRequests: *logRequests}
 	httpServer := &http.Server{
 		Addr:              *addr,
 		Handler:           srv.routes(),
@@ -297,11 +292,9 @@ type server struct {
 	// records into it and /metrics renders it, from before init
 	// completes.
 	reg *telemetry.Registry
-	// tracer captures per-request span trees for /debug/traces; slo
-	// tracks per-route burn rates for /slo. Both serve from before init
-	// completes, like the registry.
+	// tracer captures per-request span trees for /debug/traces; it
+	// serves from before init completes, like the registry.
 	tracer      *telemetry.Tracer
-	slo         *telemetry.SLO
 	logRequests bool
 }
 
@@ -396,11 +389,29 @@ func newServer(cfg serve.Config, seedDemo bool) (*server, error) {
 		}
 	}
 	s := &server{reg: sv.Telemetry()}
-	s.tracer = telemetry.NewTracer(telemetry.TracerConfig{})
-	s.tracer.Register(s.reg)
-	s.slo = telemetry.NewSLO(telemetry.SLOConfig{}, s.reg)
+	s.tracer = newTracer(s.reg, 0, 0, defaultSLOLatency)
 	s.core.Store(sv)
 	return s, nil
+}
+
+// defaultSLOLatency is the -slo-latency default, which newServer
+// uses too.
+const defaultSLOLatency = 500 * time.Millisecond
+
+// newTracer builds the binary's tracer and registers its counters in
+// reg. It always keeps the traces of 5xx and of requests slower than
+// slowerThan, except on the probe routes, and 1 in sampleEvery of the
+// rest (0 for capacity or sampleEvery takes the tracer's defaults,
+// which are the flags' defaults).
+func newTracer(reg *telemetry.Registry, capacity, sampleEvery int, slowerThan time.Duration) *telemetry.Tracer {
+	tracer := telemetry.NewTracer(telemetry.TracerConfig{
+		Capacity:    capacity,
+		SampleEvery: sampleEvery,
+		SlowerThan:  slowerThan,
+		Exempt:      []string{"/healthz", "/readyz"},
+	})
+	tracer.Register(reg)
+	return tracer
 }
 
 // seedDemoCorpus ingests the synthetic handbook and calibrates the
@@ -447,7 +458,6 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.Handle("/metrics", s.reg.Handler())
 	mux.Handle("/debug/traces", s.tracer.Handler(s.reg))
-	mux.Handle("/slo", s.slo.Handler())
 	mux.HandleFunc("/ingest", s.handleIngest)
 	mux.HandleFunc("/ingest/bulk", s.handleIngestBulk)
 	mux.HandleFunc("/ingest/stream", s.handleIngestStream)
@@ -464,7 +474,7 @@ func (s *server) routes() http.Handler {
 	// from the recovery layer are counted per route.
 	return telemetry.Chain(mux,
 		telemetry.RequestID(),
-		telemetry.Tracing(s.tracer, s.slo, routeLabel),
+		telemetry.Tracing(s.tracer, routeLabel),
 		telemetry.Metrics(s.reg, routeLabel),
 		telemetry.RequestLog(s.logRequests, routeLabel, s.shardCount),
 		telemetry.Deadline(0),
@@ -481,7 +491,7 @@ func routeLabel(r *http.Request) string {
 	}
 	switch p {
 	case "/healthz", "/readyz", "/stats", "/metrics",
-		"/debug/traces", "/slo",
+		"/debug/traces",
 		"/ingest", "/ingest/bulk", "/ingest/stream",
 		"/ask", "/verify", "/search",
 		"/admin/checkpoint", "/admin/resync", "/admin/rebalance":

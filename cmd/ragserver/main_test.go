@@ -458,3 +458,56 @@ func TestRecoveryServesIdenticalResults(t *testing.T) {
 		t.Error("recovery replayed no WAL records — second wave came from nowhere")
 	}
 }
+
+// TestRouteLabels: every path the mux serves gets its own bounded
+// metric label, and a path it does not serve (/slo among them) is
+// neither routed nor labelled beyond "other".
+func TestRouteLabels(t *testing.T) {
+	h := newTestServer(t).routes()
+	// muxNotFound is the body of the mux's own 404, which the handlers'
+	// JSON errors never match.
+	const muxNotFound = "404 page not found\n"
+	seen := map[string]string{}
+	for _, tc := range []struct{ path, label string }{
+		{"/healthz", "/healthz"},
+		{"/readyz", "/readyz"},
+		{"/stats", "/stats"},
+		{"/metrics", "/metrics"},
+		{"/debug/traces", "/debug/traces"},
+		{"/ingest", "/ingest"},
+		{"/ingest/bulk", "/ingest/bulk"},
+		{"/ingest/stream", "/ingest/stream"},
+		{"/ask", "/ask"},
+		{"/verify", "/verify"},
+		{"/search", "/search"},
+		{"/documents/7", "/documents/{id}"},
+		{"/admin/checkpoint", "/admin/checkpoint"},
+		{"/admin/resync", "/admin/resync"},
+		{"/admin/rebalance", "/admin/rebalance"},
+	} {
+		req := httptest.NewRequest(http.MethodGet, tc.path, nil)
+		if got := routeLabel(req); got != tc.label {
+			t.Errorf("routeLabel(%s) = %q, want %q", tc.path, got, tc.label)
+		}
+		if prev, dup := seen[tc.label]; dup {
+			t.Errorf("%s and %s share the label %q", prev, tc.path, tc.label)
+		}
+		seen[tc.label] = tc.path
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Body.String() == muxNotFound {
+			t.Errorf("%s is not registered on the mux", tc.path)
+		}
+	}
+	for _, path := range []string{`/slo`, "/no/such/route"} {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		if got := routeLabel(req); got != "other" {
+			t.Errorf("routeLabel(%s) = %q, want \"other\"", path, got)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusNotFound || rec.Body.String() != muxNotFound {
+			t.Errorf("%s answered %d %q, want the mux's 404", path, rec.Code, rec.Body.String())
+		}
+	}
+}

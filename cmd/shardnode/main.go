@@ -22,7 +22,6 @@
 //	GET  /readyz                — 200 only after WAL recovery completes
 //	GET  /stats                 — node snapshot: docs, seq/checksum, index config, persistence
 //	GET  /metrics               — Prometheus text exposition
-//	GET  /slo                   — node-side SLO burn rates
 //	GET  /debug/traces          — captured span trees (stitched under the router's traceparent)
 //
 // The listener comes up before recovery: a router probing /readyz
@@ -35,7 +34,9 @@
 // cluster), and X-Deadline-Ms becomes a context deadline so work for
 // an upstream that already gave up cancels. /metrics carries the
 // node-side stage histograms (shard_search, wal_append, wal_fsync,
-// checkpoint). See docs/observability.md.
+// checkpoint). /debug/traces keeps the node half of every 5xx and of
+// every request slower than -slo-latency, plus 1 in -trace-sample of
+// the rest. See docs/observability.md.
 //
 // The node's vector index takes the same -index / -quantize /
 // -rerank-k / -nprobe / -ef-search flags as ragserver (validated at
@@ -92,8 +93,8 @@ func main() {
 		logRequests = flag.Bool("log-requests", false, "log one structured line per completed request")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 		traceCap    = flag.Int("trace-capacity", 256, "captured traces retained in memory for /debug/traces")
-		traceSample = flag.Int("trace-sample", 16, "keep 1 in N healthy traces (SLO breaches and errors are always kept; negative = breaches/errors only)")
-		sloLatency  = flag.Duration("slo-latency", 200*time.Millisecond, "per-request latency objective threshold for node-side SLO tracking")
+		traceSample = flag.Int("trace-sample", 16, "keep 1 in N healthy traces (5xx and requests slower than -slo-latency are always kept; negative = only those)")
+		sloLatency  = flag.Duration("slo-latency", 200*time.Millisecond, "always keep the trace of a request slower than this, as reason slo_breach (0 disables)")
 	)
 	flag.Parse()
 	policy, err := storage.ParseSyncPolicy(*fsync)
@@ -119,16 +120,14 @@ func main() {
 	tracer := telemetry.NewTracer(telemetry.TracerConfig{
 		Capacity:    *traceCap,
 		SampleEvery: *traceSample,
+		SlowerThan:  *sloLatency,
+		Exempt:      []string{"/healthz", "/readyz"},
 	})
 	tracer.Register(reg)
-	slo := telemetry.NewSLO(telemetry.SLOConfig{
-		Default: telemetry.SLOObjective{LatencyThreshold: *sloLatency},
-		Exempt:  []string{"/healthz", "/readyz"},
-	}, reg)
 	node := &nodeState{reg: reg}
 	httpServer := &http.Server{
 		Addr:              *addr,
-		Handler:           nodeRoutes(node, reg, tracer, slo, *logRequests),
+		Handler:           nodeRoutes(node, reg, tracer, *logRequests),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	initDone := make(chan error, 1)
@@ -182,18 +181,17 @@ func main() {
 // wraps everything in the telemetry middleware chain — the same order
 // as ragserver, so a request ID minted at the router is adopted here
 // and the router's X-Deadline-Ms hop header bounds node-side work.
-func nodeRoutes(node *nodeState, reg *telemetry.Registry, tracer *telemetry.Tracer, slo *telemetry.SLO, logRequests bool) http.Handler {
+func nodeRoutes(node *nodeState, reg *telemetry.Registry, tracer *telemetry.Tracer, logRequests bool) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/debug/traces", tracer.Handler(reg))
-	mux.Handle("/slo", slo.Handler())
 	mux.HandleFunc("/stats", node.handleStats)
 	nh := cluster.NewNodeHandler(node, node.ready)
 	node.handler = nh
 	mux.Handle("/", nh)
 	return telemetry.Chain(mux,
 		telemetry.RequestID(),
-		telemetry.Tracing(tracer, slo, nodeRouteLabel),
+		telemetry.Tracing(tracer, nodeRouteLabel),
 		telemetry.Metrics(reg, nodeRouteLabel),
 		telemetry.RequestLog(logRequests, nodeRouteLabel, node.shardCount),
 		telemetry.Deadline(0),
@@ -211,7 +209,7 @@ func nodeRouteLabel(r *http.Request) string {
 	case "/shard/search", "/shard/apply", "/shard/stat", "/shard/mutations",
 		"/shard/resync", "/shard/snapshot", "/shard/epoch",
 		"/healthz", "/readyz", "/stats", "/metrics",
-		"/debug/traces", "/slo":
+		"/debug/traces":
 		return p
 	}
 	return "other"

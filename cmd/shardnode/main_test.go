@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/serve"
 	"repro/internal/storage"
+	"repro/internal/telemetry"
 	"repro/internal/vecdb"
 )
 
@@ -91,5 +93,58 @@ func TestNodeOpenMemoryOnly(t *testing.T) {
 	}
 	if node.Len() != 1 || node.NextID() != 8 {
 		t.Fatalf("len=%d nextID=%d", node.Len(), node.NextID())
+	}
+}
+
+// TestNodeRouteLabels: every path the node serves gets its own bounded
+// metric label, and a path it does not serve (/slo among them) is
+// neither routed nor labelled beyond "other".
+func TestNodeRouteLabels(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	node := &nodeState{reg: reg}
+	h := nodeRoutes(node, reg, telemetry.NewTracer(telemetry.TracerConfig{}), false)
+	// muxNotFound is the body of the mux's own 404, which the handlers'
+	// errors never match.
+	const muxNotFound = "404 page not found\n"
+	seen := map[string]string{}
+	for _, tc := range []struct{ path, label string }{
+		{"/shard/search", "/shard/search"},
+		{"/shard/apply", "/shard/apply"},
+		{"/shard/documents/7", "/shard/documents/{id}"},
+		{"/shard/stat", "/shard/stat"},
+		{"/shard/mutations", "/shard/mutations"},
+		{"/shard/resync", "/shard/resync"},
+		{"/shard/snapshot", "/shard/snapshot"},
+		{"/shard/epoch", "/shard/epoch"},
+		{"/healthz", "/healthz"},
+		{"/readyz", "/readyz"},
+		{"/stats", "/stats"},
+		{"/metrics", "/metrics"},
+		{"/debug/traces", "/debug/traces"},
+	} {
+		req := httptest.NewRequest(http.MethodGet, tc.path, nil)
+		if got := nodeRouteLabel(req); got != tc.label {
+			t.Errorf("nodeRouteLabel(%s) = %q, want %q", tc.path, got, tc.label)
+		}
+		if prev, dup := seen[tc.label]; dup {
+			t.Errorf("%s and %s share the label %q", prev, tc.path, tc.label)
+		}
+		seen[tc.label] = tc.path
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Body.String() == muxNotFound {
+			t.Errorf("%s is not registered on the mux", tc.path)
+		}
+	}
+	for _, path := range []string{`/slo`, "/no/such/route"} {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		if got := nodeRouteLabel(req); got != "other" {
+			t.Errorf("nodeRouteLabel(%s) = %q, want \"other\"", path, got)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusNotFound || rec.Body.String() != muxNotFound {
+			t.Errorf("%s answered %d %q, want the mux's 404", path, rec.Code, rec.Body.String())
+		}
 	}
 }

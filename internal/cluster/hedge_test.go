@@ -92,7 +92,7 @@ func TestHedgedReadPropagation(t *testing.T) {
 
 	// One traced, deadlined read. The primary stalls well past
 	// HedgeAfter, so the replica must win.
-	tracer := telemetry.NewTracer(telemetry.TracerConfig{})
+	tracer := telemetry.NewTracer(telemetry.TracerConfig{SampleEvery: 1})
 	ctx, root := tracer.StartTrace(context.Background(), "/search", "")
 	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
@@ -178,7 +178,7 @@ func TestHedgedReadPropagation(t *testing.T) {
 	// spans (one marked hedge=true) and two rpc.search spans under the
 	// shard_fanout.
 	root.End(nil)
-	tracer.Finish(telemetry.TraceFrom(ctx), 200, true, false)
+	tracer.Finish(telemetry.TraceFrom(ctx), 200, 0)
 	kept := tracer.Traces(1, "")
 	if len(kept) != 1 {
 		t.Fatalf("captured %d traces, want 1", len(kept))

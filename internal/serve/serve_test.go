@@ -156,7 +156,7 @@ func TestShardedSearchTraceShape(t *testing.T) {
 			ctx, root := tracer.StartTrace(context.Background(), "/search", "")
 			hits, err := s.SearchFilteredContext(ctx, "days of annual leave", 3, tc.filter)
 			root.End(err)
-			tracer.Finish(telemetry.TraceFrom(ctx), 200, false, false)
+			tracer.Finish(telemetry.TraceFrom(ctx), 200, 0)
 			if err != nil || len(hits) != 3 {
 				t.Fatalf("search: %d hits, %v", len(hits), err)
 			}

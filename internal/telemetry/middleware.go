@@ -178,19 +178,18 @@ func Deadline(max time.Duration) Middleware {
 }
 
 // Tracing roots a span tree for each request (adopting an inbound
-// traceparent so node-side spans stitch under the router's RPC span),
-// feeds the finished request into the SLO engine, and hands the trace
-// to the tracer's tail-based keep decision: SLO breaches and 5xx are
-// always captured, the rest sampled. Either tracer or slo may be nil;
-// with both nil the middleware is a pass-through.
-func Tracing(tracer *Tracer, slo *SLO, route func(*http.Request) string) Middleware {
+// traceparent so node-side spans stitch under the router's RPC span)
+// and hands the finished trace, with its status and duration, to the
+// tracer's tail-based keep decision (see Tracer.Finish): 5xx and slow
+// requests are always captured, the rest sampled. A nil tracer makes
+// the middleware a pass-through.
+func Tracing(tracer *Tracer, route func(*http.Request) string) Middleware {
 	return func(next http.Handler) http.Handler {
-		if tracer == nil && slo == nil {
+		if tracer == nil {
 			return next
 		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			rt := route(r)
-			ctx, root := tracer.StartTrace(r.Context(), rt, r.Header.Get(TraceParentHeader))
+			ctx, root := tracer.StartTrace(r.Context(), route(r), r.Header.Get(TraceParentHeader))
 			root.Annotate("method", r.Method)
 			if id := RequestIDFrom(ctx); id != "" {
 				root.Annotate("request_id", id)
@@ -200,15 +199,9 @@ func Tracing(tracer *Tracer, slo *SLO, route func(*http.Request) string) Middlew
 			next.ServeHTTP(sw, r.WithContext(ctx))
 			dur := time.Since(start)
 			code := sw.statusCode()
-			slo.Observe(rt, dur, code)
 			root.Annotate("status", strconv.Itoa(code))
 			root.End(nil)
-			// A 5xx on an SLO-exempt probe route is an expected boot
-			// signal (/readyz answers 503 until recovery); keeping every
-			// one would let a fast readiness poller fill the trace ring
-			// before the first real request.
-			errored := code >= 500 && !slo.Exempted(rt)
-			tracer.Finish(TraceFrom(ctx), code, slo.Breached(rt, dur, code), errored)
+			tracer.Finish(TraceFrom(ctx), code, dur)
 		})
 	}
 }

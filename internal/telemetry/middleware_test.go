@@ -203,3 +203,63 @@ func TestStatusWriterPreservesFlusher(t *testing.T) {
 	}), RequestID(), Metrics(NewRegistry(), func(*http.Request) string { return "x" }), Recover(NewRegistry()))
 	get(h, "/x", nil)
 }
+
+// TestTracingKeepReason drives finished requests through Tracing and
+// checks which traces_kept_total reason each one lands under: a 5xx is
+// an "error" however fast or slow it was, a slow success an
+// "slo_breach", and an exempt probe's 5xx or a fast success is not
+// kept when sampling keeps nothing.
+func TestTracingKeepReason(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		path   string
+		status int
+		slow   bool
+		want   string // "" = not kept
+	}{
+		{"fast 500", "/search", 500, false, "error"},
+		{"slow 200", "/search", 200, true, "slo_breach"},
+		{"slow 500", "/search", 500, true, "error"},
+		{"503 on exempt probe", "/readyz", 503, false, ""},
+		{"fast 200", "/search", 200, false, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Fast rows get an hour's threshold, so that no load on the
+			// test machine can make them slow.
+			cfg := TracerConfig{SampleEvery: -1, SlowerThan: time.Hour, Exempt: []string{"/healthz", "/readyz"}}
+			if tc.slow {
+				cfg.SlowerThan = time.Millisecond
+			}
+			reg := NewRegistry()
+			tr := NewTracer(cfg)
+			tr.Register(reg)
+			h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if tc.slow {
+					time.Sleep(2 * time.Millisecond)
+				}
+				w.WriteHeader(tc.status)
+			}), Tracing(tr, func(r *http.Request) string { return r.URL.Path }))
+			get(h, tc.path, nil)
+
+			for _, reason := range []string{"error", "slo_breach", "sampled"} {
+				want := uint64(0)
+				if reason == tc.want {
+					want = 1
+				}
+				if got := reg.CounterValue("traces_kept_total", L("reason", reason)); got != want {
+					t.Errorf("traces_kept_total{reason=%q} = %d, want %d", reason, got, want)
+				}
+			}
+			kept := tr.Traces(0, "")
+			if tc.want == "" {
+				if len(kept) != 0 {
+					t.Fatalf("kept %+v, want nothing", kept)
+				}
+				return
+			}
+			if len(kept) != 1 || kept[0].Reason != tc.want || kept[0].Status != tc.status || kept[0].Root != tc.path {
+				t.Fatalf("kept %+v, want one %s trace of %s with status %d", kept, tc.want, tc.path, tc.status)
+			}
+		})
+	}
+}

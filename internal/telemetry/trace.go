@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -129,7 +130,8 @@ func (s *Span) data() spanData {
 // Trace accumulates the spans of one request on one process. It lives
 // in the request context; StartSpan appends to it from any goroutine.
 type Trace struct {
-	id string
+	id   string
+	root string // the root span's name: the route, for the keep decision
 
 	mu        sync.Mutex
 	spans     []*Span
@@ -294,11 +296,19 @@ type TracerConfig struct {
 	// Capacity is the number of captured traces kept in the ring
 	// buffer (default 256). Oldest traces are evicted first.
 	Capacity int
-	// SampleEvery keeps 1 in N traces that neither breached their SLO
-	// nor errored (default 16; 0 uses the default, negative keeps
-	// none). Breaching and erroring traces are always kept — that is
-	// the tail-based part.
+	// SampleEvery keeps 1 in N traces that were neither slow nor
+	// errored (default 16; 0 uses the default, negative keeps none).
+	// Slow and erroring traces are always kept — that is the
+	// tail-based part.
 	SampleEvery int
+	// SlowerThan is the latency over which a trace is always kept as
+	// "slo_breach" (0 keeps none for latency).
+	SlowerThan time.Duration
+	// Exempt lists root span names (routes) kept only by sampling —
+	// probe endpoints whose 5xx answers are expected boot signals (a
+	// recovering node answers /readyz with 503 by design; keeping every
+	// one would let a fast readiness poller fill the ring).
+	Exempt []string
 }
 
 func (c TracerConfig) withDefaults() TracerConfig {
@@ -327,7 +337,7 @@ type CapturedTrace struct {
 // Tracer is the per-process trace collector: it roots traces for
 // inbound requests (adopting a propagated traceparent when present),
 // and keeps a bounded ring of captured traces with tail-based
-// selection — SLO breaches and errors always, a sample of the rest.
+// selection — slow requests and errors always, a sample of the rest.
 // All methods are safe for concurrent use and on a nil receiver.
 type Tracer struct {
 	cfg TracerConfig
@@ -378,7 +388,7 @@ func (t *Tracer) StartTrace(ctx context.Context, name, traceparent string) (cont
 	if !ok {
 		traceID, parentID = newTraceID(), ""
 	}
-	tr := &Trace{id: traceID}
+	tr := &Trace{id: traceID, root: name}
 	root := &Span{
 		traceID:  traceID,
 		spanID:   newSpanID(),
@@ -392,21 +402,24 @@ func (t *Tracer) StartTrace(ctx context.Context, name, traceparent string) (cont
 	return ctx, root
 }
 
-// Finish decides whether tr is kept: always when it breached its SLO
-// or errored, else 1-in-SampleEvery. status is the HTTP status of the
-// finished request, recorded on the capture for filtering.
-func (t *Tracer) Finish(tr *Trace, status int, breached, errored bool) {
+// Finish decides whether tr is kept, from the status and duration of
+// the request it traced: a 5xx always as "error", a request slower
+// than SlowerThan always as "slo_breach", the rest 1-in-SampleEvery.
+// A trace rooted on an Exempt route is only ever sampled. status is
+// recorded on the capture for filtering.
+func (t *Tracer) Finish(tr *Trace, status int, dur time.Duration) {
 	if t == nil || tr == nil {
 		return
 	}
+	exempt := slices.Contains(t.cfg.Exempt, tr.root)
 	reason := ""
 	switch {
-	case breached:
-		reason = "slo_breach"
-		t.breach.Add(1)
-	case errored:
+	case status >= 500 && !exempt:
 		reason = "error"
 		t.errs.Add(1)
+	case t.cfg.SlowerThan > 0 && dur > t.cfg.SlowerThan && !exempt:
+		reason = "slo_breach"
+		t.breach.Add(1)
 	// n%1 is never 1, so SampleEvery=1 (keep every trace) is its own
 	// case rather than falling out of the modulo.
 	case t.cfg.SampleEvery == 1,

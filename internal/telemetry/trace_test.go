@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestParseTraceparent(t *testing.T) {
@@ -56,13 +57,13 @@ func TestTraceparentStitching(t *testing.T) {
 		t.Fatalf("hop parent %s != current span %s", pid, rpc.SpanID())
 	}
 
-	node := NewTracer(TracerConfig{})
+	node := NewTracer(TracerConfig{SampleEvery: 1})
 	nctx, nroot := node.StartTrace(context.Background(), "/shard/search", hop)
 	if TraceIDFrom(nctx) != tid {
 		t.Fatalf("node adopted trace %s, want %s", TraceIDFrom(nctx), tid)
 	}
 	nroot.End(nil)
-	node.Finish(TraceFrom(nctx), 200, true, false)
+	node.Finish(TraceFrom(nctx), 200, 0)
 	kept := node.Traces(1, "")
 	if len(kept) != 1 || kept[0].ID != tid {
 		t.Fatalf("node capture = %+v, want trace %s", kept, tid)
@@ -86,7 +87,7 @@ func TestSpanTree(t *testing.T) {
 	b.End(errors.New("boom"))
 	fanout.End(nil)
 	root.End(nil)
-	tr.Finish(TraceFrom(ctx), 200, false, true)
+	tr.Finish(TraceFrom(ctx), 500, 0)
 
 	kept := tr.Traces(1, "")
 	if len(kept) != 1 {
@@ -115,19 +116,19 @@ func TestSpanTree(t *testing.T) {
 // TestTailCapture: breaches and errors are always kept, healthy
 // traces only 1-in-SampleEvery.
 func TestTailCapture(t *testing.T) {
-	tr := NewTracer(TracerConfig{Capacity: 64, SampleEvery: 4})
-	finish := func(name string, breached, errored bool) {
+	tr := NewTracer(TracerConfig{Capacity: 64, SampleEvery: 4, SlowerThan: 100 * time.Millisecond})
+	finish := func(name string, status int, dur time.Duration) {
 		ctx, root := tr.StartTrace(context.Background(), name, "")
 		root.End(nil)
-		tr.Finish(TraceFrom(ctx), 200, breached, errored)
+		tr.Finish(TraceFrom(ctx), status, dur)
 	}
 	for i := 0; i < 8; i++ {
-		finish("healthy", false, false)
+		finish("healthy", 200, time.Millisecond)
 	}
 	for i := 0; i < 3; i++ {
-		finish("breach", true, false)
+		finish("breach", 200, time.Second)
 	}
-	finish("errored", false, true)
+	finish("errored", 500, time.Millisecond)
 
 	var healthy, breach, errored int
 	for _, ct := range tr.Traces(0, "") {
@@ -153,7 +154,7 @@ func TestTailCapture(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		ctx, root := all.StartTrace(context.Background(), "healthy", "")
 		root.End(nil)
-		all.Finish(TraceFrom(ctx), 200, false, false)
+		all.Finish(TraceFrom(ctx), 200, 0)
 	}
 	if n := len(all.Traces(0, "")); n != 3 {
 		t.Errorf("SampleEvery=1 kept %d of 3 healthy traces, want all", n)
@@ -163,9 +164,68 @@ func TestTailCapture(t *testing.T) {
 	strict := NewTracer(TracerConfig{SampleEvery: -1})
 	ctx, root := strict.StartTrace(context.Background(), "healthy", "")
 	root.End(nil)
-	strict.Finish(TraceFrom(ctx), 200, false, false)
+	strict.Finish(TraceFrom(ctx), 200, 0)
 	if n := len(strict.Traces(0, "")); n != 0 {
 		t.Errorf("SampleEvery=-1 kept %d healthy traces, want 0", n)
+	}
+}
+
+// keptReason roots a trace on name, finishes it with status and dur,
+// and returns the reason it was kept under ("" = not kept).
+func keptReason(tr *Tracer, name string, status int, dur time.Duration) string {
+	ctx, root := tr.StartTrace(context.Background(), name, "")
+	root.End(nil)
+	before := len(tr.Traces(0, ""))
+	tr.Finish(TraceFrom(ctx), status, dur)
+	kept := tr.Traces(0, "")
+	if len(kept) == before {
+		return ""
+	}
+	return kept[0].Reason
+}
+
+// TestSLOBreached: a request slower than SlowerThan breaches the
+// latency objective and is kept as "slo_breach"; a 5xx is kept as
+// "error" however fast it was; a fast success is not kept when
+// sampling keeps nothing.
+func TestSLOBreached(t *testing.T) {
+	tr := NewTracer(TracerConfig{SampleEvery: -1, SlowerThan: 100 * time.Millisecond})
+	if got := keptReason(tr, "/ask", 200, 50*time.Millisecond); got != "" {
+		t.Errorf("fast 200 kept as %q", got)
+	}
+	if got := keptReason(tr, "/ask", 200, 200*time.Millisecond); got != "slo_breach" {
+		t.Errorf("slow 200 kept as %q, want slo_breach", got)
+	}
+	if got := keptReason(tr, "/ask", 500, time.Millisecond); got != "error" {
+		t.Errorf("fast 500 kept as %q, want error", got)
+	}
+	if got := keptReason(tr, "/ask", 200, 100*time.Millisecond); got != "" {
+		t.Errorf("200 exactly at SlowerThan kept as %q, want not kept", got)
+	}
+	// No threshold set: latency alone never keeps a trace.
+	off := NewTracer(TracerConfig{SampleEvery: -1})
+	if got := keptReason(off, "/ask", 200, time.Hour); got != "" {
+		t.Errorf("SlowerThan=0 kept an hour-long 200 as %q", got)
+	}
+	var nilTracer *Tracer
+	nilTracer.Finish(nil, 500, time.Hour) // must not panic
+}
+
+// TestSLOExempt: probe routes opt out of the keep rules entirely — a
+// booting node's /readyz 503s are expected signals, and must not be
+// kept as errors or breaches (which would fill the trace ring).
+func TestSLOExempt(t *testing.T) {
+	tr := NewTracer(TracerConfig{SampleEvery: -1, SlowerThan: 100 * time.Millisecond, Exempt: []string{"/readyz"}})
+	if got := keptReason(tr, "/readyz", 503, time.Second); got != "" {
+		t.Errorf("exempt route's slow 503 kept as %q", got)
+	}
+	if got := keptReason(tr, "/ask", 503, time.Second); got != "error" {
+		t.Errorf("non-exempt route's 503 kept as %q, want error", got)
+	}
+	// An exempt route is still sampled like any healthy request.
+	all := NewTracer(TracerConfig{SampleEvery: 1, SlowerThan: 100 * time.Millisecond, Exempt: []string{"/readyz"}})
+	if got := keptReason(all, "/readyz", 503, time.Second); got != "sampled" {
+		t.Errorf("exempt route at SampleEvery=1 kept as %q, want sampled", got)
 	}
 }
 
@@ -175,7 +235,7 @@ func TestTracerRingEviction(t *testing.T) {
 	for _, name := range []string{"one", "two", "three"} {
 		ctx, root := tr.StartTrace(context.Background(), name, "")
 		root.End(nil)
-		tr.Finish(TraceFrom(ctx), 200, true, false)
+		tr.Finish(TraceFrom(ctx), 500, 0)
 	}
 	kept := tr.Traces(0, "")
 	if len(kept) != 2 {
@@ -198,7 +258,7 @@ func TestTraceHandler(t *testing.T) {
 	reg.Histogram("stage_duration_seconds", "stage latency", nil, L("stage", "embed")).
 		ObserveCtx(ctx, 0.2)
 	root.End(nil)
-	tr.Finish(TraceFrom(ctx), 504, true, false)
+	tr.Finish(TraceFrom(ctx), 504, 0)
 
 	rec := httptest.NewRecorder()
 	tr.Handler(reg).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
@@ -206,9 +266,9 @@ func TestTraceHandler(t *testing.T) {
 		t.Fatalf("status %d", rec.Code)
 	}
 	var resp struct {
-		Started  uint64 `json:"traces_started"`
-		Breaches uint64 `json:"kept_slo_breach"`
-		Traces   []struct {
+		Started uint64 `json:"traces_started"`
+		Errors  uint64 `json:"kept_error"`
+		Traces  []struct {
 			ID     string `json:"id"`
 			Root   string `json:"root"`
 			Status int    `json:"status"`
@@ -224,12 +284,12 @@ func TestTraceHandler(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Started != 1 || resp.Breaches != 1 {
-		t.Fatalf("counters started=%d breaches=%d", resp.Started, resp.Breaches)
+	if resp.Started != 1 || resp.Errors != 1 {
+		t.Fatalf("counters started=%d errors=%d", resp.Started, resp.Errors)
 	}
 	if len(resp.Traces) != 1 || resp.Traces[0].ID != id ||
 		resp.Traces[0].Root != "/ask" || resp.Traces[0].Status != 504 ||
-		resp.Traces[0].Reason != "slo_breach" {
+		resp.Traces[0].Reason != "error" {
 		t.Fatalf("traces = %+v", resp.Traces)
 	}
 	series, ok := resp.Exemplars["stage_duration_seconds"]
@@ -252,7 +312,7 @@ func TestTraceHandler(t *testing.T) {
 // every exemplar link served by /debug/traces resolves in the ring.
 func TestExemplarsOnlyForKeptTraces(t *testing.T) {
 	reg := NewRegistry()
-	tr := NewTracer(TracerConfig{SampleEvery: -1}) // keep breaches only
+	tr := NewTracer(TracerConfig{SampleEvery: -1}) // keep errors only
 	h := reg.Histogram("stage_duration_seconds", "stage latency", nil, L("stage", "embed"))
 
 	// Healthy trace: sampled out, so its observation counts in the
@@ -260,7 +320,7 @@ func TestExemplarsOnlyForKeptTraces(t *testing.T) {
 	ctx, root := tr.StartTrace(context.Background(), "/ask", "")
 	h.ObserveCtx(ctx, 0.2)
 	root.End(nil)
-	tr.Finish(TraceFrom(ctx), 200, false, false)
+	tr.Finish(TraceFrom(ctx), 200, 0)
 	if ex := reg.Exemplars(); len(ex) != 0 {
 		t.Fatalf("dropped trace published exemplars: %v", ex)
 	}
@@ -268,12 +328,12 @@ func TestExemplarsOnlyForKeptTraces(t *testing.T) {
 		t.Fatalf("observation count = %d, want 1 (only the exemplar is withheld)", got)
 	}
 
-	// Breaching trace: kept, so its observation is stamped.
+	// Failed trace: kept, so its observation is stamped.
 	bctx, broot := tr.StartTrace(context.Background(), "/ask", "")
 	bid := TraceIDFrom(bctx)
 	h.ObserveCtx(bctx, 0.2)
 	broot.End(nil)
-	tr.Finish(TraceFrom(bctx), 504, true, false)
+	tr.Finish(TraceFrom(bctx), 504, 0)
 	series := reg.Exemplars()["stage_duration_seconds"]
 	if len(series) == 0 {
 		t.Fatal("kept trace published no exemplars")
@@ -314,7 +374,7 @@ func TestUntracedPathsAreNilSafe(t *testing.T) {
 	if root != nil || cctx != ctx {
 		t.Fatal("nil Tracer must not root traces")
 	}
-	tr.Finish(nil, 200, true, true)
+	tr.Finish(nil, 500, time.Hour)
 	if tr.Traces(0, "") != nil {
 		t.Fatal("nil Tracer must report no traces")
 	}
