@@ -573,3 +573,37 @@ func TestAddOversizedMetaRejectedBeforeApply(t *testing.T) {
 		t.Errorf("rejected add journaled %d records", st.AppendedRecords)
 	}
 }
+
+// TestFailedJournalRestoresReplacedDocument: a replacing add whose
+// journal fails puts the previously acked document back. The WAL still
+// holds that document, so a hole in memory would disagree with disk
+// until a restart filled it back in.
+func TestFailedJournalRestoresReplacedDocument(t *testing.T) {
+	s := openResyncStore(t, t.TempDir())
+	orig := vecdb.Mutation{Op: vecdb.OpAdd, ID: 5, Text: "The store opens at nine.", Meta: map[string]string{"src": "hb"}}
+	if err := s.ApplyAll([]vecdb.Mutation{orig}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Get(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, seq := s.Checksum(), s.Seq()
+	s.persist.shards[0].wal.Close()
+	err = s.ApplyAll([]vecdb.Mutation{
+		{Op: vecdb.OpAdd, ID: 5, Text: "The store opens at ten.", Meta: map[string]string{"src": "memo"}},
+		{Op: vecdb.OpAdd, ID: 6, Text: "A new document."},
+	})
+	if err == nil || !strings.Contains(err.Error(), "wal closed") {
+		t.Fatalf("replace after WAL close: err = %v, want a journal error", err)
+	}
+	if got, err := s.Get(5); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("Get(5) after failed replace = %+v, %v; want %+v", got, err, want)
+	}
+	if _, err := s.Get(6); !errors.Is(err, vecdb.ErrNotFound) {
+		t.Errorf("Get(6) after failed batch: err = %v, want ErrNotFound", err)
+	}
+	if s.Checksum() != sum || s.Seq() != seq {
+		t.Errorf("checksum %016x seq %d after failed batch, want %016x seq %d", s.Checksum(), s.Seq(), sum, seq)
+	}
+}

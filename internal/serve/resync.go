@@ -108,8 +108,8 @@ func (s *ShardedDB) MutationsSince(since uint64, max int) ([]vecdb.SeqMutation, 
 // peer, journaling each record under its explicit sequence number so
 // the catch-up survives a crash like any other write. Application is
 // idempotent (upserting adds, absent-delete-tolerant); a batch that
-// applies but fails to journal is reported as an error and simply
-// re-shipped by the resync manager's next round.
+// fails to apply or journal is rolled back, seq included, reported as
+// an error and re-shipped by the resync manager's next round.
 func (s *ShardedDB) ApplyResync(ms []vecdb.SeqMutation) error {
 	if len(ms) == 0 {
 		return nil
@@ -130,13 +130,23 @@ func (s *ShardedDB) ApplyResync(ms []vecdb.SeqMutation) error {
 		}
 		payloads[j] = storage.EncodeSeqPayload(m.Seq, b)
 	}
+	ids := make([]int64, len(ms))
+	for j, m := range ms {
+		ids[j] = m.ID
+	}
 	ds := p.shards[0]
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
+	rollback := undoFunc(db, db.Seq(), ids)
 	if err := db.ApplyResync(ms); err != nil {
+		rollback()
 		return err
 	}
-	return p.journal(0, payloads)
+	if err := p.journal(0, payloads); err != nil {
+		rollback()
+		return err
+	}
+	return nil
 }
 
 // SnapshotDocs returns the full document set (sorted by ID) and the

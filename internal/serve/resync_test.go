@@ -195,3 +195,29 @@ func TestSeqAndChecksumSurviveRecovery(t *testing.T) {
 		t.Fatalf("post-checkpoint delta after recovery = %d records, %v", len(ms), err)
 	}
 }
+
+// TestFailedResyncJournalRollsBack: a resync batch whose journal fails
+// leaves neither its documents nor its seq behind, so the replica does
+// not report a position its disk never reached.
+func TestFailedResyncJournalRollsBack(t *testing.T) {
+	s := openResyncStore(t, t.TempDir())
+	applyDocs(t, s, 1, 1)
+	sum, seq := s.Checksum(), s.Seq()
+	s.persist.shards[0].wal.Close()
+	err := s.ApplyResync([]vecdb.SeqMutation{
+		{Seq: 2, Mutation: vecdb.Mutation{Op: vecdb.OpAdd, ID: 2, Text: "Shipped from the primary."}},
+		{Seq: 3, Mutation: vecdb.Mutation{Op: vecdb.OpAdd, ID: 1, Text: "Document 1, replaced upstream."}},
+	})
+	if err == nil {
+		t.Fatal("resync after WAL close succeeded")
+	}
+	if s.Seq() != seq || s.Checksum() != sum {
+		t.Errorf("seq %d checksum %016x after failed resync, want seq %d checksum %016x", s.Seq(), s.Checksum(), seq, sum)
+	}
+	if _, err := s.Get(2); !errors.Is(err, vecdb.ErrNotFound) {
+		t.Errorf("Get(2) after failed resync: err = %v, want ErrNotFound", err)
+	}
+	if d, err := s.Get(1); err != nil || d.Text != "Document 1 about policy 1." {
+		t.Errorf("Get(1) after failed resync = %+v, %v; want the original", d, err)
+	}
+}

@@ -175,31 +175,11 @@ func (s *ShardedDB) apply(i int, ms []vecdb.Mutation) error {
 	for j, b := range raw {
 		payloads[j] = storage.EncodeSeqPayload(base+1+uint64(j), b)
 	}
-	// Capture the documents deletes will remove, so they can be
-	// restored if the batch has to roll back.
-	var restore []vecdb.Document
-	for _, m := range ms {
-		if m.Op == vecdb.OpDelete {
-			if d, err := db.Get(m.ID); err == nil {
-				restore = append(restore, d)
-			}
-		}
+	ids := make([]int64, len(ms))
+	for j, m := range ms {
+		ids[j] = m.ID
 	}
-	rollback := func() {
-		for _, m := range ms {
-			if m.Op == vecdb.OpAdd {
-				db.Delete(m.ID) // ErrNotFound fine: the add may not have applied
-			}
-		}
-		for _, d := range restore {
-			if _, err := db.Get(d.ID); err != nil {
-				db.AddDocument(d)
-			}
-		}
-		// The primitive undo calls above do not touch the seq counter;
-		// restore it over whatever prefix ApplyAll advanced.
-		db.SetSeq(base)
-	}
+	rollback := undoFunc(db, base, ids)
 	if err := applyMutations(db, ms); err != nil {
 		rollback()
 		return err
@@ -209,6 +189,42 @@ func (s *ShardedDB) apply(i int, ms []vecdb.Mutation) error {
 		return err
 	}
 	return nil
+}
+
+// undoFunc captures what a batch touching ids can change, the seq
+// (base) and the prior document of every ID, and returns the function
+// that puts it back: replaced and deleted documents return as they were
+// stored, added ones go, and the seq drops back to base. A replacing
+// add is an upsert from resync, a router-assigned ID or a re-add, so
+// its old document must survive a failed batch: the WAL still holds
+// it. Callers hold the shard's persistence mutex, so no other write
+// moves the shard in between.
+func undoFunc(db *vecdb.DB, base uint64, ids []int64) func() {
+	next := db.NextID() // above every stored ID: fresh adds need no lookup
+	had := map[int64]bool{}
+	var prior []vecdb.Document
+	for _, id := range ids {
+		if id >= next || had[id] {
+			continue
+		}
+		if d, err := db.Get(id); err == nil {
+			had[id] = true
+			prior = append(prior, d)
+		}
+	}
+	return func() {
+		for _, id := range ids {
+			if !had[id] {
+				db.Delete(id) // ErrNotFound fine: the add may not have applied
+			}
+		}
+		for _, d := range prior {
+			db.AddDocument(d) // in place if still stored, re-added if deleted
+		}
+		// The primitive undo calls above do not touch the seq counter;
+		// restore it over whatever prefix the batch advanced.
+		db.SetSeq(base)
+	}
 }
 
 func applyMutations(db *vecdb.DB, ms []vecdb.Mutation) error {

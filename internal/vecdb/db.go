@@ -1,12 +1,16 @@
 package vecdb
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"maps"
 	"reflect"
+	"slices"
 	"sync"
 
 	"repro/internal/storage"
@@ -457,42 +461,71 @@ func (db *DB) IndexMemory() (IndexMemory, bool) {
 	return IndexMemory{}, false
 }
 
-// snapshot is the gob wire form of a DB. Seq carries the last applied
-// mutation sequence number, so a checkpoint pins the journal position
-// its contents are current as of; snapshots written before seq
-// tracking decode with Seq 0 (gob treats the missing field as zero)
-// and the WAL replay on top re-derives the position.
-type snapshot struct {
-	Version int
-	Docs    []Document
-	NextID  int64
-	Seq     uint64
-}
+// Checkpoint payload, version 2 (what Save writes):
+//
+//	[8B LE NextID][8B LE Seq][8B LE document count]
+//	then per document, in ascending ID order:
+//	  [uvarint len][1B flags][len bytes: the document as an OpAdd
+//	  mutation in EncodeMutation's wire form, metadata keys sorted]
+//
+// Flag bit 0 marks a document whose Meta is empty but not nil: the
+// mutation form writes both as zero pairs, and a stored {} must
+// survive a restart as {}. One document set thus encodes to one byte
+// sequence. Version 1 was a single gob value (snapshotV1Payload); LoadFile
+// still reads it, and the next checkpoint rewrites the file as v2.
+const (
+	// SnapshotVersion is the checkpoint payload version SaveFile writes.
+	SnapshotVersion uint32 = 2
+	snapshotV1      uint32 = 1
 
-// currentVersion is bumped when the wire form changes incompatibly. It
-// doubles as the payload version stamped into checkpoint files by the
-// storage codec.
-const currentVersion = 1
+	flagEmptyMeta = 1 << 0
+	// minRecord is the smallest encoded document: a one-byte length,
+	// the flags, and an OpAdd with empty text and no metadata.
+	minRecord = 1 + 1 + 9 + 4 + 2
+	// loadBatch is how many decoded documents Load embeds at a time.
+	loadBatch = 4096
+)
 
-// SnapshotVersion is the checkpoint payload version written by
-// SaveFile and accepted by LoadFile.
-const SnapshotVersion uint32 = currentVersion
-
-// Save serializes the database's documents. Vectors are not stored:
-// embedders are deterministic, so Load re-embeds, which keeps the file
-// format independent of embedder internals.
+// Save serializes the database's documents as a version-2 payload.
+// Vectors are not stored: embedders are deterministic, so Load
+// re-embeds, which keeps the file format independent of embedder
+// internals. Documents are encoded one at a time into one reused
+// buffer and written with one Write each, so the number of allocations
+// does not grow with the document count; w should be buffered.
 func (db *DB) Save(w io.Writer) error {
 	db.mu.RLock()
-	snap := snapshot{Version: currentVersion, Docs: db.docsByIDLocked(), NextID: db.nextID, Seq: db.seq}
+	docs, nextID, seq := db.docsByIDLocked(), db.nextID, db.seq
 	db.mu.RUnlock()
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
+	buf := make([]byte, 0, 1024)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(nextID))
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(docs)))
+	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("vecdb: save: %w", err)
+	}
+	var keys []string
+	for _, d := range docs {
+		m := Mutation{Op: OpAdd, ID: d.ID, Collection: d.Collection, Text: d.Text, Meta: d.Meta}
+		n, err := mutationSize(m)
+		if err != nil {
+			return fmt.Errorf("vecdb: save: %w", err)
+		}
+		var flags byte
+		if d.Meta != nil && len(d.Meta) == 0 {
+			flags |= flagEmptyMeta
+		}
+		buf = binary.AppendUvarint(buf[:0], uint64(n))
+		buf = append(buf, flags)
+		buf, keys = appendMutation(buf, keys, m)
+		if _, err := w.Write(buf); err != nil {
+			return fmt.Errorf("vecdb: save: %w", err)
+		}
 	}
 	return nil
 }
 
 // SaveFile checkpoints the database to path through the shared storage
-// codec: the gob payload from Save is framed with a magic, version and
+// codec: the payload from Save is framed with a magic, version and
 // checksum, written to a temp file and atomically renamed into place,
 // so a crash mid-checkpoint never leaves a half-written file where a
 // snapshot should be.
@@ -501,54 +534,229 @@ func (db *DB) SaveFile(path string) error {
 }
 
 // Load restores documents saved by Save into a fresh DB built on the
-// given embedder and index. Re-embedding runs on a concurrent worker
-// pool, so recovery scales with cores.
+// given embedder and index. Records are decoded as they stream in and
+// re-embedded in batches on a concurrent worker pool, so recovery
+// scales with cores without holding every vector at once. Every count
+// and length prefix is checked against the bytes left before it sizes
+// anything, so a corrupt payload fails instead of allocating what it
+// claims; a reader that cannot report its length (as *io.LimitedReader
+// and Len methods do) is read into memory first.
 func Load(r io.Reader, embed Embedder, index Index) (*DB, error) {
-	var snap snapshot
+	db, err := New(embed, index)
+	if err != nil {
+		return nil, err
+	}
+	p, err := newPayload(r)
+	if err != nil {
+		return nil, fmt.Errorf("vecdb: load: %w", err)
+	}
+	if err := db.load(p); err != nil {
+		return nil, fmt.Errorf("vecdb: load: %w", err)
+	}
+	return db, nil
+}
+
+// load decodes a version-2 payload into db, which no other goroutine
+// can reach yet.
+func (db *DB) load(p *payload) error {
+	var hdr [24]byte
+	if err := p.read(hdr[:]); err != nil {
+		return err
+	}
+	nextID := int64(binary.LittleEndian.Uint64(hdr[0:8]))
+	seq := binary.LittleEndian.Uint64(hdr[8:16])
+	count := binary.LittleEndian.Uint64(hdr[16:24])
+	if count > uint64(p.left/minRecord) {
+		return fmt.Errorf("%d documents cannot fit in %d bytes", count, p.left)
+	}
+	var (
+		batch []Document
+		rec   []byte
+		last  int64
+	)
+	for i := uint64(0); i < count; i++ {
+		n, err := binary.ReadUvarint(p)
+		if err != nil {
+			return fmt.Errorf("document %d: %w", i, noEOF(err))
+		}
+		flags, err := p.ReadByte()
+		if err != nil {
+			return fmt.Errorf("document %d: %w", i, noEOF(err))
+		}
+		if flags&^flagEmptyMeta != 0 {
+			return fmt.Errorf("document %d: unknown flags %#x", i, flags)
+		}
+		if n > uint64(p.left) {
+			return fmt.Errorf("document %d: %d bytes, %d left", i, n, p.left)
+		}
+		rec = slices.Grow(rec[:0], int(n))[:n]
+		if err := p.read(rec); err != nil {
+			return fmt.Errorf("document %d: %w", i, err)
+		}
+		m, err := DecodeMutation(rec)
+		if err != nil {
+			return fmt.Errorf("document %d: %w", i, err)
+		}
+		switch {
+		case m.Op != OpAdd:
+			return fmt.Errorf("document %d: op %d is not an add", i, m.Op)
+		case m.ID <= last:
+			return fmt.Errorf("document %d: ID %d does not follow %d", i, m.ID, last)
+		case flags&flagEmptyMeta != 0 && m.Meta != nil:
+			return fmt.Errorf("document %d: empty-metadata flag on %d pairs", i, len(m.Meta))
+		case flags&flagEmptyMeta != 0:
+			m.Meta = map[string]string{}
+		}
+		last = m.ID
+		batch = append(batch, Document{ID: m.ID, Collection: m.Collection, Text: m.Text, Meta: m.Meta})
+		if len(batch) == loadBatch {
+			if err := db.addEmbedded(batch); err != nil {
+				return err
+			}
+			batch = batch[:0]
+		}
+	}
+	if err := db.addEmbedded(batch); err != nil {
+		return err
+	}
+	if _, err := p.ReadByte(); err != io.EOF {
+		return fmt.Errorf("trailing bytes after %d documents", count)
+	}
+	if nextID <= last {
+		return fmt.Errorf("next ID %d does not follow document %d", nextID, last)
+	}
+	db.nextID = nextID
+	db.seq = seq
+	return nil
+}
+
+// addEmbedded embeds docs on all cores and installs them in order.
+// Collections are normalized and metadata interned by addLocked. db.mu
+// is not taken: callers hold a DB no other goroutine can reach.
+func (db *DB) addEmbedded(docs []Document) error {
+	texts := make([]string, len(docs))
+	for i, d := range docs {
+		texts[i] = d.Text
+	}
+	vecs, err := embedAll(db.embed, texts)
+	if err != nil {
+		return err
+	}
+	for i, d := range docs {
+		if err := db.addLocked(d.ID, d.Collection, d.Text, d.Meta, vecs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// payload reads a checkpoint payload and counts the bytes it has left.
+type payload struct {
+	*bufio.Reader
+	left int64
+}
+
+// newPayload wraps r, taking the byte count from the reader when it
+// can tell and reading r into memory when it cannot.
+func newPayload(r io.Reader) (*payload, error) {
+	var left int64
+	switch lr := r.(type) {
+	case *io.LimitedReader:
+		left = lr.N
+	case interface{ Len() int }:
+		left = int64(lr.Len())
+	default:
+		b, err := io.ReadAll(r)
+		if err != nil {
+			return nil, err
+		}
+		r, left = bytes.NewReader(b), int64(len(b))
+	}
+	return &payload{Reader: bufio.NewReader(r), left: left}, nil
+}
+
+// ReadByte reads one byte and counts it; binary.ReadUvarint reads the
+// record lengths through it.
+func (p *payload) ReadByte() (byte, error) {
+	c, err := p.Reader.ReadByte()
+	if err == nil {
+		p.left--
+	}
+	return c, err
+}
+
+// read fills b, which the caller has checked against p.left.
+func (p *payload) read(b []byte) error {
+	n, err := io.ReadFull(p.Reader, b)
+	p.left -= int64(n)
+	return noEOF(err)
+}
+
+// noEOF reports a payload that ends mid-record as truncated.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// snapshotV1Payload is the version-1 checkpoint payload: one gob value.
+// Snapshots written before seq tracking decode with Seq 0 (gob treats
+// the missing field as zero) and the WAL replay on top re-derives the
+// position.
+type snapshotV1Payload struct {
+	Version int
+	Docs    []Document
+	NextID  int64
+	Seq     uint64
+}
+
+// loadV1 restores a version-1 payload.
+func loadV1(r io.Reader, embed Embedder, index Index) (*DB, error) {
+	var snap snapshotV1Payload
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("vecdb: load: %w", err)
 	}
-	if snap.Version != currentVersion {
+	if snap.Version != int(snapshotV1) {
 		return nil, fmt.Errorf("vecdb: unsupported snapshot version %d", snap.Version)
 	}
 	db, err := New(embed, index)
 	if err != nil {
 		return nil, err
 	}
-	texts := make([]string, len(snap.Docs))
-	for i, d := range snap.Docs {
-		texts[i] = d.Text
-	}
-	vecs, err := embedAll(embed, texts)
-	if err != nil {
-		return nil, err
-	}
 	// Pre-collection snapshots decode with Collection "" (gob's
 	// missing-field zero); addLocked normalizes it, so they land in the
-	// default collection with the checksum a fresh write produces. It
-	// also interns the metadata. db.mu is not taken: no other goroutine
-	// can reach db yet.
-	for i, d := range snap.Docs {
-		if err := db.addLocked(d.ID, d.Collection, d.Text, d.Meta, vecs[i]); err != nil {
-			return nil, err
-		}
+	// default collection with the checksum a fresh write produces.
+	if err := db.addEmbedded(snap.Docs); err != nil {
+		return nil, err
 	}
-	db.nextID = snap.NextID
+	// Keep the counter past every stored ID, which is what Save's next
+	// version-2 payload must show.
+	db.nextID = max(db.nextID, snap.NextID)
 	db.seq = snap.Seq
 	return db, nil
 }
 
 // LoadFile restores a database from a checkpoint written by SaveFile,
 // verifying the codec frame (magic, version, checksum) before
-// decoding. A missing file surfaces as a not-exist error so callers
-// can cold-start.
+// decoding. It reads version-2 payloads and, from data directories
+// written before them, version 1; an older binary refuses a version-2
+// file with storage.ErrSnapshotVersion. A missing file surfaces as a
+// not-exist error so callers can cold-start.
 func LoadFile(path string, embed Embedder, index Index) (*DB, error) {
 	var db *DB
-	err := storage.ReadSnapshot(path, SnapshotVersion, func(r io.Reader) error {
-		d, err := Load(r, embed, index)
-		db = d
+	load := func(r io.Reader) (err error) {
+		db, err = Load(r, embed, index)
 		return err
-	})
+	}
+	err := storage.ReadSnapshot(path, SnapshotVersion, load)
+	if errors.Is(err, storage.ErrSnapshotVersion) {
+		load = func(r io.Reader) (err error) {
+			db, err = loadV1(r, embed, index)
+			return err
+		}
+		err = storage.ReadSnapshot(path, snapshotV1, load)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -142,47 +142,73 @@ func embedAll(embed Embedder, texts []string) ([][]float32, error) {
 // or appended — a silently truncated prefix would produce a record
 // that fails to decode on every subsequent boot.
 func EncodeMutation(m Mutation) ([]byte, error) {
-	coll := ""
-	if NormalizeCollection(m.Collection) != DefaultCollection {
-		coll = m.Collection
-		if len(coll) > math.MaxUint16 {
-			return nil, fmt.Errorf("vecdb: collection of doc %d exceeds %d bytes", m.ID, math.MaxUint16)
-		}
+	n, err := mutationSize(m)
+	if err != nil {
+		return nil, err
 	}
+	buf, _ := appendMutation(make([]byte, 0, n), make([]string, 0, len(m.Meta)), m)
+	return buf, nil
+}
+
+// mutationSize validates m for the wire form and returns its encoded
+// length.
+func mutationSize(m Mutation) (int, error) {
 	n := 9
-	if coll != "" {
+	if coll := wireCollection(m.Collection); coll != "" {
+		if len(coll) > math.MaxUint16 {
+			return 0, fmt.Errorf("vecdb: collection of doc %d exceeds %d bytes", m.ID, math.MaxUint16)
+		}
 		n += 2 + len(coll)
 	}
-	if m.Op == OpAdd {
-		if uint64(len(m.Text)) > math.MaxUint32 {
-			return nil, fmt.Errorf("vecdb: text of doc %d exceeds %d bytes", m.ID, uint32(math.MaxUint32))
-		}
-		if len(m.Meta) > math.MaxUint16 {
-			return nil, fmt.Errorf("vecdb: doc %d has %d meta entries, max %d", m.ID, len(m.Meta), math.MaxUint16)
-		}
-		n += 4 + len(m.Text) + 2
-		for k, v := range m.Meta {
-			if len(k) > math.MaxUint16 {
-				return nil, fmt.Errorf("vecdb: meta key of doc %d exceeds %d bytes", m.ID, math.MaxUint16)
-			}
-			if uint64(len(v)) > math.MaxUint32 {
-				return nil, fmt.Errorf("vecdb: meta value of doc %d exceeds %d bytes", m.ID, uint32(math.MaxUint32))
-			}
-			n += 2 + len(k) + 4 + len(v)
-		}
+	switch m.Op {
+	case OpAdd:
+	case OpDelete:
+		return n, nil
+	default:
+		return 0, fmt.Errorf("vecdb: unknown mutation op %d", m.Op)
 	}
+	if uint64(len(m.Text)) > math.MaxUint32 {
+		return 0, fmt.Errorf("vecdb: text of doc %d exceeds %d bytes", m.ID, uint32(math.MaxUint32))
+	}
+	if len(m.Meta) > math.MaxUint16 {
+		return 0, fmt.Errorf("vecdb: doc %d has %d meta entries, max %d", m.ID, len(m.Meta), math.MaxUint16)
+	}
+	n += 4 + len(m.Text) + 2
+	for k, v := range m.Meta {
+		if len(k) > math.MaxUint16 {
+			return 0, fmt.Errorf("vecdb: meta key of doc %d exceeds %d bytes", m.ID, math.MaxUint16)
+		}
+		if uint64(len(v)) > math.MaxUint32 {
+			return 0, fmt.Errorf("vecdb: meta value of doc %d exceeds %d bytes", m.ID, uint32(math.MaxUint32))
+		}
+		n += 2 + len(k) + 4 + len(v)
+	}
+	return n, nil
+}
+
+// wireCollection is the collection a record carries: none for the
+// default collection, which keeps those records in the v1 form.
+func wireCollection(c string) string {
+	if NormalizeCollection(c) == DefaultCollection {
+		return ""
+	}
+	return c
+}
+
+// appendMutation appends the wire form of m, which mutationSize has
+// accepted, to buf. keys is scratch space for sorting the metadata
+// keys; it is returned for reuse, so a caller encoding many mutations
+// allocates only when a record outgrows the largest before it.
+func appendMutation(buf []byte, keys []string, m Mutation) ([]byte, []string) {
+	coll := wireCollection(m.Collection)
 	wireOp := m.Op
-	if coll != "" {
-		switch m.Op {
-		case OpAdd:
-			wireOp = opAddV2
-		case OpDelete:
-			wireOp = opDeleteV2
-		default:
-			return nil, fmt.Errorf("vecdb: unknown mutation op %d", m.Op)
-		}
+	switch {
+	case coll == "":
+	case m.Op == OpAdd:
+		wireOp = opAddV2
+	default:
+		wireOp = opDeleteV2
 	}
-	buf := make([]byte, 0, n)
 	buf = append(buf, byte(wireOp))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.ID))
 	if coll != "" {
@@ -190,21 +216,22 @@ func EncodeMutation(m Mutation) ([]byte, error) {
 		buf = append(buf, coll...)
 	}
 	if m.Op != OpAdd {
-		return buf, nil
+		return buf, keys
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Text)))
 	buf = append(buf, m.Text...)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(m.Meta)))
 	// Pairs go out in key order, so one mutation always encodes to one
 	// byte sequence; the decoder accepts any order.
-	for _, k := range appendSortedKeys(make([]string, 0, len(m.Meta)), m.Meta) {
+	keys = appendSortedKeys(keys[:0], m.Meta)
+	for _, k := range keys {
 		v := m.Meta[k]
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(k)))
 		buf = append(buf, k...)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
 		buf = append(buf, v...)
 	}
-	return buf, nil
+	return buf, keys
 }
 
 // DecodeMutation parses a journaled mutation (v1 or v2 wire form).
@@ -249,6 +276,11 @@ func DecodeMutation(b []byte) (Mutation, error) {
 	}
 	count := int(binary.LittleEndian.Uint16(b[:2]))
 	b = b[2:]
+	// Every pair takes at least its two length prefixes; checking that
+	// first keeps a hostile count from sizing the map.
+	if count > len(b)/6 {
+		return m, fmt.Errorf("vecdb: %d meta pairs cannot fit in %d bytes", count, len(b))
+	}
 	if count > 0 {
 		m.Meta = make(map[string]string, count)
 	}

@@ -191,14 +191,18 @@ func TestEncodeMutationDeterministic(t *testing.T) {
 }
 
 // TestSaveFileDeterministic: one document set checkpoints to one byte
-// sequence. Documents carry at most one metadata key because gob writes
-// a map's entries in iteration order.
+// sequence, whatever order its metadata maps iterate in.
 func TestSaveFileDeterministic(t *testing.T) {
 	db := newTestDB(t)
 	for i := 0; i < 64; i++ {
 		var meta map[string]string
-		if i%2 == 0 {
-			meta = map[string]string{"tag": fmt.Sprint(i % 5)}
+		switch i % 4 {
+		case 0:
+			meta = map[string]string{"tag": fmt.Sprint(i % 5), "lang": "en"}
+		case 1:
+			meta = map[string]string{"tag": fmt.Sprint(i % 3), "src": "handbook", "tier": fmt.Sprint(i % 2)}
+		case 2:
+			meta = map[string]string{"a": "1", "b": "2", "c": "3", "d": fmt.Sprint(i)}
 		}
 		if _, err := db.AddIn([]string{"", "acme"}[i%2], fmt.Sprintf("passage %d about leave", i), meta); err != nil {
 			t.Fatal(err)
