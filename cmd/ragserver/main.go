@@ -534,8 +534,11 @@ func writeError(w http.ResponseWriter, status int, err error) {
 
 // statusFor maps serving-layer errors onto HTTP statuses: shed load is
 // 429, expired deadlines and an unreachable cluster are 503, absent
-// documents are 404, everything else is the fallback.
+// documents are 404, a model answer that is not a probability is 500
+// (the server's fault, not the request's), everything else is the
+// fallback.
 func statusFor(err error, fallback int) int {
+	var bad *core.ProbabilityError
 	switch {
 	case errors.Is(err, serve.ErrOverloaded):
 		return http.StatusTooManyRequests
@@ -545,6 +548,8 @@ func statusFor(err error, fallback int) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, serve.ErrNotFound):
 		return http.StatusNotFound
+	case errors.As(err, &bad):
+		return http.StatusInternalServerError
 	default:
 		return fallback
 	}

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/serve"
+	"repro/internal/slm"
 )
 
 // newTestServer builds an un-seeded server on the serving layer.
@@ -201,6 +203,39 @@ func TestBadRequests(t *testing.T) {
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("ingest %v status = %d", body, rec.Code)
 		}
+	}
+}
+
+// TestVerifyBadProbability: a model answer that is not a probability
+// is the server's fault, so /verify answers 500 with an error naming
+// the model and the value, not 400.
+func TestVerifyBadProbability(t *testing.T) {
+	d, err := core.NewDetector("nan", core.Config{
+		Models: []slm.Model{slm.Constant{ModelName: "nan", P: math.NaN()}},
+		Scale:  core.Identity{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newServer(serve.Config{TopK: 2, Threshold: 3.2, Detector: d}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.core.Load().Close() })
+	rec := postJSON(t, s.routes(), "/verify", map[string]string{
+		"question": "What are the working hours?",
+		"context":  "The store operates from 9 AM to 5 PM.",
+		"response": "The store opens at 9 AM.",
+	})
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("/verify status = %d, want 500", rec.Code)
+	}
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("body %q: %v", rec.Body.String(), err)
+	}
+	if want := "core: model nan returned P(yes) = NaN, not a probability in [0, 1]"; body["error"] != want {
+		t.Errorf("error = %q, want %q", body["error"], want)
 	}
 }
 

@@ -206,10 +206,23 @@ func (d *Detector) ScoreWorkers(ctx context.Context, question, contextText, resp
 	return d.assemble(sentences, raw)
 }
 
+// ProbabilityError reports a model answer that is not a probability:
+// NaN, ±Inf or a value outside [0, 1]. No such value reaches the scaler,
+// so one bad answer cannot poison the Eq. 4 moments.
+type ProbabilityError struct {
+	Model string
+	P     float64
+}
+
+func (e *ProbabilityError) Error() string {
+	return fmt.Sprintf("core: model %s returned P(yes) = %v, not a probability in [0, 1]", e.Model, e.P)
+}
+
 // yesProbabilities is the one place the (sentence × model) calls of
 // Eq. 3 are issued: raw[si][mi] = P_mi(yes | q, c, r_si), on up to
 // `workers` goroutines. The first failing call cancels the context the
-// remaining calls see, and its error — naming the model — is returned.
+// remaining calls see, and its error — naming the model — is returned;
+// an answer outside [0, 1] fails its call with a *ProbabilityError.
 func (d *Detector) yesProbabilities(ctx context.Context, question, contextText string, sentences []string, workers int) ([][]float64, error) {
 	nm := len(d.models)
 	raw := make([][]float64, len(sentences))
@@ -223,6 +236,9 @@ func (d *Detector) yesProbabilities(ctx context.Context, question, contextText s
 		})
 		if err != nil {
 			return fmt.Errorf("core: model %s: %w", d.models[mi].Name(), err)
+		}
+		if !(p >= 0 && p <= 1) {
+			return &ProbabilityError{Model: d.models[mi].Name(), P: p}
 		}
 		raw[si][mi] = p
 		return nil
@@ -296,20 +312,42 @@ func (d *Detector) assemble(sentences []string, raw [][]float64) (Verdict, error
 // before batch evaluation or parallel scoring.
 //
 // The model calls — all of the cost — fan out over GOMAXPROCS workers,
-// one triple per task, so the models must be safe for concurrent use,
-// as slm.Model requires of every implementation. The moments do not
-// depend on that schedule: Welford updates are order-dependent, so the
-// raw probabilities are collected by index first and observed
-// afterwards in triple → sentence → model order, the order a
-// sequential pass would produce. On error (the first failing call's,
-// naming its model, or ctx's) nothing is observed and nothing frozen.
+// one (question, context) pair per task: the triples that share it run
+// in order on one worker, so the sentence windows their responses share
+// are computed once, by the worker that meets them first, and hit the
+// models' memos after. Tasks go out in the order their pair first
+// appears. The models must be safe for concurrent use, as slm.Model
+// requires of every implementation. The moments do not depend on that
+// schedule: Welford updates are order-dependent, so the raw
+// probabilities are collected by index first and observed afterwards
+// in triple → sentence → model order, the order a sequential pass
+// would produce. On error (the first failing call's, naming its model,
+// or ctx's) nothing is observed and nothing frozen.
 func (d *Detector) Calibrate(ctx context.Context, triples []Triple) error {
+	type pair struct{ question, context string }
+	var groups [][]int // triple indices per pair, in first-appearance order
+	group := map[pair]int{}
+	for i, t := range triples {
+		k := pair{t.Question, t.Context}
+		g, ok := group[k]
+		if !ok {
+			g = len(groups)
+			group[k] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
 	raw := make([][][]float64, len(triples)) // [triple][sentence][model]
-	err := forEach(ctx, len(triples), runtime.GOMAXPROCS(0), func(ctx context.Context, i int) error {
-		t := triples[i]
-		var err error
-		raw[i], err = d.yesProbabilities(ctx, t.Question, t.Context, d.split(t.Response), 1)
-		return err
+	err := forEach(ctx, len(groups), runtime.GOMAXPROCS(0), func(ctx context.Context, g int) error {
+		for _, i := range groups[g] {
+			t := triples[i]
+			var err error
+			raw[i], err = d.yesProbabilities(ctx, t.Question, t.Context, d.split(t.Response), 1)
+			if err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("core: calibrate: %w", err)

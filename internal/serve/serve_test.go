@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -456,6 +457,36 @@ func TestServerUncalibratedBypassesCache(t *testing.T) {
 	}
 	if n := st.Stages["verify_exec"].Count; n != 3 {
 		t.Errorf("detector calls = %d, want 3 (every call must reach the detector)", n)
+	}
+}
+
+// TestServerVerifyCachesNoBadProbability: a model answer that is not a
+// probability fails the verification with *core.ProbabilityError, and
+// the verdict cache keeps nothing for that triple, so asking again
+// reaches the detector again.
+func TestServerVerifyCachesNoBadProbability(t *testing.T) {
+	d, err := core.NewDetector("nan", core.Config{
+		Models: []slm.Model{slm.Constant{ModelName: "nan", P: math.NaN()}},
+		Scale:  core.Identity{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Shards: 1, Dim: 64, Detector: d})
+	doc := strings.Join(handbook, " ")
+	for i := 0; i < 2; i++ {
+		_, err := s.Verify(context.Background(), "q", doc, handbook[0])
+		var pe *core.ProbabilityError
+		if !errors.As(err, &pe) || pe.Model != "nan" {
+			t.Fatalf("Verify %d: err = %v, want a *core.ProbabilityError naming model nan", i, err)
+		}
+	}
+	st := s.Stats()
+	if st.VerdictCache.Size != 0 || st.VerdictCache.Hits != 0 {
+		t.Errorf("a failed verification reached the verdict cache: %+v", st.VerdictCache)
+	}
+	if n := st.Stages["verify_exec"].Count; n != 2 {
+		t.Errorf("detector calls = %d, want 2 (nothing cached, so both reach the detector)", n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/tokenizer"
 )
 
@@ -65,22 +66,44 @@ func BenchmarkYesProbabilityColdCache(b *testing.B) {
 	}
 }
 
+// BenchmarkYesProbabilityWarmCache times a signature-memo hit: every
+// call after the first reuses the forward pass, and what is left is the
+// rest of the call. With a one-sentence context that is cheap; with a
+// context from the default dataset, reading the context dominates it.
 func BenchmarkYesProbabilityWarmCache(b *testing.B) {
-	ctx := context.Background()
-	m := NewQwen2()
-	r := VerifyRequest{
-		Question: "What are the working hours?",
-		Context:  "The store operates from 9 AM to 5 PM, from Sunday to Saturday.",
-		Claim:    "The working hours are 9 AM to 5 PM.",
-	}
-	if _, err := m.YesProbability(ctx, r); err != nil {
+	set, err := dataset.Default()
+	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.YesProbability(ctx, r); err != nil {
-			b.Fatal(err)
-		}
+	item := set.Items[0]
+	for _, c := range []struct {
+		name string
+		req  VerifyRequest
+	}{
+		{"one-sentence-context", VerifyRequest{
+			Question: "What are the working hours?",
+			Context:  "The store operates from 9 AM to 5 PM, from Sunday to Saturday.",
+			Claim:    "The working hours are 9 AM to 5 PM.",
+		}},
+		{"dataset-context", VerifyRequest{
+			Question: item.Question,
+			Context:  item.Context,
+			Claim:    item.Responses[0].Text,
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ctx := context.Background()
+			m := NewQwen2()
+			if _, err := m.YesProbability(ctx, c.req); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.YesProbability(ctx, c.req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -120,8 +120,22 @@ type CalibratedVerifier struct {
 	net     *Transformer // per-model idiosyncrasy network
 	tok     *tokenizer.Tokenizer
 
-	mu    sync.Mutex
-	cache map[string]float64 // token window fed to net (uvarint ids) → hidden signature
+	mu       sync.Mutex
+	cache    map[string]float64 // token window fed to net (uvarint ids) → hidden signature
+	contexts [contextSlots]preparedContext
+	nextSlot int // the slot the next prepared context replaces
+}
+
+// contextSlots is how many recently seen contexts a verifier keeps
+// prepared. A triple's sentences all share one context, and a few
+// triples verify at once, so a handful of slots serves them all; the
+// bound keeps the memory of a stream of distinct contexts fixed.
+const contextSlots = 8
+
+// preparedContext is one slot of CalibratedVerifier.contexts.
+type preparedContext struct {
+	text string
+	ev   *textproc.Evidence
 }
 
 // idiosyncrasyConfig is the tiny network used only to derive a
@@ -195,7 +209,7 @@ func (v *CalibratedVerifier) YesProbability(ctx context.Context, req VerifyReque
 	if err := req.Validate(); err != nil {
 		return 0, err
 	}
-	f := textproc.ExtractFeatures(req.Claim, req.Context)
+	f := v.evidence(req.Context).Features(req.Claim)
 	prompt := VerificationPrompt(req)
 	// Hard-error draws are deterministic in (model, prompt): the same
 	// model always misreads the same claim the same way, like a real
@@ -280,6 +294,27 @@ func (v *CalibratedVerifier) evidenceScore(f textproc.Features, missQuantity, mi
 	const gamma = 0.5
 	score *= (1 - gamma) + gamma*dil
 	return score
+}
+
+// evidence returns the prepared form of a context, from the slots when
+// it was seen recently; a new one replaces the oldest slot. Preparing
+// runs outside the lock, so two calls that race on a new context may
+// both prepare it, and each takes a slot.
+func (v *CalibratedVerifier) evidence(context string) *textproc.Evidence {
+	v.mu.Lock()
+	for _, c := range v.contexts {
+		if c.ev != nil && c.text == context {
+			v.mu.Unlock()
+			return c.ev
+		}
+	}
+	v.mu.Unlock()
+	ev := textproc.PrepareEvidence(context)
+	v.mu.Lock()
+	v.contexts[v.nextSlot] = preparedContext{text: context, ev: ev}
+	v.nextSlot = (v.nextSlot + 1) % contextSlots
+	v.mu.Unlock()
+	return ev
 }
 
 // signature returns the hidden-state signature of the prompt under this

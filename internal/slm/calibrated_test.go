@@ -2,6 +2,8 @@ package slm
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -194,6 +196,51 @@ func TestCalibratedConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// TestCalibratedContextSlots: more distinct contexts than the verifier
+// keeps prepared, from 8 goroutines in different orders, so slots are
+// evicted and refilled while others read them (run with -race). Every
+// answer equals, to the bit, the one features extracted from the two
+// strings give.
+func TestCalibratedContextSlots(t *testing.T) {
+	m := NewQwen2()
+	ctx := context.Background()
+	var reqs []VerifyRequest
+	for i := 0; i < 3*contextSlots/2; i++ {
+		r := req("The working hours are 9 AM to 5 PM.")
+		r.Context = fmt.Sprintf("%s Branch %d opens %d days a week, not on holidays.", hoursContext, i, i%7+1)
+		reqs = append(reqs, r)
+	}
+	want := make([]float64, len(reqs))
+	for i, r := range reqs {
+		v := NewQwen2() // a fresh verifier: nothing prepared yet
+		p, err := v.YesProbability(ctx, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = p
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < 3*len(reqs); k++ {
+				i := (k*(w+1) + w) % len(reqs)
+				p, err := m.YesProbability(ctx, reqs[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if math.Float64bits(p) != math.Float64bits(want[i]) {
+					t.Errorf("context %d: P(yes) = %v, want %v", i, p, want[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestOracle(t *testing.T) {

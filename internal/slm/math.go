@@ -19,37 +19,28 @@ func matVec(out []float32, m []float32, x []float32, rows, cols int) {
 		panic(fmt.Sprintf("slm: matVec shape mismatch m=%d x=%d out=%d rows=%d cols=%d",
 			len(m), len(x), len(out), rows, cols))
 	}
-	for r := 0; r < rows; r++ {
-		row := m[r*cols : (r+1)*cols]
-		var acc float32
-		// 4-way unrolled dot product; the compiler keeps the
-		// accumulators in registers.
+	x = x[:cols:cols]
+	for r := range out {
+		row := m[r*cols : (r+1)*cols : (r+1)*cols]
+		// 4-way unrolled dot product with the accumulators in
+		// registers; full-slice expressions pin the bounds so the
+		// compiler checks once per 4 columns, not once per element.
 		i := 0
 		var a0, a1, a2, a3 float32
 		for ; i+4 <= cols; i += 4 {
-			a0 += row[i] * x[i]
-			a1 += row[i+1] * x[i+1]
-			a2 += row[i+2] * x[i+2]
-			a3 += row[i+3] * x[i+3]
+			rv := row[i : i+4 : i+4]
+			xv := x[i : i+4 : i+4]
+			a0 += rv[0] * xv[0]
+			a1 += rv[1] * xv[1]
+			a2 += rv[2] * xv[2]
+			a3 += rv[3] * xv[3]
 		}
-		acc = a0 + a1 + a2 + a3
+		acc := a0 + a1 + a2 + a3
 		for ; i < cols; i++ {
 			acc += row[i] * x[i]
 		}
 		out[r] = acc
 	}
-}
-
-// dot computes the inner product of equal-length vectors.
-func dot(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("slm: dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	var acc float32
-	for i := range a {
-		acc += a[i] * b[i]
-	}
-	return acc
 }
 
 // addInPlace computes a += b.
@@ -104,11 +95,10 @@ func gelu(x []float32) {
 }
 
 // softmaxInPlace converts logits to probabilities with the max-shift
-// trick for numerical stability. It returns the log-sum-exp so callers
-// can recover log-probabilities.
-func softmaxInPlace(x []float32) float64 {
+// trick for numerical stability.
+func softmaxInPlace(x []float32) {
 	if len(x) == 0 {
-		return 0
+		return
 	}
 	maxv := x[0]
 	for _, v := range x[1:] {
@@ -126,5 +116,4 @@ func softmaxInPlace(x []float32) float64 {
 	for i := range x {
 		x[i] = float32(float64(x[i]) * inv)
 	}
-	return math.Log(sum) + float64(maxv)
 }

@@ -271,25 +271,8 @@ func (s *Session) step(id int, dp depth) error {
 		}
 		matVec(s.q, lw.wq, s.xn, d, d)
 		// Causal attention: the new query attends to all cached keys.
-		for h := 0; h < cfg.Heads; h++ {
-			qh := s.q[h*headDim : (h+1)*headDim]
-			// softmax over `steps` scores.
-			for p := 0; p < steps; p++ {
-				kh := s.kCache[l][p*d+h*headDim : p*d+(h+1)*headDim]
-				scores[p] = dot(qh, kh) * scale
-			}
-			softmaxInPlace(scores)
-			out := s.attnOut[h*headDim : (h+1)*headDim]
-			for i := range out {
-				out[i] = 0
-			}
-			for p := 0; p < steps; p++ {
-				vh := s.vCache[l][p*d+h*headDim : p*d+(h+1)*headDim]
-				w := scores[p]
-				for i := range out {
-					out[i] += w * vh[i]
-				}
-			}
+		for off := 0; off < d; off += headDim {
+			attend(s.attnOut[off:off+headDim], s.q[off:off+headDim], s.kCache[l], s.vCache[l], scores, off, d, scale)
 		}
 		matVec(s.xn, lw.wo, s.attnOut, d, d)
 		addInPlace(s.x, s.xn)
@@ -312,6 +295,68 @@ func (s *Session) step(id int, dp depth) error {
 	layerNorm(s.xn, t.lnFg, t.lnFb, 1e-5)
 	matVec(s.logits, t.tokEmb, s.xn, cfg.VocabSize, d)
 	return nil
+}
+
+// attend computes one head's attention output for the newest position:
+// out = Σ_p softmax_p(scale·q·k_p)·v_p over the len(scores) cached
+// positions p, where the head's rows are kc and vc at
+// [p*d+off, p*d+off+len(q)). It scores two keys per pass over q, and
+// accumulates each output coordinate in a register over the positions
+// in ascending order. Every score and every coordinate is still one
+// accumulator starting at zero and adding the same products in the same
+// order as a dot product per key and a load and store per term, so the
+// result has the same bits.
+func attend(out, q, kc, vc, scores []float32, off, d int, scale float32) {
+	n := len(q)
+	out = out[:n]
+	steps := len(scores)
+	p := 0
+	for ; p+2 <= steps; p += 2 {
+		j := p*d + off
+		k0 := kc[j : j+n : j+n]
+		k1 := kc[j+d : j+d+n : j+d+n]
+		k1 = k1[:len(k0)]
+		q := q[:len(k0)]
+		var s0, s1 float32
+		for i, k := range k0 {
+			s0 += q[i] * k
+			s1 += q[i] * k1[i]
+		}
+		scores[p] = s0 * scale
+		scores[p+1] = s1 * scale
+	}
+	if p < steps {
+		j := p*d + off
+		k0 := kc[j : j+n : j+n]
+		q := q[:len(k0)]
+		var s0 float32
+		for i, k := range k0 {
+			s0 += q[i] * k
+		}
+		scores[p] = s0 * scale
+	}
+	softmaxInPlace(scores)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		var a0, a1, a2, a3 float32
+		for p, w := range scores {
+			j := p*d + off + i
+			v := vc[j : j+4 : j+4]
+			a0 += w * v[0]
+			a1 += w * v[1]
+			a2 += w * v[2]
+			a3 += w * v[3]
+		}
+		o := out[i : i+4 : i+4]
+		o[0], o[1], o[2], o[3] = a0, a1, a2, a3
+	}
+	for ; i < n; i++ {
+		var a float32
+		for p, w := range scores {
+			a += w * vc[p*d+off+i]
+		}
+		out[i] = a
+	}
 }
 
 // Feed consumes a sequence of token IDs, returning the logits after the

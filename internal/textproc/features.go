@@ -38,24 +38,66 @@ type Features struct {
 }
 
 // ExtractFeatures computes the full feature vector for a claim sentence
-// against a context passage.
+// against a context passage. It is PrepareEvidence(context).Features(claim);
+// a caller scoring many claims against one context prepares it once.
 func ExtractFeatures(claim, context string) Features {
-	cw := ContentWords(claim)
+	return PrepareEvidence(context).Features(claim)
+}
+
+// Evidence is what the features read of a context passage: its content
+// words and adjacent pairs of them as counts, its quantities and the
+// parity of its negation markers. It is read-only once prepared, so
+// one Evidence may score claims on many goroutines.
+type Evidence struct {
+	words      map[string]int
+	bigrams    map[[2]string]int
+	quantities []Quantity
+	negated    bool
+}
+
+// PrepareEvidence reads context once for any number of Features calls.
+func PrepareEvidence(context string) *Evidence {
 	ew := ContentWords(context)
+	return &Evidence{
+		words:      counts(ew),
+		bigrams:    counts(pairs(ew)),
+		quantities: ExtractQuantities(context),
+		negated:    CountNegations(context)%2 == 1,
+	}
+}
+
+// Features computes the feature vector for a claim sentence against the
+// prepared context: equal, field for field, to what ExtractFeatures
+// computed from the two strings.
+func (e *Evidence) Features(claim string) Features {
+	cw := ContentWords(claim)
 	cq := ExtractQuantities(claim)
-	eq := ExtractQuantities(context)
-	conf, match := QuantityConflicts(cq, eq)
+	conf, match := QuantityConflicts(cq, e.quantities)
 	return Features{
-		UnigramSupport:    OverlapRatio(cw, ew),
-		BigramSupport:     OverlapRatio(Bigrams(cw), Bigrams(ew)),
+		UnigramSupport:    overlap(cw, e.words),
+		BigramSupport:     overlap(pairs(cw), e.bigrams),
 		QuantityConflicts: conf,
 		QuantityMatches:   match,
-		ConflictProximity: ConflictProximity(cq, eq),
-		AntonymClashes:    AntonymClashes(cw, ew),
-		NegationMismatch:  NegationMismatch(claim, context),
+		ConflictProximity: ConflictProximity(cq, e.quantities),
+		AntonymClashes:    antonymClashes(cw, e.words),
+		NegationMismatch:  (CountNegations(claim)%2 == 1) != e.negated,
 		Hedges:            CountHedges(claim),
 		ClaimLength:       len(cw),
 	}
+}
+
+// pairs returns the adjacent pairs of tokens: Bigrams without joining
+// them. A content word holds no space, so two pairs are equal exactly
+// when their Bigrams strings are.
+func pairs(tokens []string) [][2]string {
+	if len(tokens) < 2 {
+		return nil
+	}
+	out := make([][2]string, len(tokens)-1)
+	for i := range out {
+		out[i] = [2]string{tokens[i], tokens[i+1]}
+	}
+	return out
 }
 
 // SupportScore collapses the feature vector into a single grounded

@@ -49,18 +49,15 @@ func AreAntonyms(a, b string) bool {
 // present in the evidence. Tokens must already be stemmed (as produced
 // by ContentWords).
 func AntonymClashes(claim, evidence []string) int {
-	evSet := make(map[string]struct{}, len(evidence))
-	for _, t := range evidence {
-		evSet[t] = struct{}{}
-	}
+	return antonymClashes(claim, counts(evidence))
+}
+
+// antonymClashes is AntonymClashes against evidence token counts.
+func antonymClashes(claim []string, evidence map[string]int) int {
 	clashes := 0
 	for _, t := range claim {
-		set, ok := antonyms[t]
-		if !ok {
-			continue
-		}
-		for opp := range set {
-			if _, hit := evSet[opp]; hit {
+		for opp := range antonyms[t] {
+			if evidence[opp] > 0 {
 				clashes++
 				break
 			}

@@ -235,19 +235,32 @@ func Bigrams(tokens []string) []string {
 // of the claim is supported by the evidence" and is directional on
 // purpose: extra evidence must not penalize a short claim.
 func OverlapRatio(claim, evidence []string) float64 {
+	return overlap(claim, counts(evidence))
+}
+
+// counts returns how often each token occurs.
+func counts[K comparable](tokens []K) map[K]int {
+	have := make(map[K]int, len(tokens))
+	for _, t := range tokens {
+		have[t]++
+	}
+	return have
+}
+
+// overlap is OverlapRatio against evidence token counts. A claim token
+// matches while the claim has used fewer of it than the evidence holds,
+// so each distinct token contributes min(claim count, evidence count).
+func overlap[K comparable](claim []K, have map[K]int) float64 {
 	if len(claim) == 0 {
 		return 0
 	}
-	have := make(map[string]int, len(evidence))
-	for _, t := range evidence {
-		have[t]++
-	}
+	used := make(map[K]int, len(claim))
 	matched := 0
 	for _, t := range claim {
-		if have[t] > 0 {
-			have[t]--
+		if used[t] < have[t] {
 			matched++
 		}
+		used[t]++
 	}
 	return float64(matched) / float64(len(claim))
 }
