@@ -573,8 +573,9 @@ func BenchmarkThresholdSweep(b *testing.B) {
 
 // BenchmarkWALAppend measures the journaling hot path: framed,
 // CRC-checksummed appends of realistic mutation records, per fsync
-// policy. SyncAlways pays an fsync per append; the batch variant
-// amortizes one fsync over 64 records, which is what bulk ingest does.
+// policy. SyncAlways pays an fsync per append; the batch variants
+// write 64 records per AppendBatch, as bulk and streamed ingest do (one
+// write, and under SyncAlways one fsync, per batch).
 func BenchmarkWALAppend(b *testing.B) {
 	payload, err := vecdb.EncodeMutation(vecdb.Mutation{
 		Op: vecdb.OpAdd, ID: 123456,
@@ -590,6 +591,7 @@ func BenchmarkWALAppend(b *testing.B) {
 		batch int
 	}{
 		{"never", storage.SyncNever, 1},
+		{"never_batch64", storage.SyncNever, 64},
 		{"always", storage.SyncAlways, 1},
 		{"always_batch64", storage.SyncAlways, 64},
 	} {

@@ -105,6 +105,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -521,11 +522,20 @@ func (s *server) ready(w http.ResponseWriter) *serve.Server {
 
 // writeJSON sends v with the given status.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	// Encode before the status line: a value encoding/json refuses
+	// (NaN, ±Inf) must become a 500, not the intended status with an
+	// empty or cut body.
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		log.Printf("ragserver: encode response: %v", err)
+		status = http.StatusInternalServerError
+		buf.Reset()
+		json.NewEncoder(&buf).Encode(map[string]string{"error": "encode response: " + err.Error()})
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(status)
+	w.Write(buf.Bytes())
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

@@ -546,3 +546,32 @@ func TestRouteLabels(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteJSONUnencodable: a value encoding/json refuses (NaN, ±Inf)
+// must not go out as the intended status with an empty or cut body.
+// The response is encoded before the status line, so the client gets
+// a 500 carrying a JSON error instead.
+func TestWriteJSONUnencodable(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, map[string]float64{"score": v})
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("%v: status %d, want 500", v, rec.Code)
+		}
+		var body map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["error"] == "" {
+			t.Fatalf("%v: body %q is not a JSON error (%v)", v, rec.Body.String(), err)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("%v: Content-Type %q", v, ct)
+		}
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusCreated, map[string]int{"ok": 1})
+	if rec.Code != http.StatusCreated || rec.Body.String() != "{\"ok\":1}\n" {
+		t.Fatalf("encodable value: %d %q", rec.Code, rec.Body.String())
+	}
+	if cl := rec.Header().Get("Content-Length"); cl != "9" {
+		t.Fatalf("Content-Length %q, want 9", cl)
+	}
+}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -181,11 +182,20 @@ func (n *NodeHandler) Ring() (RingUpdate, bool) {
 }
 
 func nodeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	// Encode before the status line: a value encoding/json refuses
+	// (NaN, ±Inf) must become a 500, not the intended status with an
+	// empty or cut body.
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		log.Printf("cluster: encode response: %v", err)
+		status = http.StatusInternalServerError
+		buf.Reset()
+		json.NewEncoder(&buf).Encode(map[string]string{"error": "encode response: " + err.Error()})
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(status)
+	w.Write(buf.Bytes())
 }
 
 func nodeError(w http.ResponseWriter, status int, err error) {

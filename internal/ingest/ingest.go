@@ -47,6 +47,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/telemetry"
 	"repro/internal/vecdb"
@@ -205,8 +206,12 @@ func (c *counters) snapshot() Stats {
 // a bare JSON string. Meta is validated strictly — every value must
 // be a JSON string. Decoding straight into map[string]string would
 // let null values coerce to "" silently; raw messages make the check
-// explicit for every type.
+// explicit for every type. Plain lines take parsePlain's one pass;
+// every other line, and every error, comes from encoding/json.
 func parseLine(line []byte) (Doc, error) {
+	if d, ok := parsePlain(line); ok {
+		return d, nil
+	}
 	var d Doc
 	if len(line) > 0 && line[0] == '"' {
 		if err := json.Unmarshal(line, &d.Text); err != nil {
@@ -240,6 +245,148 @@ func parseLine(line []byte) (Doc, error) {
 		return Doc{}, errors.New("ingest: document has no text")
 	}
 	return d, nil
+}
+
+// parsePlain decodes the one line shape streamed corpora use, in one
+// pass and without encoding/json: an object whose keys are exactly
+// "text" and optionally "meta", each at most once, in either order,
+// with a non-empty text and meta an object of strings. Every string
+// must be free of escapes and control bytes and be valid UTF-8, so its
+// decoded value is its raw bytes, and only JSON whitespace may
+// surround the tokens. For such a line the result equals
+// encoding/json's by construction; any other line reports ok=false
+// and is left to parseLine's encoding/json path, errors included.
+func parsePlain(line []byte) (Doc, bool) {
+	p := plainScanner{b: line}
+	if !p.consume('{') {
+		return Doc{}, false
+	}
+	var text, meta []byte
+	sawText, sawMeta := false, false
+	for {
+		key, ok := p.str()
+		if !ok || !p.consume(':') {
+			return Doc{}, false
+		}
+		switch {
+		case string(key) == "text" && !sawText:
+			if text, ok = p.str(); !ok || len(text) == 0 {
+				return Doc{}, false
+			}
+			sawText = true
+		case string(key) == "meta" && !sawMeta:
+			if meta, ok = p.meta(nil); !ok {
+				return Doc{}, false
+			}
+			sawMeta = true
+		default:
+			return Doc{}, false
+		}
+		if p.consume('}') {
+			break
+		}
+		if !p.consume(',') {
+			return Doc{}, false
+		}
+	}
+	p.space()
+	if !sawText || p.i != len(p.b) {
+		return Doc{}, false
+	}
+	// Only a line known to be plain pays for its strings: the meta
+	// object is read a second time, now into the map.
+	d := Doc{Text: string(text)}
+	if len(meta) > 0 {
+		d.Meta = map[string]string{}
+		(&plainScanner{b: meta}).meta(d.Meta)
+	}
+	return d, true
+}
+
+// plainScanner reads the tokens parsePlain accepts from b, starting
+// at i. Every method skips leading JSON whitespace and reports false
+// on anything outside the plain shape.
+type plainScanner struct {
+	b []byte
+	i int
+}
+
+func (p *plainScanner) space() {
+	for p.i < len(p.b) {
+		switch p.b[p.i] {
+		case ' ', '\t', '\n', '\r':
+			p.i++
+		default:
+			return
+		}
+	}
+}
+
+// consume skips whitespace and then c, if c is next.
+func (p *plainScanner) consume(c byte) bool {
+	p.space()
+	if p.i < len(p.b) && p.b[p.i] == c {
+		p.i++
+		return true
+	}
+	return false
+}
+
+// str reads a string that decodes to its raw bytes: no backslash, no
+// control byte, valid UTF-8. The result aliases b.
+func (p *plainScanner) str() ([]byte, bool) {
+	if !p.consume('"') {
+		return nil, false
+	}
+	start, ascii := p.i, true
+	for ; p.i < len(p.b); p.i++ {
+		switch c := p.b[p.i]; {
+		case c == '"':
+			s := p.b[start:p.i]
+			p.i++
+			return s, ascii || utf8.Valid(s)
+		case c == '\\' || c < 0x20:
+			return nil, false
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	return nil, false
+}
+
+// meta reads an object of plain strings, storing each entry in m when
+// m is non-nil (a key that repeats keeps its last value, as
+// encoding/json's map decoding does). It returns the object's bytes,
+// or none for {}, which encoding/json's path also leaves as a nil
+// Meta.
+func (p *plainScanner) meta(m map[string]string) ([]byte, bool) {
+	p.space()
+	start := p.i
+	if !p.consume('{') {
+		return nil, false
+	}
+	if p.consume('}') {
+		return nil, true
+	}
+	for {
+		k, ok := p.str()
+		if !ok || !p.consume(':') {
+			return nil, false
+		}
+		v, ok := p.str()
+		if !ok {
+			return nil, false
+		}
+		if m != nil {
+			m[string(k)] = string(v)
+		}
+		if p.consume('}') {
+			return p.b[start:p.i], true
+		}
+		if !p.consume(',') {
+			return nil, false
+		}
+	}
 }
 
 // credits is the backpressure gate: a counting semaphore over chunks.

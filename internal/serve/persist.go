@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
 	"repro/internal/vecdb"
@@ -514,23 +515,26 @@ func (p *persistence) journal(i int, payloads [][]byte) error {
 }
 
 // Save checkpoints every dirty shard now — the graceful path behind
-// POST /admin/checkpoint and shutdown. It returns the first error;
-// remaining shards are still attempted.
+// POST /admin/checkpoint and shutdown. Shards checkpoint concurrently,
+// each under its own lock into its own files; every one is attempted,
+// and the error of the lowest-numbered failing shard is returned.
 func (s *ShardedDB) Save() error {
 	p := s.persist
 	if p == nil {
 		return ErrNoDataDir
 	}
-	var firstErr error
-	for i, ds := range p.shards {
-		if ds.wal.Records() == 0 {
-			continue
+	errs := make([]error, len(p.shards))
+	parallel.ForWorkers(len(p.shards), len(p.shards), func(i int) {
+		if p.shards[i].wal.Records() > 0 {
+			errs[i] = p.checkpointShard(s, i)
 		}
-		if err := p.checkpointShard(s, i); err != nil && firstErr == nil {
-			firstErr = err
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return firstErr
+	return nil
 }
 
 // Close stops the background checkpointer, takes a final checkpoint,

@@ -607,3 +607,42 @@ func TestFailedJournalRestoresReplacedDocument(t *testing.T) {
 		t.Errorf("checksum %016x seq %d after failed batch, want %016x seq %d", s.Checksum(), s.Seq(), sum, seq)
 	}
 }
+
+// TestSaveAttemptsEveryShard: Save checkpoints shards concurrently,
+// yet a failing shard neither stops the others nor changes which
+// error comes back — the lowest-numbered failing shard's, every time.
+// A directory squatting on a shard's checkpoint path makes the rename
+// that publishes its snapshot fail.
+func TestSaveAttemptsEveryShard(t *testing.T) {
+	for run := 0; run < 5; run++ {
+		dir := t.TempDir()
+		s := openTestStore(t, dir, 4)
+		for i := 0; i < 64; i++ {
+			if _, err := s.Add(fmt.Sprintf("document %d about store policy", i), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, i := range []int{1, 3} {
+			squat := filepath.Join(dir, shardDirName(i), checkpointFile)
+			if err := os.MkdirAll(filepath.Join(squat, "keep"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, ds := range s.persist.shards {
+			if ds.wal.Records() == 0 {
+				t.Fatalf("shard %d got no writes; the test needs all four dirty", i)
+			}
+		}
+		err := s.Save()
+		if err == nil || !strings.Contains(err.Error(), shardDirName(1)) {
+			t.Fatalf("Save = %v, want shard 1's checkpoint error", err)
+		}
+		for i, ds := range s.persist.shards {
+			clean := ds.wal.Records() == 0
+			if want := i%2 == 0; clean != want {
+				t.Fatalf("shard %d checkpointed = %v, want %v", i, clean, want)
+			}
+		}
+		s.CloseNoCheckpoint()
+	}
+}

@@ -1,13 +1,17 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/ingest"
+	"repro/internal/rag"
 )
 
 // TestIngestStreamEndToEnd: an NDJSON stream lands in the sharded
@@ -176,3 +180,51 @@ func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
 
 var _ ingest.Store = (*ShardedDB)(nil)
 var _ ingest.Store = (*RemoteStore)(nil)
+
+// BenchmarkIngestStream loads a search_scan-shaped corpus — 2 000
+// tagged single-sentence documents of twelve words and a serial token
+// — through /ingest/stream's pipeline into a durable 2-shard store,
+// and reports the cost per document. Each iteration opens a fresh
+// store, so the WAL and the index start empty every time.
+func BenchmarkIngestStream(b *testing.B) {
+	const docs = 2000
+	words := strings.Fields("shop leave rota staff notice uniform floor manager " +
+		"overtime rate probation review holiday shift store policy")
+	var body bytes.Buffer
+	for i := 0; i < docs; i++ {
+		body.WriteString(`{"meta":{"tag":"t`)
+		body.WriteString(strconv.Itoa(i % 10))
+		body.WriteString(`"},"text":"`)
+		for j := 0; j < 12; j++ {
+			body.WriteString(words[(i*7+j*j*3+j)%len(words)])
+			body.WriteByte(' ')
+		}
+		fmt.Fprintf(&body, "d%dq.\"}\n", i)
+	}
+	var before, after runtime.MemStats
+	var mallocs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := OpenShardedDefault(b.TempDir(), 2, 256, 4096, PersistConfig{CheckpointEvery: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		st, err := ingest.Run(context.Background(), ingest.Config{
+			Store:   ingestSink{s},
+			Chunker: rag.DefaultChunker(),
+		}, bytes.NewReader(body.Bytes()), nil)
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		if err != nil || st.Indexed != docs {
+			b.Fatalf("stream: %+v, %v", st, err)
+		}
+		s.CloseNoCheckpoint()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*docs), "ns/doc")
+	b.ReportMetric(float64(mallocs)/float64(b.N*docs), "allocs/doc")
+}

@@ -12,6 +12,7 @@ package splitter
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // abbreviations that may end with a period mid-sentence.
@@ -27,21 +28,41 @@ var abbreviations = map[string]struct{}{
 // is trimmed; empty sentences are dropped. The concatenation of the
 // returned sentences, ignoring whitespace, equals the input ignoring
 // whitespace (a property the tests enforce).
+//
+// ASCII text is scanned byte by byte and its sentences are substrings
+// of text; any other text is scanned as runes, as a byte index would
+// split a multi-byte character. Both run the same rules.
 func Split(text string) []string {
+	for i := 0; i < len(text); i++ {
+		if text[i] >= utf8.RuneSelf {
+			runes := []rune(text)
+			return scanner[rune]{runes, func(a, b int) string { return string(runes[a:b]) }}.split()
+		}
+	}
+	return scanner[byte]{[]byte(text), func(a, b int) string { return text[a:b] }}.split()
+}
+
+// scanner holds the text being split as characters: bytes for ASCII
+// text, runes otherwise. sub returns characters [a, b) as a string.
+type scanner[T byte | rune] struct {
+	s   []T
+	sub func(a, b int) string
+}
+
+func (sc scanner[T]) split() []string {
 	var sentences []string
-	runes := []rune(text)
-	n := len(runes)
+	cs := sc.s
+	n := len(cs)
 	start := 0
 	flush := func(end int) {
-		s := strings.TrimSpace(string(runes[start:end]))
+		s := strings.TrimSpace(sc.sub(start, end))
 		if s != "" {
 			sentences = append(sentences, s)
 		}
 		start = end
 	}
 	for i := 0; i < n; i++ {
-		r := runes[i]
-		switch r {
+		switch rune(cs[i]) {
 		case '\n':
 			// A newline ends a sentence only when followed by a blank
 			// line or a list-ish start; a single wrap inside a
@@ -49,31 +70,34 @@ func Split(text string) []string {
 			// a boundary if the accumulated text already looks like a
 			// complete clause (ends with punctuation) — otherwise keep
 			// going.
-			j := i
-			for j < n && (runes[j] == '\n' || runes[j] == ' ' || runes[j] == '\t') {
+			j, newlines := i, 0
+			for j < n && (cs[j] == '\n' || cs[j] == ' ' || cs[j] == '\t') {
+				if cs[j] == '\n' {
+					newlines++
+				}
 				j++
 			}
-			trimmed := strings.TrimSpace(string(runes[start:i]))
+			trimmed := strings.TrimSpace(sc.sub(start, i))
 			if trimmed == "" {
 				start = j
 				i = j - 1
 				continue
 			}
 			last := trimmed[len(trimmed)-1]
-			doubleBreak := strings.Count(string(runes[i:j]), "\n") >= 2
+			doubleBreak := newlines >= 2
 			if doubleBreak || last == '.' || last == '!' || last == '?' ||
-				last == ':' || last == ';' || isListStart(runes, j) {
+				last == ':' || last == ';' || sc.isListStart(j) {
 				flush(i)
 				start = j
 				i = j - 1
 			}
 		case '!', '?':
-			end := consumeClosers(runes, i+1)
+			end := sc.consumeClosers(i + 1)
 			flush(end)
 			i = end - 1
 		case '.':
-			if isSentenceEnd(runes, i) {
-				end := consumeClosers(runes, i+1)
+			if sc.isSentenceEnd(i) {
+				end := sc.consumeClosers(i + 1)
 				flush(end)
 				i = end - 1
 			}
@@ -85,9 +109,9 @@ func Split(text string) []string {
 
 // consumeClosers extends the sentence end past closing quotes, brackets
 // and repeated terminal punctuation ("...", "?!").
-func consumeClosers(runes []rune, i int) int {
-	for i < len(runes) {
-		switch runes[i] {
+func (sc scanner[T]) consumeClosers(i int) int {
+	for i < len(sc.s) {
+		switch rune(sc.s[i]) {
 		case '"', '\'', '”', '’', ')', ']', '}', '.', '!', '?':
 			i++
 		default:
@@ -99,20 +123,21 @@ func consumeClosers(runes []rune, i int) int {
 
 // isListStart reports whether position j begins a bullet or numbered
 // list item.
-func isListStart(runes []rune, j int) bool {
-	if j >= len(runes) {
+func (sc scanner[T]) isListStart(j int) bool {
+	cs := sc.s
+	if j >= len(cs) {
 		return false
 	}
-	switch runes[j] {
+	switch rune(cs[j]) {
 	case '-', '*', '•':
 		return true
 	}
 	// "1." / "2)" style
 	k := j
-	for k < len(runes) && unicode.IsDigit(runes[k]) {
+	for k < len(cs) && unicode.IsDigit(rune(cs[k])) {
 		k++
 	}
-	if k > j && k < len(runes) && (runes[k] == '.' || runes[k] == ')') {
+	if k > j && k < len(cs) && (cs[k] == '.' || cs[k] == ')') {
 		return true
 	}
 	return false
@@ -120,27 +145,28 @@ func isListStart(runes []rune, j int) bool {
 
 // isSentenceEnd decides whether the period at index i terminates a
 // sentence.
-func isSentenceEnd(runes []rune, i int) bool {
-	n := len(runes)
+func (sc scanner[T]) isSentenceEnd(i int) bool {
+	cs := sc.s
+	n := len(cs)
 	// Ellipsis "..." — only the final dot may end the sentence.
-	if i+1 < n && runes[i+1] == '.' {
+	if i+1 < n && cs[i+1] == '.' {
 		return false
 	}
 	// Decimal number "2.5" or section "3.1".
-	if i > 0 && i+1 < n && unicode.IsDigit(runes[i-1]) && unicode.IsDigit(runes[i+1]) {
+	if i > 0 && i+1 < n && unicode.IsDigit(rune(cs[i-1])) && unicode.IsDigit(rune(cs[i+1])) {
 		return false
 	}
 	// Word before the period.
 	j := i - 1
-	for j >= 0 && (unicode.IsLetter(runes[j]) || runes[j] == '.') {
+	for j >= 0 && (unicode.IsLetter(rune(cs[j])) || cs[j] == '.') {
 		j--
 	}
-	word := strings.ToLower(strings.TrimSuffix(string(runes[j+1:i]), "."))
+	word := strings.ToLower(strings.TrimSuffix(sc.sub(j+1, i), "."))
 	// "No." is an abbreviation only before a number ("No. 5"); the
 	// English word "no" at a sentence end is far more common.
 	if word == "no" {
-		k := nextNonSpace(runes, i+1)
-		if k == -1 || !unicode.IsDigit(runes[k]) {
+		k := sc.nextNonSpace(i + 1)
+		if k == -1 || !unicode.IsDigit(rune(cs[k])) {
 			word = ""
 		}
 	}
@@ -151,7 +177,7 @@ func isSentenceEnd(runes []rune, i int) bool {
 		// store..."). Distinguish via lookahead: uppercase after
 		// space ⇒ end only for time markers.
 		if word == "a.m" || word == "p.m" || word == "am" || word == "pm" {
-			return nextWordCapitalized(runes, i+1)
+			return sc.nextWordCapitalized(i + 1)
 		}
 		return false
 	}
@@ -161,10 +187,10 @@ func isSentenceEnd(runes []rune, i int) bool {
 	}
 	// Period followed by lowercase continuation is mid-sentence
 	// ("filed vs. accepted").
-	if !nextWordCapitalized(runes, i+1) && nextNonSpace(runes, i+1) != -1 {
+	if !sc.nextWordCapitalized(i+1) && sc.nextNonSpace(i+1) != -1 {
 		// allow digits/quotes to start sentences too
-		k := nextNonSpace(runes, i+1)
-		r := runes[k]
+		k := sc.nextNonSpace(i + 1)
+		r := rune(cs[k])
 		if !unicode.IsDigit(r) && r != '"' && r != '\'' && r != '“' {
 			return false
 		}
@@ -172,30 +198,30 @@ func isSentenceEnd(runes []rune, i int) bool {
 	return true
 }
 
-func nextNonSpace(runes []rune, i int) int {
-	for ; i < len(runes); i++ {
-		if !unicode.IsSpace(runes[i]) {
+func (sc scanner[T]) nextNonSpace(i int) int {
+	for ; i < len(sc.s); i++ {
+		if !unicode.IsSpace(rune(sc.s[i])) {
 			return i
 		}
 	}
 	return -1
 }
 
-func nextWordCapitalized(runes []rune, i int) bool {
-	k := nextNonSpace(runes, i)
+func (sc scanner[T]) nextWordCapitalized(i int) bool {
+	k := sc.nextNonSpace(i)
 	if k == -1 {
 		return true // end of text closes the sentence
 	}
 	// Skip quote/bracket characters (and any whitespace they hide) to
 	// find the first letter of the next word: a period inside closing
 	// quotes still ends its sentence when a capitalized word follows.
-	r := runes[k]
+	r := rune(sc.s[k])
 	for r == '"' || r == '\'' || r == '“' || r == '”' || r == '’' || r == '(' || r == ')' {
-		k = nextNonSpace(runes, k+1)
+		k = sc.nextNonSpace(k + 1)
 		if k == -1 {
 			return true
 		}
-		r = runes[k]
+		r = rune(sc.s[k])
 	}
 	return unicode.IsUpper(r)
 }

@@ -6,66 +6,69 @@ import (
 	"testing/quick"
 )
 
+// splitCases is the splitter's behaviour table, also the seed corpus
+// of FuzzSplitMatchesReference.
+var splitCases = []struct {
+	name, in string
+	want     []string
+}{
+	{
+		"two sentences",
+		"The working hours are 9 AM to 5 PM. The store is open daily.",
+		[]string{"The working hours are 9 AM to 5 PM.", "The store is open daily."},
+	},
+	{
+		"paper partial response",
+		"The working hours are 9 AM to 5 PM, and the store is open from Monday to Friday.",
+		[]string{"The working hours are 9 AM to 5 PM, and the store is open from Monday to Friday."},
+	},
+	{
+		"question and exclamation",
+		"Is it open? Yes! Come in.",
+		[]string{"Is it open?", "Yes!", "Come in."},
+	},
+	{
+		"abbreviation",
+		"Dr. Smith approved the leave. It starts Monday.",
+		[]string{"Dr. Smith approved the leave.", "It starts Monday."},
+	},
+	{
+		"decimal",
+		"Overtime pays 1.5 times the rate. Approval is needed.",
+		[]string{"Overtime pays 1.5 times the rate.", "Approval is needed."},
+	},
+	{
+		"initials",
+		"J. K. Rowling visited. We were thrilled.",
+		[]string{"J. K. Rowling visited.", "We were thrilled."},
+	},
+	{
+		"am pm mid sentence",
+		"We open at 9 a.m. and close at 5 p.m. sharp.",
+		[]string{"We open at 9 a.m. and close at 5 p.m. sharp."},
+	},
+	{
+		"am pm at boundary",
+		"We close at 5 p.m. The alarm is armed afterwards.",
+		[]string{"We close at 5 p.m.", "The alarm is armed afterwards."},
+	},
+	{
+		"ellipsis",
+		"Well... maybe. Ask HR.",
+		[]string{"Well... maybe.", "Ask HR."},
+	},
+	{
+		"closing quote",
+		`He said "no." Then he left.`,
+		[]string{`He said "no."`, "Then he left."},
+	},
+	{"empty", "", nil},
+	{"whitespace only", "  \n\t ", nil},
+	{"no terminator", "trailing clause without a period", []string{"trailing clause without a period"}},
+}
+
 func TestSplitBasic(t *testing.T) {
-	cases := []struct {
-		name, in string
-		want     []string
-	}{
-		{
-			"two sentences",
-			"The working hours are 9 AM to 5 PM. The store is open daily.",
-			[]string{"The working hours are 9 AM to 5 PM.", "The store is open daily."},
-		},
-		{
-			"paper partial response",
-			"The working hours are 9 AM to 5 PM, and the store is open from Monday to Friday.",
-			[]string{"The working hours are 9 AM to 5 PM, and the store is open from Monday to Friday."},
-		},
-		{
-			"question and exclamation",
-			"Is it open? Yes! Come in.",
-			[]string{"Is it open?", "Yes!", "Come in."},
-		},
-		{
-			"abbreviation",
-			"Dr. Smith approved the leave. It starts Monday.",
-			[]string{"Dr. Smith approved the leave.", "It starts Monday."},
-		},
-		{
-			"decimal",
-			"Overtime pays 1.5 times the rate. Approval is needed.",
-			[]string{"Overtime pays 1.5 times the rate.", "Approval is needed."},
-		},
-		{
-			"initials",
-			"J. K. Rowling visited. We were thrilled.",
-			[]string{"J. K. Rowling visited.", "We were thrilled."},
-		},
-		{
-			"am pm mid sentence",
-			"We open at 9 a.m. and close at 5 p.m. sharp.",
-			[]string{"We open at 9 a.m. and close at 5 p.m. sharp."},
-		},
-		{
-			"am pm at boundary",
-			"We close at 5 p.m. The alarm is armed afterwards.",
-			[]string{"We close at 5 p.m.", "The alarm is armed afterwards."},
-		},
-		{
-			"ellipsis",
-			"Well... maybe. Ask HR.",
-			[]string{"Well... maybe.", "Ask HR."},
-		},
-		{
-			"closing quote",
-			`He said "no." Then he left.`,
-			[]string{`He said "no."`, "Then he left."},
-		},
-		{"empty", "", nil},
-		{"whitespace only", "  \n\t ", nil},
-		{"no terminator", "trailing clause without a period", []string{"trailing clause without a period"}},
-	}
-	for _, tc := range cases {
+	for _, tc := range splitCases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := Split(tc.in)
 			if len(got) != len(tc.want) {

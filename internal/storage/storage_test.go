@@ -2,8 +2,10 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -391,4 +393,61 @@ func TestParseSyncPolicy(t *testing.T) {
 	if _, err := ParseSyncPolicy("bogus"); err == nil {
 		t.Error("ParseSyncPolicy(bogus) succeeded")
 	}
+}
+
+// TestWALAppendBatchFraming: however a batch is split into writes —
+// one buffer for small records, a payload over walWriteCap written
+// from the caller's slice — the segment holds exactly the records'
+// [len][crc][payload] frames back to back, and they replay in order.
+func TestWALAppendBatchFraming(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, WALOptions{SegmentBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func(n int, c byte) []byte { return bytes.Repeat([]byte{c}, n) }
+	batches := [][][]byte{
+		{[]byte("a"), {}, []byte("hello")},
+		{fill(walWriteCap-recordHeader, 'x')},                // exactly fills the buffer
+		{[]byte("b"), fill(walWriteCap+1, 'y'), []byte("c")}, // straight from the slice
+		{fill(walWriteCap/2, 'z'), fill(walWriteCap/2, 'w'), []byte("d")},
+	}
+	var want bytes.Buffer
+	var all [][]byte
+	for _, batch := range batches {
+		if err := w.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range batch {
+			var hdr [recordHeader]byte
+			binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(p)))
+			binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(p))
+			want.Write(hdr[:])
+			want.Write(p)
+			all = append(all, p)
+		}
+	}
+	if got := w.Size(); got != int64(want.Len()) {
+		t.Fatalf("Size = %d, want %d", got, want.Len())
+	}
+	if got := w.Records(); got != uint64(len(all)) {
+		t.Fatalf("Records = %d, want %d", got, len(all))
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(seg, want.Bytes()) {
+		t.Fatalf("segment holds %d bytes that differ from the %d framed", len(seg), want.Len())
+	}
+	got := collect(t, w)
+	if len(got) != len(all) {
+		t.Fatalf("replayed %d records, want %d", len(got), len(all))
+	}
+	for i := range all {
+		if !bytes.Equal(got[i], all[i]) {
+			t.Fatalf("record %d differs", i)
+		}
+	}
+	w.Close()
 }

@@ -87,6 +87,10 @@ const defaultSegmentBytes = 4 << 20
 // torn tail: Open truncates the segment to the last whole record.
 const recordHeader = 8
 
+// walWriteCap bounds the buffer AppendBatch frames a batch into before
+// its one Write; past it, records are written in several.
+const walWriteCap = 1 << 20
+
 // maxRecordBytes rejects absurd lengths so a corrupt header cannot
 // drive a multi-gigabyte allocation during the tail scan.
 const maxRecordBytes = 64 << 20
@@ -360,21 +364,38 @@ func (w *WAL) AppendBatch(payloads [][]byte) error {
 		w.actSize, w.size, w.records = start, startTotal, startRecords
 		return fmt.Errorf("storage: wal append: %w", err)
 	}
-	var hdr [recordHeader]byte
+	// Frame the batch into one buffer and write it with one call. A
+	// payload that would push the buffer past walWriteCap is written
+	// straight from the caller's slice instead, after the bytes framed
+	// so far, so a batch of huge records never holds a second copy.
+	size := 0
 	for _, payload := range payloads {
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-		if _, err := w.active.Write(hdr[:]); err != nil {
+		size += recordHeader + len(payload)
+	}
+	buf := make([]byte, 0, min(size, walWriteCap))
+	for _, payload := range payloads {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+		if len(buf)+len(payload) <= walWriteCap {
+			buf = append(buf, payload...)
+			continue
+		}
+		if _, err := w.active.Write(buf); err != nil {
 			return abort(err)
 		}
+		buf = buf[:0]
 		if _, err := w.active.Write(payload); err != nil {
 			return abort(err)
 		}
-		n := int64(recordHeader + len(payload))
-		w.actSize += n
-		w.size += n
-		w.records++
 	}
+	if len(buf) > 0 {
+		if _, err := w.active.Write(buf); err != nil {
+			return abort(err)
+		}
+	}
+	w.actSize += int64(size)
+	w.size += int64(size)
+	w.records += uint64(len(payloads))
 	if w.opts.Sync == SyncAlways {
 		fsyncStart := time.Now()
 		defer w.fsyncH.ObserveSince(fsyncStart)

@@ -1,10 +1,8 @@
 package vecdb
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
 )
@@ -73,43 +71,48 @@ func (db *DB) Checksum() uint64 {
 // the same doc set hash identically regardless of how the collection
 // was spelled at write time.
 func docHash(d Document) uint64 {
-	h := fnv.New64a()
-	var idb [8]byte
-	binary.LittleEndian.PutUint64(idb[:], uint64(d.ID))
-	h.Write(idb[:])
-	h.Write([]byte{0x1d})
-	h.Write([]byte(NormalizeCollection(d.Collection)))
-	h.Write([]byte{0x1f})
-	h.Write([]byte(d.Text))
+	h := uint64(fnvOffset)
+	for i := 0; i < 8; i++ {
+		h = fnvByte(h, byte(uint64(d.ID)>>(8*i)))
+	}
+	h = fnvByte(h, 0x1d)
+	h = fnvString(h, NormalizeCollection(d.Collection))
+	h = fnvByte(h, 0x1f)
+	h = fnvString(h, d.Text)
 	if len(d.Meta) > 0 {
-		for _, k := range appendSortedKeys(make([]string, 0, len(d.Meta)), d.Meta) {
-			h.Write([]byte{0x1f})
-			h.Write([]byte(k))
-			h.Write([]byte{0x1e})
-			h.Write([]byte(d.Meta[k]))
+		var buf [8]string
+		for _, k := range appendSortedKeys(buf[:0], d.Meta) {
+			h = fnvByte(h, 0x1f)
+			h = fnvString(h, k)
+			h = fnvByte(h, 0x1e)
+			h = fnvString(h, d.Meta[k])
 		}
 	}
-	return h.Sum64()
+	return h
+}
+
+// fnvByte and fnvString are fnvWrite for one byte and for a string:
+// docHash and metaHash fold their bytes with them, allocating nothing.
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
 }
 
 // metaHash keys the metadata pool: 64-bit FNV-1a over the set's
 // entries in key order, each written as key 0x1e value 0x1f. It
 // allocates nothing for sets of up to eight keys.
 func metaHash(meta map[string]string) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	write := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime
-		}
-	}
+	h := uint64(fnvOffset)
 	var buf [8]string
 	for _, k := range appendSortedKeys(buf[:0], meta) {
-		write(k)
-		write("\x1e")
-		write(meta[k])
-		write("\x1f")
+		h = fnvString(h, k)
+		h = fnvByte(h, 0x1e)
+		h = fnvString(h, meta[k])
+		h = fnvByte(h, 0x1f)
 	}
 	return h
 }

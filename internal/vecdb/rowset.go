@@ -52,23 +52,17 @@ type rowSet struct {
 	codes   *blockedCodes // nil when quant.Kind == QuantNone
 }
 
-// pack copies vec into its stored form: sparse when its nnz nonzeros
-// take fewer bytes than the dense row (nnz·6 < dim·4), dense (idx nil)
-// otherwise. "Nonzero" is by bit pattern: a -0 is stored, so the row
-// reproduces its input to the bit.
+// pack copies vec, which holds nnz nonzeros, into its stored form:
+// sparse when they take fewer bytes than the dense row
+// (nnz·6 < dim·4), dense (idx nil) otherwise. "Nonzero" is by bit
+// pattern: a -0 is stored, so the row reproduces its input to the bit.
 //
 // A quantized set keeps every row dense. Its scan reads the int8 codes
 // instead, and those pay only on dense embeddings: a hashed-text row's
 // nonzeros (≈137 B at dim 256) are already smaller than its codes
 // (256 B), so a quantized set of packed rows would scan more bytes than
 // the exact rows it re-ranks hold.
-func (s *rowSet) pack(vec []float32) (idx []uint16, val []float32) {
-	nnz := 0
-	for _, v := range vec {
-		if math.Float32bits(v) != 0 {
-			nnz++
-		}
-	}
+func (s *rowSet) pack(vec []float32, nnz int) (idx []uint16, val []float32) {
 	if s.codes != nil || nnz*6 >= len(vec)*4 {
 		return nil, append([]float32(nil), vec...)
 	}
@@ -98,15 +92,19 @@ func (s *rowSet) quantized() bool { return s.codes != nil }
 // add copies vec in under id, replacing an existing row for the same
 // id. It returns the row index.
 func (s *rowSet) add(id int64, vec []float32) int {
-	idx, val := s.pack(vec)
+	var sq float64
+	nnz := 0
+	for _, v := range vec {
+		sq += float64(v) * float64(v)
+		if math.Float32bits(v) != 0 {
+			nnz++
+		}
+	}
+	n := math.Sqrt(sq)
+	idx, val := s.pack(vec, nnz)
 	if idx != nil && s.idxs == nil {
 		s.idxs = make([][]uint16, len(s.vals), cap(s.vals))
 	}
-	var sq float64
-	for _, v := range vec {
-		sq += float64(v) * float64(v)
-	}
-	n := math.Sqrt(sq)
 	if p, ok := s.pos[id]; ok {
 		s.vals[p] = val
 		if s.idxs != nil {
