@@ -3,6 +3,7 @@ package slm
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"sync"
 
@@ -231,6 +232,11 @@ func (v *CalibratedVerifier) YesProbability(ctx context.Context, req VerifyReque
 	logit := v.profile.Sharpness*ev + v.profile.Bias + v.profile.NoiseAmp*idio
 	p := sigmoid(logit)
 	p = v.profile.OutputShift + v.profile.OutputScale*p
+	if math.IsNaN(p) || math.IsInf(p, 0) {
+		// clampProb would pass NaN through and turn ±Inf into a
+		// plausible-looking bound; only a non-finite profile gets here.
+		return 0, fmt.Errorf("slm: %s: P(yes) is %v, not a probability", v.profile.Name, p)
+	}
 	p = clampProb(p, 1e-4)
 	if q := v.profile.Quantize; q > 0 {
 		p = math.Round(p*float64(q)) / float64(q)
@@ -319,16 +325,14 @@ func (v *CalibratedVerifier) evidence(context string) *textproc.Evidence {
 
 // signature returns the hidden-state signature of the prompt under this
 // model's private network, memoized on what the network is fed: the
-// last MaxSeq tokens (HiddenSignature keeps only that tail). Keying on
-// the window rather than the whole prompt lets prompts that share it
-// share the entry, and bounds a key at a few bytes per token of it.
+// last MaxSeq tokens (HiddenSignature keeps only that tail), the only
+// ones encoded. Keying on the window rather than the whole prompt lets
+// prompts that share it share the entry, and bounds a key at a few
+// bytes per token of it.
 func (v *CalibratedVerifier) signature(prompt string) (float64, error) {
-	ids := v.tok.Encode(prompt)
+	ids := v.tok.EncodeTail(prompt, v.net.Config().MaxSeq)
 	if len(ids) == 0 {
 		ids = []int{tokenizer.BosID}
-	}
-	if n := v.net.Config().MaxSeq; len(ids) > n {
-		ids = ids[len(ids)-n:]
 	}
 	key := make([]byte, 0, 256) // on the stack for windows up to 128 two-byte ids
 	for _, id := range ids {

@@ -159,6 +159,33 @@ func TestCalibratedRejectsEmptyClaim(t *testing.T) {
 	}
 }
 
+// TestCalibratedRejectsNonFiniteProbability: a profile with a
+// non-finite field makes P(yes) NaN or ±Inf, which must come back as an
+// error, not as a NaN or a clamped bound.
+func TestCalibratedRejectsNonFiniteProbability(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		edit func(*Profile)
+	}{
+		{"nan-scale", func(p *Profile) { p.OutputScale = math.NaN() }},
+		{"inf-scale", func(p *Profile) { p.OutputScale = math.Inf(1) }},
+		{"nan-shift", func(p *Profile) { p.OutputShift = math.NaN() }},
+		{"nan-sharpness", func(p *Profile) { p.Sharpness = math.NaN() }},
+	} {
+		p := Qwen2Profile
+		p.Name = c.name
+		c.edit(&p)
+		v, err := NewCalibrated(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := v.YesProbability(ctx, req("The working hours are 9 AM to 5 PM.")); err == nil {
+			t.Errorf("%s: P(yes) = %v with no error", c.name, got)
+		}
+	}
+}
+
 func TestCalibratedHonoursCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -151,8 +151,14 @@ func (t *Transformer) Tokenizer() *tokenizer.Tokenizer { return t.tok }
 // once here, so stepping allocates nothing.
 type Session struct {
 	t *Transformer
-	// kCache/vCache are [layer][pos*Dim], appended to as tokens arrive.
+	// kCache[l] holds layer l's keys dims-major over its whole
+	// MaxSeq×Dim capacity: coordinate j of position p at
+	// [j*MaxSeq+p], so the attention scores read consecutive keys
+	// from consecutive memory. Its length stays zero; s.pos says how
+	// many positions are filled.
 	kCache [][]float32
+	// vCache[l] holds layer l's values position-major, [pos*Dim],
+	// appended to as tokens arrive.
 	vCache [][]float32
 	pos    int
 	// scratch buffers reused across steps.
@@ -194,8 +200,7 @@ func (t *Transformer) pooledSession() *Session {
 		return t.NewSession()
 	}
 	s.pos = 0
-	for l := range s.kCache {
-		s.kCache[l] = s.kCache[l][:0]
+	for l := range s.vCache {
 		s.vCache[l] = s.vCache[l][:0]
 	}
 	return s
@@ -264,7 +269,10 @@ func (s *Session) step(id int, dp depth) error {
 		layerNorm(s.xn, lw.ln1g, lw.ln1b, 1e-5)
 		matVec(s.k, lw.wk, s.xn, d, d)
 		matVec(s.v, lw.wv, s.xn, d, d)
-		s.kCache[l] = append(s.kCache[l], s.k...)
+		kc := s.kCache[l][:cfg.MaxSeq*d]
+		for j, v := range s.k {
+			kc[j*cfg.MaxSeq+s.pos] = v
+		}
 		s.vCache[l] = append(s.vCache[l], s.v...)
 		if dp == depthKV && l == len(t.layers)-1 {
 			break
@@ -272,7 +280,7 @@ func (s *Session) step(id int, dp depth) error {
 		matVec(s.q, lw.wq, s.xn, d, d)
 		// Causal attention: the new query attends to all cached keys.
 		for off := 0; off < d; off += headDim {
-			attend(s.attnOut[off:off+headDim], s.q[off:off+headDim], s.kCache[l], s.vCache[l], scores, off, d, scale)
+			attend(s.attnOut[off:off+headDim], s.q[off:off+headDim], kc[off*cfg.MaxSeq:(off+headDim)*cfg.MaxSeq], s.vCache[l][off:], scores, cfg.MaxSeq, d, scale)
 		}
 		matVec(s.xn, lw.wo, s.attnOut, d, d)
 		addInPlace(s.x, s.xn)
@@ -299,64 +307,16 @@ func (s *Session) step(id int, dp depth) error {
 
 // attend computes one head's attention output for the newest position:
 // out = Σ_p softmax_p(scale·q·k_p)·v_p over the len(scores) cached
-// positions p, where the head's rows are kc and vc at
-// [p*d+off, p*d+off+len(q)). It scores two keys per pass over q, and
-// accumulates each output coordinate in a register over the positions
-// in ascending order. Every score and every coordinate is still one
-// accumulator starting at zero and adding the same products in the same
-// order as a dot product per key and a load and store per term, so the
-// result has the same bits.
-func attend(out, q, kc, vc, scores []float32, off, d int, scale float32) {
-	n := len(q)
-	out = out[:n]
-	steps := len(scores)
-	p := 0
-	for ; p+2 <= steps; p += 2 {
-		j := p*d + off
-		k0 := kc[j : j+n : j+n]
-		k1 := kc[j+d : j+d+n : j+d+n]
-		k1 = k1[:len(k0)]
-		q := q[:len(k0)]
-		var s0, s1 float32
-		for i, k := range k0 {
-			s0 += q[i] * k
-			s1 += q[i] * k1[i]
-		}
-		scores[p] = s0 * scale
-		scores[p+1] = s1 * scale
-	}
-	if p < steps {
-		j := p*d + off
-		k0 := kc[j : j+n : j+n]
-		q := q[:len(k0)]
-		var s0 float32
-		for i, k := range k0 {
-			s0 += q[i] * k
-		}
-		scores[p] = s0 * scale
-	}
+// positions p, where kh holds the head's keys dims-major (coordinate i
+// of position p at kh[i*kStride+p]) and vh its values position-major
+// (coordinate i of position p at vh[p*vStride+i]). Every score and
+// every output coordinate is one accumulator starting at zero and
+// adding the same products in the same order as a dot product per key
+// and a load and store per term, so the result has the same bits.
+func attend(out, q, kh, vh, scores []float32, kStride, vStride int, scale float32) {
+	scoreKeys(scores, q, kh, kStride, scale)
 	softmaxInPlace(scores)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		var a0, a1, a2, a3 float32
-		for p, w := range scores {
-			j := p*d + off + i
-			v := vc[j : j+4 : j+4]
-			a0 += w * v[0]
-			a1 += w * v[1]
-			a2 += w * v[2]
-			a3 += w * v[3]
-		}
-		o := out[i : i+4 : i+4]
-		o[0], o[1], o[2], o[3] = a0, a1, a2, a3
-	}
-	for ; i < n; i++ {
-		var a float32
-		for p, w := range scores {
-			a += w * vc[p*d+off+i]
-		}
-		out[i] = a
-	}
+	weightedSum(out[:len(q)], scores, vh, vStride)
 }
 
 // Feed consumes a sequence of token IDs, returning the logits after the

@@ -58,11 +58,12 @@ type Evidence struct {
 // PrepareEvidence reads context once for any number of Features calls.
 func PrepareEvidence(context string) *Evidence {
 	ew := ContentWords(context)
+	words := Words(context)
 	return &Evidence{
 		words:      counts(ew),
 		bigrams:    counts(pairs(ew)),
-		quantities: ExtractQuantities(context),
-		negated:    CountNegations(context)%2 == 1,
+		quantities: extractQuantities(words),
+		negated:    countNegations(words)%2 == 1,
 	}
 }
 
@@ -71,7 +72,8 @@ func PrepareEvidence(context string) *Evidence {
 // computed from the two strings.
 func (e *Evidence) Features(claim string) Features {
 	cw := ContentWords(claim)
-	cq := ExtractQuantities(claim)
+	words := Words(claim) // split once for the quantities, negations and hedges
+	cq := extractQuantities(words)
 	conf, match := QuantityConflicts(cq, e.quantities)
 	return Features{
 		UnigramSupport:    overlap(cw, e.words),
@@ -80,8 +82,8 @@ func (e *Evidence) Features(claim string) Features {
 		QuantityMatches:   match,
 		ConflictProximity: ConflictProximity(cq, e.quantities),
 		AntonymClashes:    antonymClashes(cw, e.words),
-		NegationMismatch:  (CountNegations(claim)%2 == 1) != e.negated,
-		Hedges:            CountHedges(claim),
+		NegationMismatch:  (countNegations(words)%2 == 1) != e.negated,
+		Hedges:            countHedges(words),
 		ClaimLength:       len(cw),
 	}
 }

@@ -77,9 +77,12 @@ var negationMarkers = map[string]struct{}{
 
 // CountNegations returns the number of negation markers in the raw
 // (unstemmed, lowercased) token stream of s.
-func CountNegations(s string) int {
+func CountNegations(s string) int { return countNegations(Words(s)) }
+
+// countNegations is CountNegations over the Words of a text.
+func countNegations(words []string) int {
 	n := 0
-	for _, w := range Words(s) {
+	for _, w := range words {
 		if _, ok := negationMarkers[w]; ok {
 			n++
 			continue
@@ -112,9 +115,12 @@ var hedgeWords = map[string]struct{}{
 }
 
 // CountHedges returns the number of hedging markers in s.
-func CountHedges(s string) int {
+func CountHedges(s string) int { return countHedges(Words(s)) }
+
+// countHedges is CountHedges over the Words of a text.
+func countHedges(words []string) int {
 	n := 0
-	for _, w := range Words(s) {
+	for _, w := range words {
 		if _, ok := hedgeWords[w]; ok {
 			n++
 		}

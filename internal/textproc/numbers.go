@@ -135,8 +135,10 @@ func parseNumericToken(tok string) (float64, QuantityKind, bool) {
 //
 // Clock times are normalized to minutes past midnight; "9 AM" → 540,
 // "5 PM" → 1020. A bare "noon" and "midnight" are understood.
-func ExtractQuantities(text string) []Quantity {
-	toks := Words(text)
+func ExtractQuantities(text string) []Quantity { return extractQuantities(Words(text)) }
+
+// extractQuantities is ExtractQuantities over the Words of a text.
+func extractQuantities(toks []string) []Quantity {
 	var out []Quantity
 	for i := 0; i < len(toks); i++ {
 		t := toks[i]

@@ -14,6 +14,8 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Special token IDs occupy the bottom of the ID space.
@@ -190,16 +192,70 @@ func (t *Tokenizer) Encode(text string) []int {
 	}
 	out := make([]int, 0, len(text))
 	for i, w := range words {
-		start := len(out)
-		if i > 0 || strings.HasPrefix(text, " ") {
-			out = append(out, byteID(' '))
-		}
-		for j := 0; j < len(w); j++ {
-			out = append(out, byteID(w[j]))
-		}
-		out = out[:start+t.mergeWord(out[start:])]
+		out = t.appendWord(out, w, i > 0 || strings.HasPrefix(text, " "))
 	}
 	return out
+}
+
+// EncodeTail returns the last n IDs of Encode(text), all of them when
+// there are fewer. Encoding is word-local — a word's tokens depend only
+// on the word and on whether a space token leads it, which every word
+// but a first one not preceded by ' ' gets — so EncodeTail encodes the
+// words from the last one back, and stops at the first that reaches n
+// IDs, however much text precedes it.
+func (t *Tokenizer) EncodeTail(text string, n int) []int {
+	if n <= 0 {
+		return nil
+	}
+	// The start of the first word, where strings.Fields would find it.
+	first := len(text) - len(strings.TrimLeftFunc(text, unicode.IsSpace))
+	// rev holds the last n tokens back to front: the words' tokens, last
+	// word first, each reversed. A token covers at least a byte.
+	rev := make([]int, 0, min(n, len(text)))
+	var word []int
+	end := len(text)
+	for len(rev) < n {
+		for end > first {
+			r, size := utf8.DecodeLastRuneInString(text[:end])
+			if !unicode.IsSpace(r) {
+				break
+			}
+			end -= size
+		}
+		if end <= first {
+			break
+		}
+		start := end
+		for start > first {
+			r, size := utf8.DecodeLastRuneInString(text[:start])
+			if unicode.IsSpace(r) {
+				break
+			}
+			start -= size
+		}
+		word = t.appendWord(word[:0], text[start:end], start > first || strings.HasPrefix(text, " "))
+		for i := len(word) - 1; i >= 0 && len(rev) < n; i-- {
+			rev = append(rev, word[i])
+		}
+		end = start
+	}
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	return rev
+}
+
+// appendWord appends the tokens of the whitespace-free word w to out,
+// led by the space token when spaced.
+func (t *Tokenizer) appendWord(out []int, w string, spaced bool) []int {
+	start := len(out)
+	if spaced {
+		out = append(out, byteID(' '))
+	}
+	for j := 0; j < len(w); j++ {
+		out = append(out, byteID(w[j]))
+	}
+	return out[:start+t.mergeWord(out[start:])]
 }
 
 // EncodeSpecial encodes text wrapped in BOS/EOS markers.

@@ -17,7 +17,7 @@ var trainingCorpus = []string{
 	"yes yes yes no no no the the the",
 }
 
-func trained(t *testing.T, merges int) *Tokenizer {
+func trained(t testing.TB, merges int) *Tokenizer {
 	t.Helper()
 	tok := New()
 	if err := tok.Train(trainingCorpus, merges); err != nil {
@@ -130,6 +130,28 @@ func TestEncodeMatchesReference(t *testing.T) {
 			t.Error(err)
 		}
 	}
+}
+
+// FuzzEncodeTailMatchesEncode holds EncodeTail(text, n) to the last n
+// IDs of Encode(text), for the byte-level tokenizer and two trained
+// ones with merges, on any text and window.
+func FuzzEncodeTailMatchesEncode(f *testing.F) {
+	toks := []*Tokenizer{New(), trained(f, 30), trained(f, 200)}
+	// Seeds: testdata/fuzz/FuzzEncodeTailMatchesEncode (a prompt longer
+	// than the window, Unicode spaces U+0085, U+00A0 and U+3000, leading
+	// and trailing space, text shorter than the window, invalid UTF-8).
+	f.Fuzz(func(t *testing.T, text string, n uint8) {
+		for _, tok := range toks {
+			want := tok.Encode(text)
+			if len(want) > int(n) {
+				want = want[len(want)-int(n):]
+			}
+			got := tok.EncodeTail(text, int(n))
+			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("EncodeTail(%q, %d) = %v, last %d of Encode %v", text, n, got, n, want)
+			}
+		}
+	})
 }
 
 func TestTrainingCompresses(t *testing.T) {
