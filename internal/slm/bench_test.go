@@ -3,6 +3,7 @@ package slm
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
@@ -103,6 +104,35 @@ func BenchmarkYesProbabilityWarmCache(b *testing.B) {
 				if _, err := m.YesProbability(ctx, c.req); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkSoftmaxGelu times the two float64 loops of the forward pass
+// on the verification network's shapes — attention over a full 96-key
+// window and over 47 keys (a ragged tail), and GELU over the 64-wide FFN
+// — through the kernels and through the Go loops they replaced.
+func BenchmarkSoftmaxGelu(b *testing.B) {
+	src := rand.New(rand.NewSource(1))
+	for _, c := range []struct {
+		name   string
+		n      int
+		kernel func([]float32)
+	}{
+		{"softmax96", 96, softmaxInPlace}, {"softmax96-go", 96, softmaxGo},
+		{"softmax47", 47, softmaxInPlace}, {"softmax47-go", 47, softmaxGo},
+		{"gelu64", 64, gelu}, {"gelu64-go", 64, geluGo},
+	} {
+		in := make([]float32, c.n)
+		for i := range in {
+			in[i] = float32(src.NormFloat64())
+		}
+		x := make([]float32, c.n)
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(x, in)
+				c.kernel(x)
 			}
 		})
 	}

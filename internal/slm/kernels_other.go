@@ -13,3 +13,7 @@ func scoreKeys(scores, q, k []float32, stride int, scale float32) {
 }
 
 func weightedSum(out, w, v []float32, stride int) { weightedSumGo(out, w, v, stride) }
+
+func softmaxKernel(x []float32) { softmaxGo(x) }
+
+func geluKernel(x []float32) { geluGo(x) }

@@ -143,8 +143,12 @@ func layerNorm(x, gain, bias []float32, eps float64) {
 }
 
 // gelu applies the tanh-approximated Gaussian error linear unit used by
-// GPT-family FFNs.
-func gelu(x []float32) {
+// GPT-family FFNs. The arithmetic is geluGo's; on amd64 AVX2 lanes of
+// math.Tanh do it four elements at a time (kernels_amd64.go).
+func gelu(x []float32) { geluKernel(x) }
+
+// geluGo is gelu.
+func geluGo(x []float32) {
 	const c = 0.7978845608028654 // sqrt(2/π)
 	for i, v := range x {
 		f := float64(v)
@@ -153,8 +157,13 @@ func gelu(x []float32) {
 }
 
 // softmaxInPlace converts logits to probabilities with the max-shift
-// trick for numerical stability.
-func softmaxInPlace(x []float32) {
+// trick for numerical stability. The arithmetic is softmaxGo's; on
+// amd64 AVX2 lanes of math.Exp do it four elements at a time
+// (kernels_amd64.go).
+func softmaxInPlace(x []float32) { softmaxKernel(x) }
+
+// softmaxGo is softmaxInPlace.
+func softmaxGo(x []float32) {
 	if len(x) == 0 {
 		return
 	}

@@ -10,9 +10,10 @@ import (
 
 // The reference forward pass: verbatim copies of Session.step, matVec
 // and dot as they were before the attention and matVec kernels kept
-// their accumulators in registers, renamed with a ref prefix. The
-// fuzzer below holds the current kernels to them, bit for bit, on
-// shapes the verification network does not have.
+// their accumulators in registers, and of softmaxInPlace and gelu as
+// they were before the AVX2 lanes of math.Exp and math.Tanh, renamed
+// with a ref prefix. The fuzzer below holds the current kernels to
+// them, bit for bit, on shapes the verification network does not have.
 
 // refStep consumes one token ID, computing as far as dp asks.
 func (s *Session) refStep(id int, dp depth) error {
@@ -54,7 +55,7 @@ func (s *Session) refStep(id int, dp depth) error {
 				kh := s.kCache[l][p*d+h*headDim : p*d+(h+1)*headDim]
 				scores[p] = refDot(qh, kh) * scale
 			}
-			softmaxInPlace(scores)
+			refSoftmax(scores)
 			out := s.attnOut[h*headDim : (h+1)*headDim]
 			for i := range out {
 				out[i] = 0
@@ -74,7 +75,7 @@ func (s *Session) refStep(id int, dp depth) error {
 		layerNorm(s.xn, lw.ln2g, lw.ln2b, 1e-5)
 		refMatVec(s.ffnHid, lw.w1, s.xn, cfg.FFNDim, d)
 		addInPlace(s.ffnHid, lw.b1)
-		gelu(s.ffnHid)
+		refGelu(s.ffnHid)
 		refMatVec(s.ffnOut, lw.w2, s.ffnHid, d, cfg.FFNDim)
 		addInPlace(s.ffnOut, lw.b2)
 		addInPlace(s.x, s.ffnOut)
@@ -130,6 +131,40 @@ func refDot(a, b []float32) float32 {
 		acc += a[i] * b[i]
 	}
 	return acc
+}
+
+// refGelu applies the tanh-approximated Gaussian error linear unit used by
+// GPT-family FFNs.
+func refGelu(x []float32) {
+	const c = 0.7978845608028654 // sqrt(2/π)
+	for i, v := range x {
+		f := float64(v)
+		x[i] = float32(0.5 * f * (1 + math.Tanh(c*(f+0.044715*f*f*f))))
+	}
+}
+
+// refSoftmax converts logits to probabilities with the max-shift
+// trick for numerical stability.
+func refSoftmax(x []float32) {
+	if len(x) == 0 {
+		return
+	}
+	maxv := x[0]
+	for _, v := range x[1:] {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	var sum float64
+	for i, v := range x {
+		e := math.Exp(float64(v - maxv))
+		x[i] = float32(e)
+		sum += e
+	}
+	inv := 1 / sum
+	for i := range x {
+		x[i] = float32(float64(x[i]) * inv)
+	}
 }
 
 // refSignature is HiddenSignature on a fresh session stepped by refStep.
