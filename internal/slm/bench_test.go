@@ -10,20 +10,61 @@ import (
 	"repro/internal/tokenizer"
 )
 
-func BenchmarkTransformerStep(b *testing.B) {
-	tr, err := NewTransformer(idiosyncrasyConfig, tokenizer.New(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prompt := tr.Tokenizer().Encode("Is the answer supported by the context? Reply YES or NO:")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := tr.NewSession()
-		if _, err := s.Feed(prompt); err != nil {
-			b.Fatal(err)
+// BenchmarkMatVecBlock times one projection of a full 96-position
+// window on the verification network's matrix shapes — the attention
+// projections (32×32), the FFN's up (64×32) and down (32×64) — through
+// the block kernel and one position at a time through the Go kernel.
+func BenchmarkMatVecBlock(b *testing.B) {
+	src := rand.New(rand.NewSource(1))
+	const n = 96
+	for _, c := range []struct{ rows, cols int }{{32, 32}, {64, 32}, {32, 64}} {
+		m, x := make([]float32, c.rows*c.cols), make([]float32, n*c.cols)
+		for _, s := range [][]float32{m, x} {
+			for i := range s {
+				s[i] = float32(src.NormFloat64())
+			}
+		}
+		out := make([]float32, n*c.rows)
+		for _, k := range []struct {
+			suffix string
+			kernel func(out, m, x []float32, rows, cols, n int)
+		}{{"", matVecBlock}, {"-go", matVecBlockGo}} {
+			b.Run(fmt.Sprintf("%dx%d%s", c.rows, c.cols, k.suffix), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.kernel(out, m, x, c.rows, c.cols, n)
+				}
+			})
 		}
 	}
-	b.ReportMetric(float64(len(prompt)), "tokens/op")
+}
+
+// BenchmarkLayerNormRows times the layer norm of a full 96-position
+// window of the verification network's width 32, block by block and
+// one row at a time.
+func BenchmarkLayerNormRows(b *testing.B) {
+	src := rand.New(rand.NewSource(1))
+	const n, width = 96, 32
+	in, gain, bias := make([]float32, n*width), make([]float32, width), make([]float32, width)
+	for _, s := range [][]float32{in, gain, bias} {
+		for i := range s {
+			s[i] = float32(src.NormFloat64())
+		}
+	}
+	x := make([]float32, n*width)
+	b.Run("block", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(x, in)
+			layerNormRows(x, gain, bias, 1e-5)
+		}
+	})
+	b.Run("rows", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(x, in)
+			for r := 0; r < n; r++ {
+				layerNorm(x[r*width:(r+1)*width], gain, bias, 1e-5)
+			}
+		}
+	})
 }
 
 // BenchmarkHiddenSignature times the verification forward pass alone:

@@ -12,8 +12,16 @@ import "math"
 // kernel takes the whole groups — of eight rows, of four keys,
 // coordinates or elements — and the Go kernel does the rest.
 //
+// The 256-bit float32 kernels (the third part of kernels_amd64.s) keep
+// the same rule, VMULPS then VADDPS, eight lanes at a time: the block
+// projection (matVecBlockAVX), eight keys per register in the attention
+// scores, four eight-wide heads' weighted sums at once, and layer norm's
+// last loop (normalizeAVX, float64 lanes then float32 ones). They run
+// only where hasAVX2FMA holds, checked once at start-up (wideLanes);
+// elsewhere the SSE kernels do the same work.
+//
 // The float64 softmax and GELU run on AVX2/FMA lanes of math.Exp and
-// math.Tanh (the second half of kernels_amd64.s). On amd64 math.Exp is
+// math.Tanh (the second part of kernels_amd64.s). On amd64 math.Exp is
 // one straight-line sequence that itself picks an FMA path at run time,
 // and math.Tanh is Go built on it; each lane runs the operations
 // math.Exp and math.Tanh run on this CPU, in their order, and the rest
@@ -47,6 +55,34 @@ func scoreKeysSSE(scores, q, k []float32, stride int, scale float32)
 //go:noescape
 func weightedSumSSE(out, w, v []float32, stride int)
 
+// matVecBlockAVX is matVecGo for four positions and the first
+// rows&^3 rows of the (rows×cols) matrix m, for cols a multiple of four:
+// it sets out[p*rows+r] = m[r]·x[p*cols:(p+1)*cols] for p < 4. Each
+// lane is one (position, row, j) accumulator a_j, two positions share a
+// register, and each row's four columns are loaded once for all four
+// positions.
+//
+//go:noescape
+func matVecBlockAVX(out, m, x []float32, rows, cols int)
+
+// scoreKeysAVX is scoreKeysGo for len(scores), a multiple of eight,
+// keys: one lane per key.
+//
+//go:noescape
+func scoreKeysAVX(scores, q, k []float32, stride int, scale float32)
+
+// weightedSum4AVX is weightedSumsGo for four heads eight wide, one lane
+// per coordinate: out[8h+i] = Σ_p w[h*wStride+p]·v[p*vStride+8h+i]
+// for p < n.
+//
+//go:noescape
+func weightedSum4AVX(out, w, v []float32, n, wStride, vStride int)
+
+// wideLanes says whether the 256-bit kernels run: the CPU has AVX2 and
+// FMA, and the operating system saves the YMM registers.
+var wideLanes = hasAVX2FMA()
+
+// matVecKernel is matVecGo.
 func matVecKernel(out, m, x []float32) {
 	cols := len(x)
 	n := len(out) &^ 7
@@ -55,6 +91,31 @@ func matVecKernel(out, m, x []float32) {
 	}
 	if n < len(out) {
 		matVecGo(out[n:], m[n*cols:], x)
+	}
+}
+
+// matVecBlockKernel is matVecBlockGo. The 256-bit kernel takes whole
+// blocks of four positions and whole groups of four rows where the
+// columns come in whole groups of four; the rows past the last group,
+// the positions past the last block, and every position of a matrix
+// with a column tail go through matVecKernel one position at a time.
+func matVecBlockKernel(out, m, x []float32, rows, cols, n int) {
+	p := 0
+	if wideLanes && cols%4 == 0 && rows >= 4 {
+		g := rows &^ 3
+		for ; p+4 <= n; p += 4 {
+			o, xs := out[p*rows:(p+4)*rows], x[p*cols:(p+4)*cols]
+			matVecBlockAVX(o, m, xs, rows, cols)
+			if g == rows {
+				continue
+			}
+			for i := 0; i < 4; i++ {
+				matVecKernel(o[i*rows+g:(i+1)*rows], m[g*cols:], xs[i*cols:(i+1)*cols])
+			}
+		}
+	}
+	for ; p < n; p++ {
+		matVecKernel(out[p*rows:(p+1)*rows], m, x[p*cols:(p+1)*cols])
 	}
 }
 
@@ -68,26 +129,44 @@ func addKernel(a, b []float32) {
 }
 
 // scoreKeys is scoreKeysGo; k must hold len(q) rows of stride with
-// len(scores) keys in each. Where the rows and scores have room for a
-// whole last group — the K cache's rows are MaxSeq wide, and the
-// session's scores MaxSeq long — the SSE kernel scores the last one to
-// three keys as a group of four: its other lanes read columns that no
-// key of this call reads and write scores past len(scores), which no
-// caller reads.
+// len(scores) keys in each. The 256-bit kernel scores groups of eight
+// keys and the SSE kernel groups of four after them. Where the rows and
+// scores have room for a whole last group — the K cache's rows are
+// MaxSeq wide, and the window's scores MaxSeq long — a kernel scores the
+// last keys as a whole group: its other lanes read columns that no key
+// of this call reads and write scores past len(scores), which no caller
+// reads.
 func scoreKeys(scores, q, k []float32, stride int, scale float32) {
-	n := len(scores) &^ 3
-	if r := (len(scores) + 3) &^ 3; r > n && r <= cap(scores) && r <= stride && (len(q) == 0 || (len(q)-1)*stride+r <= len(k)) {
+	done := 0
+	if wideLanes {
+		if done = keyGroups(scores, q, k, stride, 0, 8); done > 0 {
+			scoreKeysAVX(scores[:done], q, k, stride, scale)
+		}
+	}
+	if n := keyGroups(scores, q, k, stride, done, 4); n > done {
+		scoreKeysSSE(scores[done:n], q, k[done:], stride, scale)
+		done = n
+	}
+	if done < len(scores) {
+		scoreKeysGo(scores[done:], q, k[done:], stride, scale)
+	}
+}
+
+// keyGroups returns where a kernel scoring groups of w keys from key
+// from on stops: after the whole groups, or after one more group if the
+// rows and scores have room for all of it.
+func keyGroups(scores, q, k []float32, stride, from, w int) int {
+	if from >= len(scores) {
+		return from
+	}
+	n := from + (len(scores)-from)/w*w
+	if r := n + w; n < len(scores) && r <= cap(scores) && r <= stride && (len(q) == 0 || (len(q)-1)*stride+r <= len(k)) {
 		n = r
 	}
-	if n > 0 {
-		if len(q) > 0 {
-			_ = k[(len(q)-1)*stride+n-1] // the kernel's last read
-		}
-		scoreKeysSSE(scores[:n], q, k, stride, scale)
+	if n > from && len(q) > 0 {
+		_ = k[(len(q)-1)*stride+n-1] // the kernel's last read
 	}
-	if n < len(scores) {
-		scoreKeysGo(scores[n:], q, k[n:], stride, scale)
-	}
+	return n
 }
 
 // weightedSum is weightedSumGo; v must hold len(w) rows of stride
@@ -102,6 +181,25 @@ func weightedSum(out, w, v []float32, stride int) {
 	}
 	if n < len(out) {
 		weightedSumGo(out[n:], w, v[n:], stride)
+	}
+}
+
+// weightedSums is weightedSumsGo. Where the heads are eight wide, as in
+// the verification network, the 256-bit kernel takes them four at a
+// time, one register per head, so that four accumulator chains overlap;
+// other heads go through the SSE kernel one at a time.
+func weightedSums(out, w, v []float32, heads, n, wStride, vStride int) {
+	hd := len(out) / heads
+	h := 0
+	if wideLanes && hd == 8 && n > 0 {
+		for ; h+4 <= heads; h += 4 {
+			_ = w[(h+3)*wStride+n-1]       // the kernel's last weight
+			_ = v[(n-1)*vStride+(h+4)*8-1] // and last value
+			weightedSum4AVX(out[h*8:(h+4)*8], w[h*wStride:], v[h*8:], n, wStride, vStride)
+		}
+	}
+	for ; h < heads; h++ {
+		weightedSum(out[h*hd:(h+1)*hd], w[h*wStride:h*wStride+n], v[h*hd:], vStride)
 	}
 }
 
@@ -170,7 +268,7 @@ var (
 )
 
 // transcendentalLanes says whether softmax and GELU run on the lanes.
-var transcendentalLanes = hasAVX2FMA() && lanesMatchMath()
+var transcendentalLanes = wideLanes && lanesMatchMath()
 
 // lanesMatchMath runs the lanes on the probe inputs and reports whether
 // every result has the bits of math.Exp and math.Tanh.
@@ -193,6 +291,16 @@ func lanesMatchMath() bool {
 	return true
 }
 
+// expSum2AVX is expSumAVX on two rows x and y of one length at once,
+// with a running sum each, over the whole groups of four from the
+// start: the two rows' sums add in their own orders, and their
+// dependency chains overlap. It stops at the first group where either
+// row has an element out of the lanes' range, and returns how many
+// elements of each row it did.
+//
+//go:noescape
+func expSum2AVX(x, y []float32, maxX, maxY float32) (n int, sumX, sumY float64)
+
 // softmaxKernel is softmaxGo.
 func softmaxKernel(x []float32) {
 	if !transcendentalLanes || len(x) == 0 {
@@ -204,8 +312,13 @@ func softmaxKernel(x []float32) {
 		softmaxGo(x) // the scan decides what a NaN makes of the row
 		return
 	}
-	var sum float64
-	for i := 0; i < len(x); {
+	scaleAVX(x, 1/expSumFrom(x, 0, maxv, 0))
+}
+
+// expSumFrom is softmaxGo's middle loop from x[i] on, taken on by the
+// running sum of the elements before it, which it returns.
+func expSumFrom(x []float32, i int, maxv float32, sum float64) float64 {
+	for i < len(x) {
 		var n int
 		n, sum = expSumAVX(x[i:], maxv, sum)
 		// The group after the first n elements, if any, has a lane out
@@ -217,7 +330,59 @@ func softmaxKernel(x []float32) {
 			sum += e
 		}
 	}
-	scaleAVX(x, 1/sum)
+	return sum
+}
+
+// softmaxRows is softmaxGo on the first n elements of every row of x,
+// stride wide. The lanes take the rows two at a time.
+func softmaxRows(x []float32, n, stride int) {
+	r := 0
+	for ; r+2*stride <= len(x); r += 2 * stride {
+		softmaxPair(x[r:r+n], x[r+stride:r+stride+n])
+	}
+	if r < len(x) {
+		softmaxKernel(x[r : r+n])
+	}
+}
+
+// softmaxPair is softmaxGo on x and on y, which are equally long.
+func softmaxPair(x, y []float32) {
+	if !transcendentalLanes || len(x) == 0 {
+		softmaxKernel(x)
+		softmaxKernel(y)
+		return
+	}
+	maxX, okX := maxAVX(x)
+	maxY, okY := maxAVX(y)
+	if !okX || !okY {
+		softmaxKernel(x)
+		softmaxKernel(y)
+		return
+	}
+	n, sumX, sumY := expSum2AVX(x, y, maxX, maxY)
+	scaleAVX(x, 1/expSumFrom(x, n, maxX, sumX))
+	scaleAVX(y, 1/expSumFrom(y, n, maxY, sumY))
+}
+
+// normalizeAVX is normalizeGo for the whole groups of four elements
+// of x from the start: each goes through float64 lanes for the
+// subtraction and the scaling, and float32 lanes for the gain and
+// bias, rounding where the Go code rounds.
+//
+//go:noescape
+func normalizeAVX(x, gain, bias []float32, mean, inv float64)
+
+// normalizeKernel is normalizeGo.
+func normalizeKernel(x, gain, bias []float32, mean, inv float64) {
+	n := 0
+	if wideLanes {
+		n = len(x) &^ 3
+		if n > 0 {
+			_, _ = gain[n-1], bias[n-1] // the kernel's last reads
+			normalizeAVX(x[:n], gain, bias, mean, inv)
+		}
+	}
+	normalizeGo(x[n:], gain[n:], bias[n:], mean, inv)
 }
 
 // geluKernel is geluGo.

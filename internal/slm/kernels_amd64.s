@@ -701,6 +701,64 @@ esDone:
 	VZEROUPPER
 	RET
 
+// func expSum2AVX(x, y []float32, maxX, maxY float32) (n int, sumX, sumY float64)
+TEXT ·expSum2AVX(SB), NOSPLIT, $0-80
+	MOVQ         x_base+0(FP), SI
+	MOVQ         x_len+8(FP), DX
+	MOVQ         y_base+24(FP), DI
+	VBROADCASTSS maxX+48(FP), X6
+	VBROADCASTSS maxY+52(FP), X12
+	VXORPD       X7, X7, X7         // x's sum
+	VXORPD       X13, X13, X13      // y's sum
+	ANDQ         $~3, DX
+	XORQ         AX, AX
+
+e2Group:
+	CMPQ       AX, DX
+	JAE        e2Done
+	VMOVUPS    (SI)(AX*4), X0
+	VSUBPS     X6, X0, X0
+	VCVTPS2PD  X0, Y0
+	EXPRANGE(Y0, Y1, Y2)
+	CMPL       BX, $15
+	JNE        e2Done
+	VMOVUPS    (DI)(AX*4), X8
+	VSUBPS     X12, X8, X8
+	VCVTPS2PD  X8, Y8
+	EXPRANGE(Y8, Y9, Y10)
+	CMPL       BX, $15
+	JNE        e2Done
+	EXP4(Y0, Y1, X2, Y3)
+	EXP4(Y8, Y9, X10, Y11)
+	VCVTPD2PSY Y0, X1
+	VMOVUPS    X1, (SI)(AX*4)
+	VCVTPD2PSY Y8, X9
+	VMOVUPS    X9, (DI)(AX*4)
+	// Each sum adds its row's four lanes in index order.
+	VADDSD       X0, X7, X7
+	VADDSD       X8, X13, X13
+	VPERMILPD    $1, X0, X1
+	VPERMILPD    $1, X8, X9
+	VADDSD       X1, X7, X7
+	VADDSD       X9, X13, X13
+	VEXTRACTF128 $1, Y0, X0
+	VEXTRACTF128 $1, Y8, X8
+	VADDSD       X0, X7, X7
+	VADDSD       X8, X13, X13
+	VPERMILPD    $1, X0, X1
+	VPERMILPD    $1, X8, X9
+	VADDSD       X1, X7, X7
+	VADDSD       X9, X13, X13
+	ADDQ         $4, AX
+	JMP          e2Group
+
+e2Done:
+	MOVQ   AX, n+56(FP)
+	VMOVSD X7, sumX+64(FP)
+	VMOVSD X13, sumY+72(FP)
+	VZEROUPPER
+	RET
+
 // func scaleAVX(x []float32, inv float64)
 TEXT ·scaleAVX(SB), NOSPLIT, $0-32
 	MOVQ         x_base+0(FP), SI
@@ -763,5 +821,277 @@ geTail:
 
 geDone:
 	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// ---------------------------------------------------------------------
+// 256-bit float32 kernels of the forward pass; see kernels_amd64.go.
+// As in the SSE kernels, every lane is one float32 accumulator of the
+// matching Go kernel, started at +0 and fed one rounded multiply and one
+// rounded add per term (VMULPS, VADDPS: no FMA, no horizontal or
+// dot-product instruction), in the Go kernel's order; normalizeAVX, the
+// last loop of layer norm, has no accumulator and rounds where its Go
+// loop does. They run only where the CPU has AVX2 and FMA, and clear
+// the upper YMM halves (VZEROUPPER) before they return.
+
+// BLOCKROW multiplies the four columns of a row at mem, broadcast to
+// both halves of Y10, by those of the position pairs in Y8 and Y9, and
+// adds the products to the row's accumulators ra (pair Y8) and rb
+// (pair Y9), using Y11.
+#define BLOCKROW(mem, ra, rb) \
+	VBROADCASTF128 mem, Y10; \
+	VMULPS         Y8, Y10, Y11; \
+	VADDPS         Y11, ra, ra; \
+	VMULPS         Y9, Y10, Y11; \
+	VADDPS         Y11, rb, rb
+
+// BLOCKSUM leaves in r0 the row sums ((a0+a1)+a2)+a3 of the
+// accumulators r0..r3 of four rows, in each 128-bit half on its own: an
+// in-lane 4×4 transpose puts a0, a1, a2 and a3 of the four rows in r0,
+// r1, r2 and r3, which are then added in that order. It uses Y8..Y11.
+#define BLOCKSUM(r0, r1, r2, r3) \
+	VUNPCKLPS r1, r0, Y8; \
+	VUNPCKHPS r1, r0, Y9; \
+	VUNPCKLPS r3, r2, Y10; \
+	VUNPCKHPS r3, r2, Y11; \
+	VUNPCKLPD Y10, Y8, r0; \
+	VUNPCKHPD Y10, Y8, r1; \
+	VUNPCKLPD Y11, Y9, r2; \
+	VUNPCKHPD Y11, Y9, r3; \
+	VADDPS    r1, r0, r0; \
+	VADDPS    r2, r0, r0; \
+	VADDPS    r3, r0, r0
+
+// func matVecBlockAVX(out, m, x []float32, rows, cols int)
+TEXT ·matVecBlockAVX(SB), NOSPLIT, $0-88
+	MOVQ out_base+0(FP), DI
+	MOVQ m_base+24(FP), AX
+	MOVQ x_base+48(FP), SI
+	MOVQ rows+72(FP), R12
+	MOVQ cols+80(FP), CX
+	MOVQ R12, R8
+	SHLQ $2, R8          // out stride in bytes: one position's rows
+	MOVQ CX, DX
+	SHLQ $2, DX          // row and x stride in bytes
+	SHRQ $2, CX          // whole groups of four columns
+	SHRQ $2, R12         // groups of four rows
+	JZ   mbDone
+
+mbGroup:
+	// The group's four rows are at BX, BX+DX, BX+2·DX and R13; the
+	// four positions' x at R9, R9+DX, R9+2·DX and R10. All move along
+	// the columns together. Lane j of the low half of Y0..Y3 is a_j of
+	// rows 0..3 for position 0, of the high half for position 1; Y4..Y7
+	// hold the same for positions 2 and 3.
+	MOVQ   AX, BX
+	LEAQ   (AX)(DX*2), R13
+	ADDQ   DX, R13
+	MOVQ   SI, R9
+	LEAQ   (SI)(DX*2), R10
+	ADDQ   DX, R10
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ   CX, R11
+	TESTQ  R11, R11
+	JZ     mbReduce
+
+mbCols:
+	VMOVUPS     (R9), X8
+	VINSERTF128 $1, (R9)(DX*1), Y8, Y8
+	VMOVUPS     (R9)(DX*2), X9
+	VINSERTF128 $1, (R10), Y9, Y9
+	BLOCKROW((BX), Y0, Y4)
+	BLOCKROW((BX)(DX*1), Y1, Y5)
+	BLOCKROW((BX)(DX*2), Y2, Y6)
+	BLOCKROW((R13), Y3, Y7)
+	ADDQ        $16, BX
+	ADDQ        $16, R13
+	ADDQ        $16, R9
+	ADDQ        $16, R10
+	DECQ        R11
+	JNZ         mbCols
+
+mbReduce:
+	BLOCKSUM(Y0, Y1, Y2, Y3)
+	VMOVUPS      X0, (DI)
+	VEXTRACTF128 $1, Y0, (DI)(R8*1)
+	BLOCKSUM(Y4, Y5, Y6, Y7)
+	VMOVUPS      X4, (DI)(R8*2)
+	LEAQ         (DI)(R8*2), BX
+	VEXTRACTF128 $1, Y4, (BX)(R8*1)
+	ADDQ         $16, DI
+	LEAQ         (AX)(DX*4), AX
+	DECQ         R12
+	JNZ          mbGroup
+
+mbDone:
+	VZEROUPPER
+	RET
+
+// SCOREKEYS adds q's coordinate, broadcast in Y4, times the row of keys
+// at mem to the scores r, using t.
+#define SCOREKEYS(mem, r, t) \
+	VMULPS mem, Y4, t; \
+	VADDPS t, r, r
+
+// func scoreKeysAVX(scores, q, k []float32, stride int, scale float32)
+TEXT ·scoreKeysAVX(SB), NOSPLIT, $0-84
+	MOVQ         scores_base+0(FP), DI
+	MOVQ         scores_len+8(FP), BX
+	MOVQ         q_base+24(FP), SI
+	MOVQ         q_len+32(FP), CX
+	MOVQ         k_base+48(FP), DX
+	MOVQ         stride+72(FP), R8
+	SHLQ         $2, R8                  // row stride in bytes
+	VBROADCASTSS scale+80(FP), Y7
+
+skwQuad:
+	// Thirty-two keys at a time, so that four accumulator chains
+	// overlap: lane j of Y0..Y3 scores key p+j, p+8+j, p+16+j and
+	// p+24+j.
+	CMPQ   BX, $32
+	JB     skwOne
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ   DX, R9
+	XORQ   AX, AX
+	CMPQ   AX, CX
+	JAE    skwQuadScale
+
+skwQuadDims:
+	VBROADCASTSS (SI)(AX*4), Y4
+	SCOREKEYS((R9), Y0, Y5)
+	SCOREKEYS(32(R9), Y1, Y6)
+	SCOREKEYS(64(R9), Y2, Y5)
+	SCOREKEYS(96(R9), Y3, Y6)
+	ADDQ         R8, R9
+	INCQ         AX
+	CMPQ         AX, CX
+	JB           skwQuadDims
+
+skwQuadScale:
+	VMULPS  Y7, Y0, Y0
+	VMULPS  Y7, Y1, Y1
+	VMULPS  Y7, Y2, Y2
+	VMULPS  Y7, Y3, Y3
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, DX
+	SUBQ    $32, BX
+	JMP     skwQuad
+
+skwOne:
+	CMPQ   BX, $8
+	JB     skwDone
+	VXORPS Y0, Y0, Y0
+	MOVQ   DX, R9
+	XORQ   AX, AX
+	CMPQ   AX, CX
+	JAE    skwOneScale
+
+skwOneDims:
+	VBROADCASTSS (SI)(AX*4), Y4
+	SCOREKEYS((R9), Y0, Y5)
+	ADDQ         R8, R9
+	INCQ         AX
+	CMPQ         AX, CX
+	JB           skwOneDims
+
+skwOneScale:
+	VMULPS  Y7, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, DX
+	SUBQ    $8, BX
+	JMP     skwOne
+
+skwDone:
+	VZEROUPPER
+	RET
+
+// func weightedSum4AVX(out, w, v []float32, n, wStride, vStride int)
+TEXT ·weightedSum4AVX(SB), NOSPLIT, $0-96
+	MOVQ   out_base+0(FP), DI
+	MOVQ   w_base+24(FP), SI
+	MOVQ   v_base+48(FP), DX
+	MOVQ   n+72(FP), CX
+	MOVQ   wStride+80(FP), R8
+	SHLQ   $2, R8               // weight row stride in bytes
+	MOVQ   vStride+88(FP), R9
+	SHLQ   $2, R9               // value row stride in bytes
+	LEAQ   (SI)(R8*2), R10
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	TESTQ  CX, CX
+	JZ     ws4Store
+
+ws4Pos:
+	// Head h's weight for this position is at SI, SI+R8, R10 and
+	// R10+R8; its eight values at DX+32h. Lane i of Y0..Y3 is
+	// coordinate i of heads 0..3.
+	VBROADCASTSS (SI), Y4
+	VMULPS       (DX), Y4, Y4
+	VADDPS       Y4, Y0, Y0
+	VBROADCASTSS (SI)(R8*1), Y5
+	VMULPS       32(DX), Y5, Y5
+	VADDPS       Y5, Y1, Y1
+	VBROADCASTSS (R10), Y6
+	VMULPS       64(DX), Y6, Y6
+	VADDPS       Y6, Y2, Y2
+	VBROADCASTSS (R10)(R8*1), Y7
+	VMULPS       96(DX), Y7, Y7
+	VADDPS       Y7, Y3, Y3
+	ADDQ         $4, SI
+	ADDQ         $4, R10
+	ADDQ         R9, DX
+	DECQ         CX
+	JNZ          ws4Pos
+
+ws4Store:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VZEROUPPER
+	RET
+
+// func normalizeAVX(x, gain, bias []float32, mean, inv float64)
+TEXT ·normalizeAVX(SB), NOSPLIT, $0-88
+	MOVQ         x_base+0(FP), DI
+	MOVQ         x_len+8(FP), CX
+	MOVQ         gain_base+24(FP), SI
+	MOVQ         bias_base+48(FP), DX
+	VBROADCASTSD mean+72(FP), Y6
+	VBROADCASTSD inv+80(FP), Y7
+	ANDQ         $~3, CX
+	XORQ         AX, AX
+
+nmGroup:
+	CMPQ       AX, CX
+	JAE        nmDone
+	VCVTPS2PD  (DI)(AX*4), Y0
+	VSUBPD     Y6, Y0, Y0
+	VMULPD     Y7, Y0, Y0
+	VCVTPD2PSY Y0, X0
+	VMULPS     (SI)(AX*4), X0, X0
+	VADDPS     (DX)(AX*4), X0, X0
+	VMOVUPS    X0, (DI)(AX*4)
+	ADDQ       $4, AX
+	JMP        nmGroup
+
+nmDone:
 	VZEROUPPER
 	RET

@@ -111,8 +111,8 @@ func checkExpTanh(t *testing.T, xs []float64) {
 	}
 }
 
-// TestExpSumAddsInOrder holds expSumAVX's running sum to softmaxGo's,
-// bit for bit: the float32 outputs rarely show a float64 sum that
+// TestExpSumAddsInOrder holds the running sums of expSumAVX and
+// expSum2AVX to softmaxGo's, bit for bit: the float32 outputs rarely show a float64 sum that
 // rounded differently, so the sum is checked itself.
 func TestExpSumAddsInOrder(t *testing.T) {
 	if !transcendentalLanes {
@@ -132,9 +132,52 @@ func TestExpSumAddsInOrder(t *testing.T) {
 		for _, v := range x {
 			want += math.Exp(float64(v - maxv))
 		}
+		// The pair kernel, with x as either row, before expSumAVX
+		// overwrites x.
+		y := append([]float32(nil), x...)
+		for i := range y {
+			y[i] = -y[i] / 2
+		}
+		maxY := y[0]
+		for _, v := range y[1:] {
+			maxY = max(maxY, v)
+		}
+		var wantY float64
+		for _, v := range y[:n&^3] {
+			wantY += math.Exp(float64(v - maxY))
+		}
+		var wantX4 float64
+		for _, v := range x[:n&^3] {
+			wantX4 += math.Exp(float64(v - maxv))
+		}
+		for _, c := range []struct {
+			a, b         []float32
+			maxA, maxB   float32
+			wantA, wantB float64
+		}{
+			{append([]float32(nil), x...), append([]float32(nil), y...), maxv, maxY, wantX4, wantY},
+			{append([]float32(nil), y...), append([]float32(nil), x...), maxY, maxv, wantY, wantX4},
+		} {
+			done, sumA, sumB := expSum2AVX(c.a, c.b, c.maxA, c.maxB)
+			if done != n&^3 || math.Float64bits(sumA) != math.Float64bits(c.wantA) || math.Float64bits(sumB) != math.Float64bits(c.wantB) {
+				t.Fatalf("%d elements: expSum2AVX did %d and summed %x and %x, the Go loop %x and %x", n, done, math.Float64bits(sumA), math.Float64bits(sumB), math.Float64bits(c.wantA), math.Float64bits(c.wantB))
+			}
+		}
 		done, got := expSumAVX(x, maxv, 0)
 		if done != n || math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%d elements: expSumAVX did %d and summed %x, the Go loop %x", n, done, math.Float64bits(got), math.Float64bits(want))
 		}
+	}
+}
+
+// eachKernelPath runs f with the kernels this CPU runs, and again, if
+// those include the 256-bit ones, with the SSE ones alone, as on a CPU
+// without AVX2.
+func eachKernelPath(f func()) {
+	f()
+	if wideLanes {
+		wideLanes = false
+		defer func() { wideLanes = true }()
+		f()
 	}
 }

@@ -142,10 +142,12 @@ func sameBits(t *testing.T, kernel string, got, want []float32) {
 func isNaN32(v float32) bool { return v != v }
 
 // FuzzKernelsMatchGeneric holds the kernels the forward pass calls —
-// the SSE ones on amd64 — to the Go kernels of math.go, bit for bit, on
-// shapes the verification network does not have (row, column, key and
-// coordinate counts that are not multiples of four, strides wider than
-// the data) and on values it never produces.
+// the SSE and 256-bit ones on amd64, and the SSE ones alone as on a CPU
+// without AVX2 — to the Go kernels of math.go, bit for bit, on shapes
+// the verification network does not have (row, column, key and
+// coordinate counts that are not multiples of four or eight, strides
+// wider than the data, blocks of positions that are not multiples of
+// four) and on values it never produces.
 func FuzzKernelsMatchGeneric(f *testing.F) {
 	// Seeds: testdata/fuzz/FuzzKernelsMatchGeneric (the verification
 	// network's 32×32 and 32×64 matrices and head width 8, ragged
@@ -161,11 +163,18 @@ func FuzzKernelsMatchGeneric(f *testing.F) {
 		kStride, vStride := steps+in.size(0, 40), dims+in.size(0, 40)
 		in.seed()
 
-		m, x := in.floats(rows*cols), in.floats(cols)
-		got, want := make([]float32, rows), make([]float32, rows)
-		matVec(got, m, x, rows, cols)
-		matVecGo(want, m, x)
-		sameBits(t, "matVec", got, want)
+		// A block of 1 to 9 positions, each held to matVecGo alone.
+		np := 1 + in.src.Intn(9)
+		m, x := in.floats(rows*cols), in.floats(np*cols)
+		got, want := make([]float32, np*rows), make([]float32, np*rows)
+		for p := 0; p < np; p++ {
+			matVecGo(want[p*rows:(p+1)*rows], m, x[p*cols:(p+1)*cols])
+		}
+		eachKernelPath(func() {
+			clear(got)
+			matVecBlock(got, m, x, rows, cols, np)
+			sameBits(t, "matVecBlock", got, want)
+		})
 
 		a, b := in.floats(n), in.floats(n)
 		wantSum := append([]float32(nil), a...)
@@ -175,33 +184,47 @@ func FuzzKernelsMatchGeneric(f *testing.F) {
 
 		// Whole rows of keys, as in the K cache. Where the rows and the
 		// scores have room, scoreKeys scores the last keys as a whole
-		// group of four; the columns it then reads past steps hold NaN
-		// and ±Inf, which no valid key may see.
+		// group of eight or four; the columns it then reads past steps
+		// hold NaN and ±Inf, which no valid key may see.
 		q, k := in.floats(dims), in.floats(dims*kStride)
 		for i := 0; i < dims; i++ {
-			for p := steps; p < min(steps+3, kStride); p++ {
+			for p := steps; p < min(steps+7, kStride); p++ {
 				k[i*kStride+p] = math.Float32frombits(kernelValues[8+(i+p)%6])
 			}
 		}
 		scale := in.float32()
-		gotScores, wantScores := make([]float32, steps, steps+3), make([]float32, steps)
-		scoreKeys(gotScores, q, k, kStride, scale)
+		gotScores, wantScores := make([]float32, steps, steps+in.src.Intn(8)), make([]float32, steps)
 		scoreKeysGo(wantScores, q, k, kStride, scale)
-		sameBits(t, "scoreKeys", gotScores, wantScores)
+		eachKernelPath(func() {
+			clear(gotScores)
+			scoreKeys(gotScores, q, k, kStride, scale)
+			sameBits(t, "scoreKeys", gotScores, wantScores)
+		})
 
-		// Attention: softmax over steps scores, against the Go loop the
-		// kernel replaced.
-		gotScores = in.logits(steps)
+		// Attention: softmax over steps scores in each of 1 to 5 rows of
+		// wStride, against the Go loop the kernel replaced.
+		heads, wStride := 1+in.src.Intn(5), steps+in.src.Intn(4)
+		gotScores = in.logits(heads * wStride)
 		wantScores = append([]float32(nil), gotScores...)
-		softmaxInPlace(gotScores)
-		refSoftmax(wantScores)
-		sameBits(t, "softmaxInPlace", gotScores, wantScores)
+		for r := 0; r < heads; r++ {
+			refSoftmax(wantScores[r*wStride : r*wStride+steps])
+		}
+		softmaxRows(gotScores, steps, wStride)
+		sameBits(t, "softmaxRows", gotScores, wantScores)
 
-		w, v := in.floats(steps), in.floats((steps-1)*vStride+dims)
-		gotOut, wantOut := make([]float32, dims), make([]float32, dims)
-		weightedSum(gotOut, w, v, vStride)
-		weightedSumGo(wantOut, w, v, vStride)
-		sameBits(t, "weightedSum", gotOut, wantOut)
+		// The weighted sums of as many heads, dims wide, over rows of
+		// weights wStride wide and rows of values vs wide.
+		vs := vStride + (heads-1)*dims
+		w, v := in.floats(heads*wStride), in.floats((steps-1)*vs+heads*dims)
+		gotOut, wantOut := make([]float32, heads*dims), make([]float32, heads*dims)
+		for h := 0; h < heads; h++ {
+			weightedSumGo(wantOut[h*dims:(h+1)*dims], w[h*wStride:h*wStride+steps], v[h*dims:], vs)
+		}
+		eachKernelPath(func() {
+			clear(gotOut)
+			weightedSums(gotOut, w, v, heads, steps, wStride, vs)
+			sameBits(t, "weightedSums", gotOut, wantOut)
+		})
 
 		// The FFN: gelu over rows values.
 		got = in.logits(rows)
@@ -219,14 +242,29 @@ func FuzzKernelsMatchGeneric(f *testing.F) {
 	})
 }
 
-// TestKernelsEveryLength runs softmaxInPlace and gelu, and the exp and
-// tanh lanes, on every length from 0 to 130 — every count of whole
-// groups and every tail — against the Go loops they replaced: on
-// moderate values, on moderate values with special ones at any
-// position, and on arbitrary bits.
+// TestKernelsEveryLength runs softmaxInPlace, softmaxRows and gelu, and
+// the exp and tanh lanes, on every length from 0 to 130 — every count
+// of whole groups and every tail — against the Go loops they replaced,
+// weightedSums on four to nine heads up to 40 positions, and
+// matVecBlock on every shape up to 9 positions of 10 rows and 13
+// columns against matVecGo: on moderate values, on moderate values with
+// special ones at any position, and on arbitrary bits.
 func TestKernelsEveryLength(t *testing.T) {
 	for _, special := range []int{0, 8, 64} {
 		in := &kernelInput{src: rand.New(rand.NewSource(int64(special))), special: special}
+		for rows := 1; rows <= 10; rows++ {
+			for cols := 0; cols <= 13; cols++ {
+				for np := 0; np <= 9; np++ {
+					m, x := in.floats(rows*cols), in.logits(np*cols)
+					want, got := make([]float32, np*rows), make([]float32, np*rows)
+					for p := 0; p < np; p++ {
+						matVecGo(want[p*rows:(p+1)*rows], m, x[p*cols:(p+1)*cols])
+					}
+					matVecBlock(got, m, x, rows, cols, np)
+					sameBits(t, "matVecBlock", got, want)
+				}
+			}
+		}
 		for n := 0; n <= 130; n++ {
 			for _, x := range [][]float32{in.logits(n), in.floats(n)} {
 				want := append([]float32(nil), x...)
@@ -242,11 +280,65 @@ func TestKernelsEveryLength(t *testing.T) {
 				sameBits(t, "gelu", got, want)
 			}
 
+			// Two and three rows of n, with row strides to spare.
+			for _, rows := range []int{2, 3} {
+				stride := n + rows - 1
+				x := in.logits(rows * stride)
+				want := append([]float32(nil), x...)
+				for r := 0; r < rows; r++ {
+					refSoftmax(want[r*stride : r*stride+n])
+				}
+				softmaxRows(x, n, stride)
+				sameBits(t, "softmaxRows", x, want)
+			}
+
+			// Four to nine heads eight wide, as in the verification
+			// network, and five wide, over n positions.
+			for heads := 4; heads <= 9 && n <= 40; heads++ {
+				for _, hd := range []int{8, 5} {
+					w, v := in.floats(heads*(n+1)), in.floats(max(n, 1)*heads*hd)
+					want, got := make([]float32, heads*hd), make([]float32, heads*hd)
+					for h := 0; h < heads; h++ {
+						weightedSumGo(want[h*hd:(h+1)*hd], w[h*(n+1):h*(n+1)+n], v[h*hd:], heads*hd)
+					}
+					weightedSums(got, w, v, heads, n, n+1, heads*hd)
+					sameBits(t, "weightedSums", got, want)
+				}
+			}
+
 			xs := make([]float64, n)
 			for i := range xs {
 				xs[i] = in.float64()
 			}
 			checkExpTanh(t, xs)
+		}
+	}
+}
+
+// TestLayerNormRowsMatchesLayerNorm holds layerNormRows to layerNorm row
+// by row, bit for bit, for 0 to 9 rows of every width from 1 to 40 — a
+// block of four rows, the rows after the last block, and both, with the
+// 256-bit lanes on and off — on
+// moderate values, on moderate values among ±0, denormals, ±Inf, NaN
+// and ±MaxFloat32, and on arbitrary bits.
+func TestLayerNormRowsMatchesLayerNorm(t *testing.T) {
+	for _, special := range []int{0, 32, 128} {
+		in := &kernelInput{src: rand.New(rand.NewSource(int64(special))), special: special}
+		for width := 1; width <= 40; width++ {
+			gain, bias := in.logits(width), in.logits(width)
+			for rows := 0; rows <= 9; rows++ {
+				for _, x := range [][]float32{in.logits(rows * width), in.floats(rows * width)} {
+					want := append([]float32(nil), x...)
+					for r := 0; r < rows; r++ {
+						layerNorm(want[r*width:(r+1)*width], gain, bias, 1e-5)
+					}
+					eachKernelPath(func() {
+						got := append([]float32(nil), x...)
+						layerNormRows(got, gain, bias, 1e-5)
+						sameBits(t, "layerNormRows", got, want)
+					})
+				}
+			}
 		}
 	}
 }

@@ -10,20 +10,29 @@ import (
 // inference runtimes lay out weights; accumulation happens in float64
 // where it protects softmax/norm stability.
 
-// matVec computes out = M·x for an (rows×cols) row-major matrix M.
-// len(x) must equal cols and len(out) rows; the function panics on
-// shape mismatch because that is always a programming error, never a
-// data error. The arithmetic is matVecGo's; on amd64 an SSE kernel
-// does it four lanes at a time (kernels_amd64.go).
-func matVec(out []float32, m []float32, x []float32, rows, cols int) {
-	if len(m) != rows*cols || len(x) != cols || len(out) != rows {
-		panic(fmt.Sprintf("slm: matVec shape mismatch m=%d x=%d out=%d rows=%d cols=%d",
-			len(m), len(x), len(out), rows, cols))
+// matVecBlock computes out[p] = M·x[p] for each of n positions p, for
+// an (rows×cols) row-major matrix M: x holds the positions' inputs
+// position-major, cols apiece, and out their outputs, rows apiece. The
+// function panics on shape mismatch because that is always a
+// programming error, never a data error. Each output has matVecGo's
+// arithmetic; on amd64 a kernel reads each row of M once per block of
+// positions (kernels_amd64.go).
+func matVecBlock(out, m, x []float32, rows, cols, n int) {
+	if len(m) != rows*cols || len(x) != n*cols || len(out) != n*rows {
+		panic(fmt.Sprintf("slm: matVec shape mismatch m=%d x=%d out=%d rows=%d cols=%d n=%d",
+			len(m), len(x), len(out), rows, cols, n))
 	}
-	matVecKernel(out, m, x)
+	matVecBlockKernel(out, m, x, rows, cols, n)
 }
 
-// matVecGo is matVec for len(out) rows of len(x) columns: each row is
+// matVecBlockGo is matVecBlock one position at a time.
+func matVecBlockGo(out, m, x []float32, rows, cols, n int) {
+	for p := 0; p < n; p++ {
+		matVecGo(out[p*rows:(p+1)*rows], m, x[p*cols:(p+1)*cols])
+	}
+}
+
+// matVecGo is M·x for len(out) rows of len(x) columns: each row is
 // a dot product over four accumulators, a_j holding the columns ≡ j
 // (mod 4) in ascending order, reduced as ((a0+a1)+a2)+a3, and the
 // columns past the last multiple of four added to that in order.
@@ -58,6 +67,16 @@ func addInPlace(a, b []float32) {
 		panic(fmt.Sprintf("slm: add length mismatch %d vs %d", len(a), len(b)))
 	}
 	addKernel(a, b)
+}
+
+// addRows adds b to every len(b)-wide row of a.
+func addRows(a, b []float32) {
+	if len(b) == 0 || len(a)%len(b) != 0 {
+		panic(fmt.Sprintf("slm: add length mismatch %d vs rows of %d", len(a), len(b)))
+	}
+	for i := 0; i < len(a); i += len(b) {
+		addKernel(a[i:i+len(b)], b)
+	}
 }
 
 // addGo computes a += b over len(a) elements.
@@ -118,6 +137,17 @@ func weightedSumGo(out, w, v []float32, stride int) {
 	}
 }
 
+// weightedSumsGo is weightedSumGo for each of the heads: head h's
+// coordinates out[h*hd:(h+1)*hd], hd = len(out)/heads, weigh the
+// first n weights of row h of w, wStride wide, against coordinates
+// h*hd.. of v's rows of vStride.
+func weightedSumsGo(out, w, v []float32, heads, n, wStride, vStride int) {
+	hd := len(out) / heads
+	for h := 0; h < heads; h++ {
+		weightedSumGo(out[h*hd:(h+1)*hd], w[h*wStride:h*wStride+n], v[h*hd:], vStride)
+	}
+}
+
 // layerNorm normalizes x to zero mean and unit variance, then applies
 // elementwise gain and bias. eps guards the division for near-constant
 // activations.
@@ -139,6 +169,61 @@ func layerNorm(x, gain, bias []float32, eps float64) {
 	inv := 1 / math.Sqrt(varsum/float64(n)+eps)
 	for i := range x {
 		x[i] = float32((float64(x[i])-mean)*inv)*gain[i] + bias[i]
+	}
+}
+
+// layerNormRows is layerNorm on every len(gain)-wide row of x. Four
+// rows at a time share each loop, with a float64 sum apiece, so the
+// sums' dependency chains overlap; every row still adds its own terms
+// in its own order and so has layerNorm's bits. The last loop is
+// normalizeKernel's, which on amd64 runs four lanes at a time.
+func layerNormRows(x, gain, bias []float32, eps float64) {
+	n := len(gain)
+	if n == 0 || len(x)%n != 0 {
+		panic(fmt.Sprintf("slm: layerNorm length mismatch %d vs rows of %d", len(x), n))
+	}
+	gain, bias = gain[:n:n], bias[:n:n]
+	for ; len(x) >= 4*n; x = x[4*n:] {
+		r0, r1, r2, r3 := x[:n:n], x[n:2*n:2*n], x[2*n:3*n:3*n], x[3*n:4*n:4*n]
+		r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)]
+		var m0, m1, m2, m3 float64
+		for i, v := range r0 {
+			m0 += float64(v)
+			m1 += float64(r1[i])
+			m2 += float64(r2[i])
+			m3 += float64(r3[i])
+		}
+		m0 /= float64(n)
+		m1 /= float64(n)
+		m2 /= float64(n)
+		m3 /= float64(n)
+		var v0, v1, v2, v3 float64
+		for i, v := range r0 {
+			d0 := float64(v) - m0
+			d1 := float64(r1[i]) - m1
+			d2 := float64(r2[i]) - m2
+			d3 := float64(r3[i]) - m3
+			v0 += d0 * d0
+			v1 += d1 * d1
+			v2 += d2 * d2
+			v3 += d3 * d3
+		}
+		normalizeKernel(r0, gain, bias, m0, 1/math.Sqrt(v0/float64(n)+eps))
+		normalizeKernel(r1, gain, bias, m1, 1/math.Sqrt(v1/float64(n)+eps))
+		normalizeKernel(r2, gain, bias, m2, 1/math.Sqrt(v2/float64(n)+eps))
+		normalizeKernel(r3, gain, bias, m3, 1/math.Sqrt(v3/float64(n)+eps))
+	}
+	for ; len(x) > 0; x = x[n:] {
+		layerNorm(x[:n], gain, bias, eps)
+	}
+}
+
+// normalizeGo is layerNorm's last loop: x[i] becomes
+// float32((x[i]−mean)·inv)·gain[i] + bias[i].
+func normalizeGo(x, gain, bias []float32, mean, inv float64) {
+	gain, bias = gain[:len(x)], bias[:len(x)]
+	for i, v := range x {
+		x[i] = float32((float64(v)-mean)*inv)*gain[i] + bias[i]
 	}
 }
 

@@ -12,15 +12,55 @@ import (
 // and dot as they were before the attention and matVec kernels kept
 // their accumulators in registers, and of softmaxInPlace and gelu as
 // they were before the AVX2 lanes of math.Exp and math.Tanh, renamed
-// with a ref prefix. The fuzzer below holds the current kernels to
-// them, bit for bit, on shapes the verification network does not have.
+// with a ref prefix. It feeds the tokens one at a time through every
+// layer, on a session of its own, and stops before the final layernorm
+// and output head the network once had. The fuzzer below holds the
+// layer-major pass and its kernels to it, bit for bit, on shapes the
+// verification network does not have.
+
+// refSession holds the per-sequence KV cache of the reference pass.
+type refSession struct {
+	t              *Transformer
+	kCache, vCache [][]float32 // [layer], position-major
+	pos            int
+	// scratch buffers reused across steps.
+	x, xn, q, k, v, attnOut, ffnHid, ffnOut []float32
+	scores                                  []float32 // MaxSeq
+}
+
+func newRefSession(t *Transformer) *refSession {
+	return &refSession{
+		t:       t,
+		kCache:  make([][]float32, t.cfg.Layers),
+		vCache:  make([][]float32, t.cfg.Layers),
+		x:       make([]float32, t.cfg.Dim),
+		xn:      make([]float32, t.cfg.Dim),
+		q:       make([]float32, t.cfg.Dim),
+		k:       make([]float32, t.cfg.Dim),
+		v:       make([]float32, t.cfg.Dim),
+		attnOut: make([]float32, t.cfg.Dim),
+		ffnHid:  make([]float32, t.cfg.FFNDim),
+		ffnOut:  make([]float32, t.cfg.Dim),
+		scores:  make([]float32, t.cfg.MaxSeq),
+	}
+}
+
+// depth says how much of a step's forward pass something will read:
+// depthKV stops in the last layer as soon as its K/V rows are appended,
+// depthHidden runs every layer.
+type depth int
+
+const (
+	depthKV depth = iota
+	depthHidden
+)
 
 // refStep consumes one token ID, computing as far as dp asks.
-func (s *Session) refStep(id int, dp depth) error {
+func (s *refSession) refStep(id int, dp depth) error {
 	t := s.t
 	cfg := t.cfg
 	if s.pos >= cfg.MaxSeq {
-		return fmt.Errorf("%w (max %d)", ErrSequenceTooLong, cfg.MaxSeq)
+		return fmt.Errorf("slm: sequence exceeds MaxSeq (max %d)", cfg.MaxSeq)
 	}
 	if id < 0 || id >= cfg.VocabSize {
 		return fmt.Errorf("slm: token id %d out of vocab range %d", id, cfg.VocabSize)
@@ -81,13 +121,6 @@ func (s *Session) refStep(id int, dp depth) error {
 		addInPlace(s.x, s.ffnOut)
 	}
 	s.pos++
-	if dp < depthLogits {
-		return nil
-	}
-	// Final norm + tied output head.
-	copy(s.xn, s.x)
-	layerNorm(s.xn, t.lnFg, t.lnFb, 1e-5)
-	refMatVec(s.logits, t.tokEmb, s.xn, cfg.VocabSize, d)
 	return nil
 }
 
@@ -167,16 +200,19 @@ func refSoftmax(x []float32) {
 	}
 }
 
-// refSignature is HiddenSignature on a fresh session stepped by refStep.
-func refSignature(t *Transformer, promptIDs []int) (float64, error) {
+// refSignature is HiddenSignature on a fresh reference session: the
+// window's tail stepped by refStep, every position but the last to
+// depthKV, or every one to depthHidden if full is set, and the fold
+// over the last residual stream.
+func refSignature(t *Transformer, promptIDs []int, full bool) (float64, error) {
 	if len(promptIDs) > t.cfg.MaxSeq {
 		promptIDs = promptIDs[len(promptIDs)-t.cfg.MaxSeq:]
 	}
-	s := t.NewSession()
+	s := newRefSession(t)
 	last := len(promptIDs) - 1
 	for i, id := range promptIDs {
 		dp := depthKV
-		if i == last {
+		if full || i == last {
 			dp = depthHidden
 		}
 		if err := s.refStep(id, dp); err != nil {
@@ -205,37 +241,27 @@ var referenceConfigs = []Config{
 	{Dim: 21, Heads: 7, Layers: 1, FFNDim: 13, MaxSeq: 17},
 }
 
-// checkAgainstReference fails unless the signature and the logits of a
-// full Feed of ids have exactly the reference's bits.
+// checkAgainstReference fails unless the signature has exactly the
+// bits of the reference pass, both as HiddenSignature runs it (K/V only
+// for every position but the last in the last layer) and with every
+// position through every layer. Safe to call from any goroutine.
 func checkAgainstReference(t *testing.T, tr *Transformer, ids []int) {
 	t.Helper()
-	want, err := refSignature(tr, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := tr.HiddenSignature(ids)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return
 	}
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("%+v, %d tokens: signature %x, reference %x", tr.cfg, len(ids), math.Float64bits(got), math.Float64bits(want))
-	}
-	if len(ids) > tr.cfg.MaxSeq {
-		ids = ids[len(ids)-tr.cfg.MaxSeq:]
-	}
-	ref := tr.NewSession()
-	for _, id := range ids {
-		if err := ref.refStep(id, depthLogits); err != nil {
-			t.Fatal(err)
+	for _, full := range []bool{false, true} {
+		want, err := refSignature(tr, ids, full)
+		if err != nil {
+			t.Error(err)
+			return
 		}
-	}
-	logits, err := tr.NewSession().Feed(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range logits {
-		if math.Float32bits(v) != math.Float32bits(ref.logits[i]) {
-			t.Fatalf("%+v, %d tokens: logit %d is %x, reference %x", tr.cfg, len(ids), i, math.Float32bits(v), math.Float32bits(ref.logits[i]))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%+v, %d tokens: signature %x (%v), reference (every layer for every position: %v) %x (%v)",
+				tr.cfg, len(ids), math.Float64bits(got), got, full, math.Float64bits(want), want)
+			return
 		}
 	}
 }
@@ -257,15 +283,21 @@ func FuzzHiddenSignatureMatchesReference(f *testing.F) {
 			return
 		}
 		for _, tr := range nets {
-			// As in FuzzHiddenSignatureMatchesFeed: every byte is an id,
-			// and shifting by the previous one reaches the whole vocabulary.
-			ids := make([]int, len(data))
-			prev := 0
-			for i, b := range data {
-				ids[i] = (int(b) + prev) % tr.cfg.VocabSize
-				prev = ids[i]
-			}
-			checkAgainstReference(t, tr, ids)
+			checkAgainstReference(t, tr, fuzzIDs(data, tr.cfg.VocabSize))
 		}
 	})
+}
+
+// fuzzIDs turns fuzz bytes into token ids: every byte is a valid id
+// (the vocabulary holds the 256 byte tokens above the specials), and
+// shifting by the previous id reaches the specials and the top of the
+// range too.
+func fuzzIDs(data []byte, vocab int) []int {
+	ids := make([]int, len(data))
+	prev := 0
+	for i, b := range data {
+		ids[i] = (int(b) + prev) % vocab
+		prev = ids[i]
+	}
+	return ids
 }

@@ -1,7 +1,6 @@
 package slm
 
 import (
-	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -49,157 +48,94 @@ func TestNumParamsPositive(t *testing.T) {
 	}
 }
 
-func TestNextTokenProbsIsDistribution(t *testing.T) {
-	tr := newTestTransformer(t)
-	ids := tr.Tokenizer().Encode("the store opens at nine")
-	probs, err := tr.NextTokenProbs(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(probs) != tr.Config().VocabSize {
-		t.Fatalf("probs len %d != vocab %d", len(probs), tr.Config().VocabSize)
-	}
-	var sum float64
-	for _, p := range probs {
-		if p < 0 || p > 1 {
-			t.Fatalf("probability %v out of range", p)
-		}
-		sum += float64(p)
-	}
-	if math.Abs(sum-1) > 1e-3 {
-		t.Errorf("probabilities sum to %v", sum)
-	}
-}
-
-func TestNextTokenProbsEmptyPrompt(t *testing.T) {
-	tr := newTestTransformer(t)
-	if _, err := tr.NextTokenProbs(nil); err == nil {
-		t.Error("empty prompt accepted")
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	a := newTestTransformer(t)
 	b, err := NewTransformer(testConfig(), tokenizer.New(), 1234)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := a.Tokenizer().Encode("determinism check")
-	pa, _ := a.NextTokenProbs(ids)
-	pb, _ := b.NextTokenProbs(ids)
-	for i := range pa {
-		if pa[i] != pb[i] {
-			t.Fatalf("same seed diverged at logit %d", i)
-		}
-	}
 	c, err := NewTransformer(testConfig(), tokenizer.New(), 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, _ := c.NextTokenProbs(ids)
-	same := true
-	for i := range pa {
-		if pa[i] != pc[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical distributions")
-	}
-}
-
-func TestIncrementalMatchesBatch(t *testing.T) {
-	// The KV cache must make step-by-step decoding equal to feeding
-	// the whole prefix at once.
-	tr := newTestTransformer(t)
-	ids := tr.Tokenizer().Encode("abc def ghi")
-	if len(ids) < 3 {
-		t.Fatal("prompt too short for the test")
-	}
-	s1 := tr.NewSession()
-	logitsAll, err := s1.Feed(ids)
+	ids := a.Tokenizer().Encode("determinism check")
+	sa, err := a.HiddenSignature(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := tr.NewSession()
-	var logitsStep []float32
-	for _, id := range ids {
-		logitsStep, err = s2.Step(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+	sb, _ := b.HiddenSignature(ids)
+	sc, _ := c.HiddenSignature(ids)
+	if math.Float64bits(sa) != math.Float64bits(sb) {
+		t.Errorf("same seed diverged: %v vs %v", sa, sb)
 	}
-	for i := range logitsAll {
-		if math.Abs(float64(logitsAll[i]-logitsStep[i])) > 1e-5 {
-			t.Fatalf("incremental diverged at %d: %v vs %v", i, logitsAll[i], logitsStep[i])
-		}
+	if sa == sc {
+		t.Error("different seeds produced identical signatures")
 	}
 }
 
+// TestIncrementalMatchesBatch holds the layer-major pass, which takes
+// the whole window through each layer at once, to the reference pass,
+// which feeds the tokens one at a time through every layer with a K/V
+// cache.
+func TestIncrementalMatchesBatch(t *testing.T) {
+	tr := newTestTransformer(t)
+	for _, text := range []string{"abc def ghi", "a", "the store opens at nine and closes at five"} {
+		checkAgainstReference(t, tr, tr.Tokenizer().Encode(text))
+	}
+}
+
+// TestSequenceTooLong checks that a prompt longer than MaxSeq is cut to
+// its last MaxSeq tokens: its signature has the tail's bits, whatever
+// the tokens before it, valid or not.
 func TestSequenceTooLong(t *testing.T) {
 	tr := newTestTransformer(t)
-	s := tr.NewSession()
-	for i := 0; i < tr.Config().MaxSeq; i++ {
-		if _, err := s.Step(tokenizer.BosID); err != nil {
-			t.Fatal(err)
-		}
+	n := tr.Config().MaxSeq
+	ids := randomIDs(rng.New(3), tr.Config().VocabSize, 3*n+1)
+	want, err := tr.HiddenSignature(ids[len(ids)-n:])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.Step(tokenizer.BosID); !errors.Is(err, ErrSequenceTooLong) {
-		t.Errorf("overlong step err = %v, want ErrSequenceTooLong", err)
+	ids[0] = -1
+	got, err := tr.HiddenSignature(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("overlong prompt: signature %v, its tail's %v", got, want)
 	}
 }
 
 func TestStepRejectsBadToken(t *testing.T) {
 	tr := newTestTransformer(t)
-	s := tr.NewSession()
-	if _, err := s.Step(-1); err == nil {
+	if _, err := tr.HiddenSignature([]int{-1}); err == nil {
 		t.Error("negative token accepted")
 	}
-	if _, err := s.Step(tr.Config().VocabSize); err == nil {
+	if _, err := tr.HiddenSignature([]int{tr.Config().VocabSize}); err == nil {
 		t.Error("out-of-vocab token accepted")
 	}
 }
 
-func TestGenerateGreedyDeterministic(t *testing.T) {
+// TestHiddenSignatureRejectsBadTokenAnywhere puts an out-of-range id at
+// every position of windows of several lengths: each is an error, and
+// the window the failed call drew from the pool serves the next call
+// as if it were new.
+func TestHiddenSignatureRejectsBadTokenAnywhere(t *testing.T) {
 	tr := newTestTransformer(t)
-	ids := tr.Tokenizer().Encode("hello")
-	a, err := tr.Generate(ids, 8, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := tr.Generate(ids, 8, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatal("greedy generation nondeterministic")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("greedy generation nondeterministic")
+	vocab, maxSeq := tr.Config().VocabSize, tr.Config().MaxSeq
+	src := rng.New(5)
+	for _, n := range []int{1, 2, 5, maxSeq - 1, maxSeq, maxSeq + 3} {
+		ids := randomIDs(src, vocab, n)
+		for i := max(0, n-maxSeq); i < n; i++ {
+			for _, bad := range []int{-1, vocab, vocab + 1000, math.MinInt} {
+				orig := ids[i]
+				ids[i] = bad
+				if _, err := tr.HiddenSignature(ids); err == nil {
+					t.Fatalf("%d tokens: id %d at position %d accepted", n, bad, i)
+				}
+				ids[i] = orig
+			}
 		}
-	}
-	if len(a) == 0 {
-		t.Skip("greedy hit EOS immediately; acceptable for random weights")
-	}
-}
-
-func TestGenerateSampledWithinVocab(t *testing.T) {
-	tr := newTestTransformer(t)
-	ids := tr.Tokenizer().Encode("sample")
-	out, err := tr.Generate(ids, 10, 1.0, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range out {
-		if id < 0 || id >= tr.Config().VocabSize {
-			t.Fatalf("generated id %d out of vocab", id)
-		}
-	}
-	// Generation respects MaxSeq even for long budgets.
-	if _, err := tr.Generate(ids, 10_000, 1.0, rng.New(7)); err != nil {
-		t.Fatalf("long generation should stop at MaxSeq, got %v", err)
+		checkAgainstReference(t, tr, ids)
 	}
 }
 
@@ -274,35 +210,18 @@ func TestLayerNorm(t *testing.T) {
 }
 
 func TestMatVecShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("shape mismatch did not panic")
-		}
-	}()
-	matVec(make([]float32, 2), make([]float32, 4), make([]float32, 3), 2, 2)
-}
-
-// feedSignature is HiddenSignature as first written: a fresh session,
-// every position through the whole forward pass (Feed), then the fold
-// over the final residual stream. It is the reference the K/V-only
-// prefill on pooled sessions must equal to the bit.
-func feedSignature(tr *Transformer, ids []int) (float64, error) {
-	if n := tr.Config().MaxSeq; len(ids) > n {
-		ids = ids[len(ids)-n:]
+	// Two positions of a 2×2 matrix, with each length in turn wrong.
+	for _, c := range []struct{ out, m, x int }{{2, 4, 4}, {4, 3, 4}, {4, 4, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%+v: shape mismatch did not panic", c)
+				}
+			}()
+			matVecBlock(make([]float32, c.out), make([]float32, c.m), make([]float32, c.x), 2, 2, 2)
+		}()
 	}
-	s := tr.NewSession()
-	if _, err := s.Feed(ids); err != nil {
-		return 0, err
-	}
-	var acc float64
-	for i, v := range s.x {
-		if i%2 == 0 {
-			acc += float64(v)
-		} else {
-			acc -= float64(v)
-		}
-	}
-	return math.Tanh(acc / math.Sqrt(float64(tr.Config().Dim))), nil
+	matVecBlock(make([]float32, 4), make([]float32, 4), make([]float32, 4), 2, 2, 2)
 }
 
 // randomIDs draws n token ids across the whole vocabulary.
@@ -312,24 +231,6 @@ func randomIDs(src *rng.Source, vocab, n int) []int {
 		ids[i] = src.Intn(vocab)
 	}
 	return ids
-}
-
-// checkSignature fails unless HiddenSignature(ids) has exactly the
-// reference's bits. Safe to call from any goroutine.
-func checkSignature(t *testing.T, tr *Transformer, ids []int) {
-	want, err := feedSignature(tr, ids)
-	if err != nil {
-		t.Error(err)
-		return
-	}
-	got, err := tr.HiddenSignature(ids)
-	if err != nil {
-		t.Error(err)
-		return
-	}
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("%d tokens: signature %x (%v), full Feed %x (%v)", len(ids), math.Float64bits(got), got, math.Float64bits(want), want)
-	}
 }
 
 func TestHiddenSignatureMatchesFullFeed(t *testing.T) {
@@ -343,7 +244,7 @@ func TestHiddenSignatureMatchesFullFeed(t *testing.T) {
 		prompts := make([][]int, len(lengths))
 		for i, n := range lengths {
 			prompts[i] = randomIDs(src, tr.Config().VocabSize, n)
-			checkSignature(t, tr, prompts[i])
+			checkAgainstReference(t, tr, prompts[i])
 		}
 		// A pooled session that last held a longer, different prompt
 		// must come back empty.
@@ -351,7 +252,7 @@ func TestHiddenSignatureMatchesFullFeed(t *testing.T) {
 			if _, err := tr.HiddenSignature(randomIDs(src, tr.Config().VocabSize, 96)); err != nil {
 				t.Fatal(err)
 			}
-			checkSignature(t, tr, prompts[i])
+			checkAgainstReference(t, tr, prompts[i])
 		}
 		// And pooled sessions are never shared: 8 goroutines, mixed
 		// lengths (run with -race).
@@ -361,7 +262,7 @@ func TestHiddenSignatureMatchesFullFeed(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i := range prompts {
-					checkSignature(t, tr, prompts[(i+g)%len(prompts)])
+					checkAgainstReference(t, tr, prompts[(i+g)%len(prompts)])
 				}
 			}(g)
 		}
@@ -370,10 +271,13 @@ func TestHiddenSignatureMatchesFullFeed(t *testing.T) {
 		if _, err := tr.HiddenSignature([]int{5, tr.Config().VocabSize, 7}); err == nil {
 			t.Error("out-of-vocab token accepted")
 		}
-		checkSignature(t, tr, prompts[2])
+		checkAgainstReference(t, tr, prompts[2])
 	}
 }
 
+// FuzzHiddenSignatureMatchesFeed holds the verification network's
+// signature to the reference pass with every position through every
+// layer, the pass the K/V-only prefill of the last layer skips work of.
 func FuzzHiddenSignatureMatchesFeed(f *testing.F) {
 	tr, err := NewTransformer(idiosyncrasyConfig, tokenizer.New(), 7)
 	if err != nil {
@@ -385,15 +289,6 @@ func FuzzHiddenSignatureMatchesFeed(f *testing.F) {
 		if len(data) == 0 || len(data) > 4*tr.Config().MaxSeq {
 			return
 		}
-		// Every byte is a valid id (the vocabulary holds the 256 byte
-		// tokens above the specials); shifting by the previous byte
-		// reaches the specials and the top of the range too.
-		ids := make([]int, len(data))
-		prev := 0
-		for i, b := range data {
-			ids[i] = (int(b) + prev) % tr.Config().VocabSize
-			prev = ids[i]
-		}
-		checkSignature(t, tr, ids)
+		checkAgainstReference(t, tr, fuzzIDs(data, tr.Config().VocabSize))
 	})
 }
