@@ -477,7 +477,7 @@ func BenchmarkShardedSearchParallel(b *testing.B) {
 	docs, questions, _ := serveCorpus(b)
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s, err := serve.NewShardedDefault(shards, 256, 4096)
+			s, err := serve.NewShardedWithIndex(shards, 256, serve.IndexConfig{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -511,7 +511,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	docs, questions, _ := serveCorpus(b)
 	for _, arm := range []string{"bare", "instrumented"} {
 		b.Run(arm, func(b *testing.B) {
-			s, err := serve.NewShardedDefault(4, 256, 4096)
+			s, err := serve.NewShardedWithIndex(4, 256, serve.IndexConfig{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -626,7 +626,7 @@ func BenchmarkRecover(b *testing.B) {
 	// every iteration recovers from identical on-disk state.
 	build := func(b *testing.B, checkpoint bool) string {
 		dir := b.TempDir()
-		s, err := serve.OpenShardedDefault(dir, 4, 256, 16, serve.PersistConfig{CheckpointEvery: -1})
+		s, err := serve.OpenShardedWithIndex(dir, 4, 256, serve.IndexConfig{}, serve.PersistConfig{CheckpointEvery: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -652,7 +652,7 @@ func BenchmarkRecover(b *testing.B) {
 			dir := build(b, tc.checkpoint)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s, err := serve.OpenShardedDefault(dir, 0, 256, 16, serve.PersistConfig{CheckpointEvery: -1})
+				s, err := serve.OpenShardedWithIndex(dir, 0, 256, serve.IndexConfig{}, serve.PersistConfig{CheckpointEvery: -1})
 				if err != nil {
 					b.Fatal(err)
 				}

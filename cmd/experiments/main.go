@@ -20,13 +20,19 @@ import (
 	"repro/internal/experiments"
 )
 
+// The -seed and -bins defaults, which the golden test runs with too.
+const (
+	defaultSeed = 20250612
+	defaultBins = 20
+)
+
 func main() {
 	var (
 		exp     = flag.String("exp", "all", "experiment id: all, table1, fig3a, fig3b, fig4a, fig4b, fig5a, fig5b, fig6, fig7, ablations")
 		n       = flag.Int("n", dataset.DefaultSize, "number of dataset items")
-		seed    = flag.Uint64("seed", 20250612, "dataset generation seed")
+		seed    = flag.Uint64("seed", defaultSeed, "dataset generation seed")
 		workers = flag.Int("workers", experiments.DefaultWorkers, "parallel scoring workers")
-		bins    = flag.Int("bins", 20, "histogram bins for fig6/fig7")
+		bins    = flag.Int("bins", defaultBins, "histogram bins for fig6/fig7")
 	)
 	flag.Parse()
 	if err := run(*exp, *n, *seed, *workers, *bins); err != nil {

@@ -1,33 +1,100 @@
 package main
 
 import (
+	"bytes"
+	"flag"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/experiments"
 )
 
 // captureRun executes run() with stdout redirected to a pipe and
 // returns everything it printed.
 func captureRun(t *testing.T, exp string, n int) string {
 	t.Helper()
+	return capture(t, func() error { return run(exp, n, defaultSeed, 2, 10) })
+}
+
+// capture calls fn with stdout redirected to a pipe, drained while fn
+// runs so a long output cannot fill the pipe, and returns everything
+// fn printed.
+func capture(t *testing.T, fn func() error) string {
+	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var out bytes.Buffer
+	drained := make(chan error, 1)
+	go func() {
+		_, err := io.Copy(&out, r)
+		drained <- err
+	}()
 	os.Stdout = w
-	runErr := run(exp, n, 20250612, 2, 10)
+	runErr := fn()
 	w.Close()
 	os.Stdout = old
-	out, err := io.ReadAll(r)
-	if err != nil {
+	if err := <-drained; err != nil {
 		t.Fatal(err)
 	}
 	if runErr != nil {
-		t.Fatalf("run(%q, n=%d): %v", exp, n, runErr)
+		t.Fatal(runErr)
 	}
-	return string(out)
+	return out.String()
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/experiments_all.golden")
+
+// TestExperimentsGolden pins the paper's reproduction as it is
+// printed: `experiments -exp all` with main's defaults must write
+// testdata/experiments_all.golden byte for byte. The tables round to
+// the precision the paper reports, so this holds where the bit goldens
+// of internal/slm and internal/core do not: with FMA or AVX2 off
+// (GODEBUG=cpu.fma=off, cpu.avx2=off) and on GOARCH=386. A change that
+// is meant to move the paper's numbers regenerates it with -update.
+func TestExperimentsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment over the default dataset")
+	}
+	got := capture(t, func() error {
+		return run("all", dataset.DefaultSize, defaultSeed, experiments.DefaultWorkers, defaultBins)
+	})
+	path := filepath.Join("testdata", "experiments_all.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("output differs from %s at line %d:\n got: %q\nwant: %q", path, i+1, g, w)
+		}
+	}
 }
 
 // TestRunTable1 smoke-tests the binary's main path on the cheapest

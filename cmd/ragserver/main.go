@@ -2,8 +2,8 @@
 // service on the internal/serve layer: documents are sharded across
 // parallel vector-database shards, questions are answered with
 // retrieval-augmented generation, and every answer is verified by the
-// multi-SLM framework — with embedding and verdict caches, and
-// per-tenant and global admission control in front of the hot path.
+// multi-SLM framework — with a verdict cache, and per-tenant and
+// global admission control in front of the hot path.
 //
 // Endpoints (JSON):
 //
@@ -349,20 +349,15 @@ func attachCluster(path string, probeEvery, resyncEvery time.Duration, resilienc
 	if err != nil {
 		return nil, err
 	}
-	// The flags leave Dim and EmbedCacheSize zero; serve.New applies
-	// its defaults only after this store is built, so mirror them here
-	// — an unclamped zero cache would degenerate the router-side
-	// query-embedding LRU to a single entry.
-	dim, embedCache := cfg.Dim, cfg.EmbedCacheSize
+	// The flags leave Dim zero; serve.New applies its default only
+	// after this store is built, so mirror it here.
+	dim := cfg.Dim
 	if dim <= 0 {
 		dim = 256
 	}
-	if embedCache <= 0 {
-		embedCache = 4096
-	}
 	deadline := time.Now().Add(clusterBootWait)
 	for {
-		store, err := serve.NewRemoteStore(router, dim, embedCache)
+		store, err := serve.NewRemoteStore(router, dim, 0)
 		if err == nil {
 			log.Printf("cluster: attached to %d shards from %s (%d docs)", router.Shards(), path, store.Len())
 			return store, nil

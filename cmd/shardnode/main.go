@@ -246,13 +246,13 @@ func (n *nodeState) open(dataDir string, dim int, ic serve.IndexConfig, policy s
 		err error
 	)
 	if dataDir != "" {
-		st, err = serve.OpenShardedWithIndex(dataDir, 1, dim, 4096, ic, serve.PersistConfig{
+		st, err = serve.OpenShardedWithIndex(dataDir, 1, dim, ic, serve.PersistConfig{
 			Fsync:           policy,
 			CheckpointEvery: ckEvery,
 			Telemetry:       n.reg,
 		})
 	} else {
-		st, err = serve.NewShardedWithIndex(1, dim, 4096, ic)
+		st, err = serve.NewShardedWithIndex(1, dim, ic)
 	}
 	if err != nil {
 		return err

@@ -120,7 +120,7 @@ func buildHarness(p params) (*harness, error) {
 	for si := 0; si < p.Shards; si++ {
 		var backends []cluster.Backend
 		for r := 0; r < 2; r++ {
-			st, err := serve.NewShardedDefault(1, dim, 256)
+			st, err := serve.NewShardedWithIndex(1, dim, serve.IndexConfig{})
 			if err != nil {
 				return nil, err
 			}
@@ -300,7 +300,7 @@ func runMain(p params, smoke, check bool, out string) error {
 	if err := h.ingest(ctx); err != nil {
 		return err
 	}
-	// Warm both code paths (embed cache, first-touch allocations) off
+	// Warm both code paths (first-touch allocations) off
 	// the record; run() re-arms the spike counters afterwards.
 	if _, err := h.run(ctx, false); err != nil {
 		return err

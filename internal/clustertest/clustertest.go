@@ -364,7 +364,7 @@ type Node struct {
 func NewDurableNode(t testing.TB, name string) *Node {
 	t.Helper()
 	dir := t.TempDir()
-	st, err := serve.OpenShardedDefault(dir, 1, Dim, 256, serve.PersistConfig{
+	st, err := serve.OpenShardedWithIndex(dir, 1, Dim, serve.IndexConfig{}, serve.PersistConfig{
 		CheckpointEvery: -1, // checkpoints only when a test (or snapshot apply) asks
 	})
 	if err != nil {

@@ -5,12 +5,10 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/vecdb"
 )
 
-// lruCache is a mutex-guarded LRU map with hit/miss counters. It is
-// the shared substrate of the embedding and verdict caches.
+// lruCache is a mutex-guarded LRU map with hit/miss counters, the
+// verdict cache's store.
 type lruCache[K comparable, V any] struct {
 	mu     sync.Mutex
 	cap    int
@@ -130,68 +128,3 @@ func (g *flightGroup[K, V]) Do(ctx context.Context, key K, fn func() (V, error))
 	close(c.done)
 	return c.val, c.err, false
 }
-
-// CachedEmbedder wraps an Embedder with an LRU cache and singleflight
-// deduplication, so one hot query string costs one embedding no matter
-// how many concurrent requests carry it. Safe for concurrent use.
-type CachedEmbedder struct {
-	inner  vecdb.Embedder
-	cache  *lruCache[string, []float32]
-	flight flightGroup[string, []float32]
-}
-
-// NewCachedEmbedder wraps inner with a cache of the given capacity.
-func NewCachedEmbedder(inner vecdb.Embedder, capacity int) *CachedEmbedder {
-	return &CachedEmbedder{inner: inner, cache: newLRU[string, []float32](capacity)}
-}
-
-// Dim implements vecdb.Embedder.
-func (e *CachedEmbedder) Dim() int { return e.inner.Dim() }
-
-// Embed implements vecdb.Embedder. The returned slice is always a
-// fresh copy, preserving the Embedder contract even on cache hits.
-func (e *CachedEmbedder) Embed(text string) ([]float32, error) {
-	return e.EmbedIn("", text)
-}
-
-// EmbedIn embeds text with the cache and singleflight keyed by
-// (collection, text): identical query text arriving for two tenants
-// gets two independent cache entries, so an entry poisoned or evicted
-// by one tenant's traffic can never surface under another's key. The
-// embedding itself stays a pure function of the text — the collection
-// namespaces only the cache — so query vectors remain bit-identical
-// to ingest vectors regardless of scope.
-func (e *CachedEmbedder) EmbedIn(collection, text string) ([]float32, error) {
-	key := collection + "\x1f" + text
-	if vec, ok := e.cache.Get(key); ok {
-		return cloneVec(vec), nil
-	}
-	// The Embedder interface carries no context; embedding is fast and
-	// local, so followers wait out the leader unconditionally.
-	vec, err, _ := e.flight.Do(context.Background(), key, func() ([]float32, error) {
-		v, err := e.inner.Embed(text)
-		if err != nil {
-			return nil, err
-		}
-		e.cache.Put(key, v)
-		return v, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return cloneVec(vec), nil
-}
-
-// Counters exposes the cache's hit/miss counts for /stats.
-func (e *CachedEmbedder) Counters() (hits, misses uint64) { return e.cache.Counters() }
-
-// Size returns the current number of cached embeddings.
-func (e *CachedEmbedder) Size() int { return e.cache.Len() }
-
-func cloneVec(v []float32) []float32 {
-	out := make([]float32, len(v))
-	copy(out, v)
-	return out
-}
-
-var _ vecdb.Embedder = (*CachedEmbedder)(nil)

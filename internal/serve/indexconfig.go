@@ -117,45 +117,43 @@ func (c IndexConfig) factory(dim int) func() (vecdb.Index, error) {
 	}
 }
 
-// NewShardedWithIndex is NewShardedDefault with an explicit index
-// configuration: n shards over a hashed embedder (LRU-cached on the
-// query path), each shard's index built from ic.
-func NewShardedWithIndex(n, dim, embedCache int, ic IndexConfig) (*ShardedDB, error) {
+// NewShardedWithIndex builds n shards over a hashed embedder, each
+// shard's index built from ic; the zero IndexConfig is exact flat
+// cosine, the zero-configuration serving store.
+func NewShardedWithIndex(n, dim int, ic IndexConfig) (*ShardedDB, error) {
 	ic = ic.withDefaults()
 	if err := ic.Validate(); err != nil {
 		return nil, err
 	}
-	inner, err := vecdb.NewHashedEmbedder(dim)
+	embed, err := vecdb.NewHashedEmbedder(dim)
 	if err != nil {
 		return nil, err
 	}
-	s, err := NewSharded(n, inner, ic.factory(dim))
+	s, err := NewSharded(n, embed, ic.factory(dim))
 	if err != nil {
 		return nil, err
 	}
-	s.embed = NewCachedEmbedder(inner, embedCache)
 	s.indexCfg = ic
 	return s, nil
 }
 
-// OpenShardedWithIndex is OpenShardedDefault with an explicit index
-// configuration. Recovery replays through the same index factory, so a
-// quantized index is rebuilt deterministically from the journaled
-// documents (codes are derived state, never persisted).
-func OpenShardedWithIndex(dir string, n, dim, embedCache int, ic IndexConfig, pcfg PersistConfig) (*ShardedDB, error) {
+// OpenShardedWithIndex is OpenSharded over a hashed embedder, each
+// shard's index built from ic. Recovery replays through the same index
+// factory, so a quantized index is rebuilt deterministically from the
+// journaled documents (codes are derived state, never persisted).
+func OpenShardedWithIndex(dir string, n, dim int, ic IndexConfig, pcfg PersistConfig) (*ShardedDB, error) {
 	ic = ic.withDefaults()
 	if err := ic.Validate(); err != nil {
 		return nil, err
 	}
-	inner, err := vecdb.NewHashedEmbedder(dim)
+	embed, err := vecdb.NewHashedEmbedder(dim)
 	if err != nil {
 		return nil, err
 	}
-	s, err := OpenSharded(dir, n, inner, ic.factory(dim), pcfg)
+	s, err := OpenSharded(dir, n, embed, ic.factory(dim), pcfg)
 	if err != nil {
 		return nil, err
 	}
-	s.embed = NewCachedEmbedder(inner, embedCache)
 	s.indexCfg = ic
 	return s, nil
 }

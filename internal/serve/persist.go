@@ -248,14 +248,6 @@ func OpenSharded(dir string, n int, embed vecdb.Embedder, mkIndex func() (vecdb.
 	return s, nil
 }
 
-// OpenShardedDefault is OpenSharded over a hashed embedder and flat
-// cosine indexes, with the same LRU-cached query embedder as
-// NewShardedDefault. Recovery re-embeds through the raw embedder so
-// replaying a million passages cannot evict hot query vectors.
-func OpenShardedDefault(dir string, n, dim, embedCache int, pcfg PersistConfig) (*ShardedDB, error) {
-	return OpenShardedWithIndex(dir, n, dim, embedCache, IndexConfig{}, pcfg)
-}
-
 // loadOrInitMeta reads the store metadata, creating it on first open.
 func loadOrInitMeta(dir string, n, dim int) (storeMeta, error) {
 	path := filepath.Join(dir, storeMetaFile)

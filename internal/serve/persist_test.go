@@ -21,7 +21,7 @@ import (
 // happen.
 func openTestStore(t *testing.T, dir string, shards int) *ShardedDB {
 	t.Helper()
-	s, err := OpenShardedDefault(dir, shards, 64, 128, PersistConfig{CheckpointEvery: -1})
+	s, err := OpenShardedWithIndex(dir, shards, 64, IndexConfig{}, PersistConfig{CheckpointEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,14 +297,14 @@ func TestReopenParameterMismatch(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenShardedDefault(dir, 8, 64, 128, PersistConfig{CheckpointEvery: -1}); err == nil {
+	if _, err := OpenShardedWithIndex(dir, 8, 64, IndexConfig{}, PersistConfig{CheckpointEvery: -1}); err == nil {
 		t.Error("reopen with different shard count succeeded")
 	}
-	if _, err := OpenShardedDefault(dir, 4, 128, 128, PersistConfig{CheckpointEvery: -1}); err == nil {
+	if _, err := OpenShardedWithIndex(dir, 4, 128, IndexConfig{}, PersistConfig{CheckpointEvery: -1}); err == nil {
 		t.Error("reopen with different dim succeeded")
 	}
 	// Shards=0 adopts the stored count.
-	r, err := OpenShardedDefault(dir, 0, 64, 128, PersistConfig{CheckpointEvery: -1})
+	r, err := OpenShardedWithIndex(dir, 0, 64, IndexConfig{}, PersistConfig{CheckpointEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestReopenParameterMismatch(t *testing.T) {
 // checkpointed and their WALs truncated without any explicit Save.
 func TestBackgroundCheckpointer(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenShardedDefault(dir, 2, 64, 128, PersistConfig{CheckpointEvery: 20 * time.Millisecond})
+	s, err := OpenShardedWithIndex(dir, 2, 64, IndexConfig{}, PersistConfig{CheckpointEvery: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestAddBulkDurable(t *testing.T) {
 // TestTypedStoreErrors: misses surface as ErrNotFound so the HTTP
 // layer can answer 404 instead of 500.
 func TestTypedStoreErrors(t *testing.T) {
-	s, err := NewShardedDefault(2, 32, 16)
+	s, err := NewShardedWithIndex(2, 32, IndexConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestConcurrentWritesWithCheckpoints(t *testing.T) {
 // replay must walk every segment in order.
 func TestSegmentedWALRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenShardedDefault(dir, 1, 64, 16, PersistConfig{
+	s, err := OpenShardedWithIndex(dir, 1, 64, IndexConfig{}, PersistConfig{
 		CheckpointEvery: -1,
 		SegmentBytes:    128,
 	})
@@ -487,7 +487,7 @@ func TestSegmentedWALRecovery(t *testing.T) {
 	if segs := shardWALSegments(t, dir); len(segs) < 2 {
 		t.Fatalf("expected multiple segments, got %d", len(segs))
 	}
-	r, err := OpenShardedDefault(dir, 1, 64, 16, PersistConfig{CheckpointEvery: -1, SegmentBytes: 128})
+	r, err := OpenShardedWithIndex(dir, 1, 64, IndexConfig{}, PersistConfig{CheckpointEvery: -1, SegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestFsyncPolicies(t *testing.T) {
 	for _, policy := range []storage.SyncPolicy{storage.SyncNever, storage.SyncAlways, storage.SyncInterval} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := OpenShardedDefault(dir, 2, 64, 16, PersistConfig{
+			s, err := OpenShardedWithIndex(dir, 2, 64, IndexConfig{}, PersistConfig{
 				CheckpointEvery: -1,
 				Fsync:           policy,
 				SyncEvery:       5 * time.Millisecond,

@@ -15,7 +15,7 @@ var int8FlatConfig = IndexConfig{Kind: "flat", Quantize: "int8", RerankK: 16}
 
 func openQuantizedStore(t *testing.T, dir string, shards int) *ShardedDB {
 	t.Helper()
-	s, err := OpenShardedWithIndex(dir, shards, 64, 128, int8FlatConfig,
+	s, err := OpenShardedWithIndex(dir, shards, 64, int8FlatConfig,
 		PersistConfig{CheckpointEvery: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestQuantizedRecoveryBitIdentical(t *testing.T) {
 // TestQuantizedRerankTelemetry: quantized searches report the rerank
 // stage into the shared stage_duration_seconds series.
 func TestQuantizedRerankTelemetry(t *testing.T) {
-	s, err := NewShardedWithIndex(2, 64, 128, int8FlatConfig)
+	s, err := NewShardedWithIndex(2, 64, int8FlatConfig)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@ import (
 
 // RemoteStore is the cluster-mode Store: documents are hash-routed
 // over a cluster.Router to shard nodes speaking the shard protocol,
-// while ID allocation, query embedding (LRU-cached) and top-k merge
-// stay on the routing server. Because the hash ring, the embedder and
+// while ID allocation, query embedding and top-k merge stay on the
+// routing server. Because the hash ring, the embedder and
 // the merge order are shared with ShardedDB, a corpus ingested
 // through a RemoteStore over n nodes returns bit-identical results to
 // the same corpus in a single n-shard process.
@@ -38,19 +38,21 @@ type RemoteStore struct {
 	embedH atomic.Pointer[telemetry.Histogram]
 }
 
-// NewRemoteStore builds a cluster-mode store over router. dim and
-// embedCache mirror NewShardedDefault's embedder setup. The global ID
-// allocator is restored from the cluster's high-water mark, so every
-// node must be reachable at boot — allocating IDs below a dead
-// shard's maximum would collide when it returns.
-func NewRemoteStore(router *cluster.Router, dim, embedCache int) (*RemoteStore, error) {
-	inner, err := vecdb.NewHashedEmbedder(dim)
+// NewRemoteStore builds a cluster-mode store over router, embedding
+// queries with a dim-wide hashed embedder as the shard nodes embed
+// documents. The third argument is ignored; it stays only because
+// bench/ still passes it. The global ID allocator is restored from the
+// cluster's high-water mark, so every node must be reachable at boot —
+// allocating IDs below a dead shard's maximum would collide when it
+// returns.
+func NewRemoteStore(router *cluster.Router, dim, _ int) (*RemoteStore, error) {
+	embed, err := vecdb.NewHashedEmbedder(dim)
 	if err != nil {
 		return nil, err
 	}
 	s := &RemoteStore{
 		router:      router,
-		embed:       NewCachedEmbedder(inner, embedCache),
+		embed:       embed,
 		opTimeout:   10 * time.Second,
 		statTimeout: 2 * time.Second,
 	}
@@ -146,8 +148,7 @@ func (s *RemoteStore) SearchContext(ctx context.Context, query string, k int) ([
 	return s.SearchFilteredContext(ctx, query, k, vecdb.Filter{})
 }
 
-// SearchFilteredContext embeds the query once (namespaced to the
-// filter's collection in the router-side cache) and fans the vector out
+// SearchFilteredContext embeds the query once and fans the vector out
 // with the filter pushed down to every shard node, degrading around
 // dead shards (see cluster.Router.SearchVector). The request ID and
 // trace ride the shard RPCs (X-Request-ID / traceparent) and the
@@ -159,7 +160,7 @@ func (s *RemoteStore) SearchFilteredContext(parent context.Context, query string
 	}
 	_, sp := telemetry.StartSpan(parent, "embed")
 	start := time.Now()
-	vec, err := embedIn(s.embed, f.Collection, query)
+	vec, err := s.embed.Embed(query)
 	sp.End(err)
 	if err != nil {
 		return nil, fmt.Errorf("serve: embed query: %w", err)
@@ -221,7 +222,7 @@ func (s *RemoteStore) ShardSizes() []int {
 	return s.router.Lens(ctx)
 }
 
-// Embedder exposes the router-side cached query embedder.
+// Embedder exposes the router-side query embedder.
 func (s *RemoteStore) Embedder() vecdb.Embedder { return s.embed }
 
 // Save reports ErrNoDataDir: checkpointing is each node's own

@@ -33,7 +33,7 @@ func newClusterFixture(t *testing.T, n, dim int, hcfg cluster.HealthConfig) *clu
 	f := &clusterFixture{hcfg: hcfg}
 	shards := make([]cluster.ShardBackends, n)
 	for i := 0; i < n; i++ {
-		st, err := NewShardedDefault(1, dim, 64)
+		st, err := NewShardedWithIndex(1, dim, IndexConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func newClusterFixture(t *testing.T, n, dim int, hcfg cluster.HealthConfig) *clu
 		t.Fatal(err)
 	}
 	f.router = router
-	store, err := NewRemoteStore(router, dim, 64)
+	store, err := NewRemoteStore(router, dim, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestClusterWritesCarryRequestContext(t *testing.T) {
 	captures := make([]*applyCapture, n)
 	shards := make([]cluster.ShardBackends, n)
 	for i := range shards {
-		st, err := NewShardedDefault(1, dim, 16)
+		st, err := NewShardedWithIndex(1, dim, IndexConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func TestClusterWritesCarryRequestContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := NewRemoteStore(router, dim, 16)
+	store, err := NewRemoteStore(router, dim, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

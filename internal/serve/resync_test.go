@@ -20,7 +20,7 @@ import (
 // truncated.
 func openResyncStore(t *testing.T, dir string) *ShardedDB {
 	t.Helper()
-	s, err := OpenShardedDefault(dir, 1, 32, 64, PersistConfig{CheckpointEvery: -1})
+	s, err := OpenShardedWithIndex(dir, 1, 32, IndexConfig{}, PersistConfig{CheckpointEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

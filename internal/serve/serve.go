@@ -1,14 +1,13 @@
 // Package serve is the traffic-ready serving layer over the paper's
 // RAG + verification pipeline (Fig. 2): a shard router that spreads
 // documents over N independent vector-database shards and fans queries
-// out in parallel, LRU caches with singleflight deduplication for
-// embeddings and verdicts in front of the detector, and per-tenant and
-// global admission gates that shed load instead of queueing
-// unboundedly.
+// out in parallel, an LRU verdict cache with singleflight
+// deduplication in front of the detector, and per-tenant and global
+// admission gates that shed load instead of queueing unboundedly.
 //
 // Request lifecycle for Ask:
 //
-//	admission → embed (cache) → shard fan-out → merge top-k →
+//	admission → embed → shard fan-out → merge top-k →
 //	generate → verdict cache → singleflight → detector → respond
 //
 // Verification is one direct detector call per distinct triple, under
@@ -88,9 +87,7 @@ type Config struct {
 	// (default 10s).
 	RequestTimeout time.Duration
 
-	// EmbedCacheSize / VerdictCacheSize are LRU capacities (default
-	// 4096 each).
-	EmbedCacheSize   int
+	// VerdictCacheSize is the verdict LRU's capacity (default 4096).
 	VerdictCacheSize int
 
 	// Index selects and tunes the per-shard vector index (kind,
@@ -146,9 +143,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
-	}
-	if c.EmbedCacheSize <= 0 {
-		c.EmbedCacheSize = 4096
 	}
 	if c.VerdictCacheSize <= 0 {
 		c.VerdictCacheSize = 4096
@@ -221,9 +215,9 @@ func New(cfg Config) (*Server, error) {
 	case cfg.Store != nil:
 		store = cfg.Store
 	case cfg.DataDir != "":
-		store, err = OpenShardedWithIndex(cfg.DataDir, shards, cfg.Dim, cfg.EmbedCacheSize, cfg.Index, cfg.Persist)
+		store, err = OpenShardedWithIndex(cfg.DataDir, shards, cfg.Dim, cfg.Index, cfg.Persist)
 	default:
-		store, err = NewShardedWithIndex(shards, cfg.Dim, cfg.EmbedCacheSize, cfg.Index)
+		store, err = NewShardedWithIndex(shards, cfg.Dim, cfg.Index)
 	}
 	if err != nil {
 		return nil, err
@@ -281,12 +275,6 @@ func New(cfg Config) (*Server, error) {
 		func() uint64 { h, _ := verdicts.Counters(); return h }, telemetry.L("cache", "verdict"))
 	reg.CounterFunc("cache_misses_total", "Verdict-cache misses.",
 		func() uint64 { _, m := verdicts.Counters(); return m }, telemetry.L("cache", "verdict"))
-	if embed, ok := store.Embedder().(*CachedEmbedder); ok {
-		reg.CounterFunc("cache_hits_total", "Embedding-cache hits.",
-			func() uint64 { h, _ := embed.Counters(); return h }, telemetry.L("cache", "embed"))
-		reg.CounterFunc("cache_misses_total", "Embedding-cache misses.",
-			func() uint64 { _, m := embed.Counters(); return m }, telemetry.L("cache", "embed"))
-	}
 	// Streaming-ingest lifetime totals, until now /stats-only.
 	reg.CounterFunc("ingest_stream_streams_total", "NDJSON ingest streams admitted.", s.stream.streams.Load)
 	reg.CounterFunc("ingest_stream_accepted_docs_total", "Documents parsed off ingest streams.", s.stream.accepted.Load)
@@ -585,12 +573,6 @@ func (s *Server) score(ctx context.Context, t core.Triple, workers int) (core.Ve
 
 // Stats assembles the current Snapshot.
 func (s *Server) Stats() Snapshot {
-	embed, _ := s.store.Embedder().(*CachedEmbedder)
-	var ec CacheStats
-	if embed != nil {
-		h, m := embed.Counters()
-		ec = cacheStats(embed.Size(), h, m)
-	}
 	vh, vm := s.verdicts.Counters()
 	// One ShardSizes pass feeds both fields: on a cluster store each
 	// call is a shard fan-out, so Docs is derived rather than fetched
@@ -616,7 +598,6 @@ func (s *Server) Stats() Snapshot {
 			Searches: s.searches.Value(),
 			Deletes:  s.deletes.Value(),
 		},
-		EmbedCache:   ec,
 		VerdictCache: cacheStats(s.verdicts.Len(), vh, vm),
 		Admission: AdmissionStats{
 			InFlight:   s.admission.InFlight(),

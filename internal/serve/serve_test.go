@@ -62,7 +62,7 @@ func TestShardedMergeMatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewShardedDefault(4, dim, 128)
+	sharded, err := NewShardedWithIndex(4, dim, IndexConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestShardedMergeMatchesSingle(t *testing.T) {
 // observations. (Filtered searches used to open no spans, so they were
 // invisible to /debug/traces.)
 func TestShardedSearchTraceShape(t *testing.T) {
-	s, err := NewShardedDefault(2, 32, 64)
+	s, err := NewShardedWithIndex(2, 32, IndexConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestShardedSearchTraceShape(t *testing.T) {
 // TestShardSpreadAndRouting: documents spread across shards, and every
 // ID routes back to its owning shard for Get and Delete.
 func TestShardSpreadAndRouting(t *testing.T) {
-	s, err := NewShardedDefault(4, 32, 64)
+	s, err := NewShardedWithIndex(4, 32, IndexConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,44 +223,6 @@ func TestShardSpreadAndRouting(t *testing.T) {
 	}
 	if _, err := s.Get(ids[0]); !errors.Is(err, vecdb.ErrNotFound) {
 		t.Errorf("Get deleted id: err = %v, want ErrNotFound", err)
-	}
-}
-
-// TestCachedEmbedder: hits are counted, and cached vectors are equal
-// to fresh ones.
-func TestCachedEmbedder(t *testing.T) {
-	inner, err := vecdb.NewHashedEmbedder(48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewCachedEmbedder(inner, 8)
-	want, err := inner.Embed("hello caching world")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		got, err := e.Embed("hello caching world")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for d := range want {
-			if got[d] != want[d] {
-				t.Fatalf("pass %d: vector mismatch at dim %d", i, d)
-			}
-		}
-	}
-	hits, misses := e.Counters()
-	if misses != 1 || hits != 2 {
-		t.Errorf("hits=%d misses=%d, want 2/1", hits, misses)
-	}
-	// Eviction: tiny cache keeps working.
-	for i := 0; i < 20; i++ {
-		if _, err := e.Embed(fmt.Sprintf("query %d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.Size() > 8 {
-		t.Errorf("cache size %d exceeds capacity 8", e.Size())
 	}
 }
 
@@ -404,9 +366,6 @@ func TestServerConcurrentAsks(t *testing.T) {
 	// deduplicate nearly everything.
 	if st.VerdictCache.Hits == 0 {
 		t.Error("verdict cache never hit despite repeated questions")
-	}
-	if st.EmbedCache.Hits == 0 {
-		t.Error("embed cache never hit despite repeated questions")
 	}
 }
 

@@ -118,15 +118,6 @@ func NewSharded(n int, embed vecdb.Embedder, mkIndex func() (vecdb.Index, error)
 	return &ShardedDB{embed: embed, shards: shards}, nil
 }
 
-// NewShardedDefault builds n shards over a hashed embedder and flat
-// cosine indexes — the zero-configuration serving store. Queries go
-// through an LRU-cached embedder; the ingest path embeds raw, so bulk
-// ingest (each passage embedded once, never looked up again) cannot
-// evict hot query vectors.
-func NewShardedDefault(n, dim, embedCache int) (*ShardedDB, error) {
-	return NewShardedWithIndex(n, dim, embedCache, IndexConfig{})
-}
-
 // shardIndex maps a document ID onto its owning shard through the
 // shared hash ring in internal/cluster — the same function a
 // multi-node router uses, so a corpus keeps its routing when its
@@ -411,8 +402,8 @@ func (s *ShardedDB) ShardSizes() []int {
 	return sizes
 }
 
-// Embedder exposes the query-path embedder (the cached one under
-// NewShardedDefault).
+// Embedder exposes the query-path embedder, the one every shard
+// embeds its documents with.
 func (s *ShardedDB) Embedder() vecdb.Embedder { return s.embed }
 
 // Available is always nil: in-process shards live as long as the
@@ -443,7 +434,7 @@ func (s *ShardedDB) SearchFilteredContext(ctx context.Context, query string, k i
 	}
 	_, sp := telemetry.StartSpan(ctx, "embed")
 	start := time.Now()
-	vec, err := embedIn(s.embed, f.Collection, query)
+	vec, err := s.embed.Embed(query)
 	sp.End(err)
 	if err != nil {
 		return nil, fmt.Errorf("serve: embed query: %w", err)

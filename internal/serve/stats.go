@@ -23,8 +23,6 @@ type Snapshot struct {
 
 	// Requests counts admitted calls by kind.
 	Requests RequestStats `json:"requests"`
-	// EmbedCache reports the query/passage embedding cache.
-	EmbedCache CacheStats `json:"embed_cache"`
 	// VerdictCache reports the verification result cache.
 	VerdictCache CacheStats `json:"verdict_cache"`
 	// Admission reports the load-shedding gate.

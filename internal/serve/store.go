@@ -112,16 +112,3 @@ func groupAdds(next *atomic.Int64, shards int, docs []vecdb.Document) ([]int64, 
 	}
 	return ids, groups
 }
-
-// embedIn embeds through the collection-namespaced cache entry point
-// when the embedder has one, so two tenants with the same query text
-// keep independent cache entries (the vector itself is a pure function
-// of the text either way).
-func embedIn(e vecdb.Embedder, collection, query string) ([]float32, error) {
-	if ce, ok := e.(interface {
-		EmbedIn(collection, text string) ([]float32, error)
-	}); ok {
-		return ce.EmbedIn(collection, query)
-	}
-	return e.Embed(query)
-}

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -44,6 +46,65 @@ func TestStoreContract(t *testing.T) {
 	get := func(id int64) func(Store) (any, error) {
 		return func(st Store) (any, error) { return st.GetContext(ctx, id) }
 	}
+	// The query vector is a function of the text alone: the store's
+	// embedder gives the raw hashed embedding to the bit, and under two
+	// collections and unscoped a text search ranks exactly as a vector
+	// search with that embedding, a collection's search returning only
+	// its own documents.
+	raw, err := vecdb.NewHashedEmbedder(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const query = "paid annual leave for employees"
+	want, err := raw.Embed(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	searchVector := func(st Store, f vecdb.Filter) ([]vecdb.Hit, error) {
+		switch st := st.(type) {
+		case *ShardedDB:
+			return st.SearchVectorFiltered(want, 4, f)
+		case *RemoteStore:
+			return st.Router().SearchVector(ctx, want, 4, f)
+		}
+		return nil, fmt.Errorf("no vector search on %T", st)
+	}
+	textOnly := func(st Store) (any, error) {
+		vec, err := st.Embedder().Embed(query)
+		if err != nil {
+			return nil, err
+		}
+		if len(vec) != len(want) {
+			return nil, fmt.Errorf("query vector has %d dimensions, want %d", len(vec), len(want))
+		}
+		for i := range want {
+			if math.Float32bits(vec[i]) != math.Float32bits(want[i]) {
+				return nil, fmt.Errorf("query vector[%d] = %v, raw embedding %v", i, vec[i], want[i])
+			}
+		}
+		var all [][]vecdb.Hit
+		for _, c := range []string{"acme", "globex", ""} {
+			f := vecdb.Filter{Collection: c}
+			hits, err := st.SearchFilteredContext(ctx, query, 4, f)
+			if err != nil {
+				return nil, err
+			}
+			byVec, err := searchVector(st, f)
+			if err != nil {
+				return nil, err
+			}
+			if len(hits) == 0 || !reflect.DeepEqual(hits, byVec) {
+				return nil, fmt.Errorf("collection %q: text search %+v, raw-vector search %+v", c, hits, byVec)
+			}
+			for _, h := range hits {
+				if c != "" && h.Collection != c {
+					return nil, fmt.Errorf("collection %q search returned %+v", c, h)
+				}
+			}
+			all = append(all, hits)
+		}
+		return all, nil
+	}
 	steps := []struct {
 		name    string
 		run     func(Store) (any, error)
@@ -61,6 +122,7 @@ func TestStoreContract(t *testing.T) {
 		{"SearchFilteredContext/collection", search(vecdb.Filter{Collection: "acme"}), nil},
 		{"SearchFilteredContext/meta", search(vecdb.Filter{Meta: map[string]string{"tag": "hr"}}), nil},
 		{"SearchFilteredContext/both", search(vecdb.Filter{Collection: "acme", Meta: map[string]string{"tag": "ops"}}), nil},
+		{"SearchFilteredContext/query vector is the text's", textOnly, nil},
 		{"Search", func(st Store) (any, error) { return st.Search("paid annual leave for employees", 4) }, nil},
 		{"GetContext", get(2), nil},
 		{"GetContext/absent", get(999), ErrNotFound},

@@ -206,7 +206,7 @@ func BenchmarkIngestStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s, err := OpenShardedDefault(b.TempDir(), 2, 256, 4096, PersistConfig{CheckpointEvery: -1})
+		s, err := OpenShardedWithIndex(b.TempDir(), 2, 256, IndexConfig{}, PersistConfig{CheckpointEvery: -1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/telemetry"
-	"repro/internal/vecdb"
 )
 
 // TestTenantGateTokenBucket drives the per-tenant token bucket on a
@@ -183,68 +181,6 @@ func TestServerTenantFairness(t *testing.T) {
 	}
 	if got := reg.CounterValue("tenant_throttled_total", telemetry.L("collection", "tenant-b")); got != 0 {
 		t.Errorf("tenant_throttled_total{tenant-b} = %d, want 0", got)
-	}
-}
-
-// countingEmbedder counts raw embeds so cache tests can distinguish
-// hits from recomputation.
-type countingEmbedder struct {
-	inner vecdb.Embedder
-	n     atomic.Int64
-}
-
-func (e *countingEmbedder) Dim() int { return e.inner.Dim() }
-func (e *countingEmbedder) Embed(text string) ([]float32, error) {
-	e.n.Add(1)
-	return e.inner.Embed(text)
-}
-
-// TestEmbedCacheNamespacedByCollection is the cross-tenant cache
-// regression: the same query text under two collections must occupy
-// two independent cache entries (no tenant observes another's
-// residency), while the vectors themselves stay bit-identical —
-// namespacing keys the cache, never the embedding.
-func TestEmbedCacheNamespacedByCollection(t *testing.T) {
-	inner, err := vecdb.NewHashedEmbedder(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ce := &countingEmbedder{inner: inner}
-	e := NewCachedEmbedder(ce, 8)
-
-	va, err := e.EmbedIn("tenant-a", "quarterly report")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vb, err := e.EmbedIn("tenant-b", "quarterly report")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ce.n.Load(); got != 2 {
-		t.Fatalf("raw embeds after two collections = %d, want 2 (no cross-tenant hit)", got)
-	}
-	if _, err := e.EmbedIn("tenant-a", "quarterly report"); err != nil {
-		t.Fatal(err)
-	}
-	if got := ce.n.Load(); got != 2 {
-		t.Fatalf("raw embeds after same-collection repeat = %d, want 2 (cache hit)", got)
-	}
-	// Unscoped traffic is its own namespace, not an alias of any tenant.
-	if _, err := e.Embed("quarterly report"); err != nil {
-		t.Fatal(err)
-	}
-	if got := ce.n.Load(); got != 3 {
-		t.Fatalf("raw embeds after unscoped = %d, want 3", got)
-	}
-	// The vector is a function of the text alone: query vectors stay
-	// bit-identical to ingest vectors regardless of tenant.
-	if len(va) != len(vb) {
-		t.Fatalf("vector widths differ: %d vs %d", len(va), len(vb))
-	}
-	for i := range va {
-		if va[i] != vb[i] {
-			t.Fatalf("vector[%d] differs across collections: %v vs %v", i, va[i], vb[i])
-		}
 	}
 }
 
