@@ -424,10 +424,14 @@ func seedDemoCorpus(sv *serve.Server) error {
 	// corpus (or real traffic) — re-ingesting would duplicate it. The
 	// calibration below is in-memory state and runs on every boot.
 	if sv.Store().Len() == 0 {
+		// One batch: the IDs and order 120 single adds would give, in
+		// one journal batch per shard.
+		var docs []vecdb.Document
 		for _, ctxText := range set.Contexts() {
-			if _, err := sv.Store().Add(ctxText, nil); err != nil {
-				return err
-			}
+			docs = append(docs, vecdb.Document{Text: ctxText})
+		}
+		if _, err := sv.Store().AddBulkDocsContext(ctx, docs); err != nil {
+			return err
 		}
 	}
 	var triples []core.Triple

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/serve"
 	"repro/internal/slm"
 )
@@ -573,5 +574,61 @@ func TestWriteJSONUnencodable(t *testing.T) {
 	}
 	if cl := rec.Header().Get("Content-Length"); cl != "9" {
 		t.Fatalf("Content-Length %q, want 9", cl)
+	}
+}
+
+// TestSeedDemoRestart: -seed-demo on a data dir stores the handbook
+// in one batch under the IDs, and with the checksum, that one single
+// add per passage gives; a restart on the same dir recovers those
+// documents and does not ingest them again.
+func TestSeedDemoRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("seeding calibrates on 360 responses, twice")
+	}
+	set, err := dataset.Default()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := serve.New(serve.Config{TopK: 2, Threshold: 3.2, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	want := map[int64]string{}
+	for _, text := range set.Contexts() {
+		id, err := ref.Store().Add(text, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = text
+	}
+	checksum := func(sv *serve.Server) uint64 { return sv.Store().(interface{ Checksum() uint64 }).Checksum() }
+	wantSum := checksum(ref)
+
+	dir := t.TempDir()
+	for boot := 1; boot <= 2; boot++ {
+		s, err := newServer(serve.Config{
+			TopK: 2, Threshold: 3.2, Shards: 2, DataDir: dir,
+			Persist: serve.PersistConfig{CheckpointEvery: -1},
+		}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sv := s.core.Load()
+		if n := sv.Store().Len(); n != len(want) {
+			t.Errorf("boot %d: %d documents, want %d", boot, n, len(want))
+		}
+		for id, text := range want {
+			if d, err := sv.Store().GetContext(context.Background(), id); err != nil || d.Text != text {
+				t.Errorf("boot %d: document %d = %q, %v; want %q", boot, id, d.Text, err, text)
+				break
+			}
+		}
+		if got := checksum(sv); got != wantSum {
+			t.Errorf("boot %d: checksum %#x, want %#x", boot, got, wantSum)
+		}
+		if err := sv.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

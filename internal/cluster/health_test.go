@@ -167,6 +167,9 @@ func TestHealthPassiveEjection(t *testing.T) {
 	t.Cleanup(r.Close)
 	seedRouter(t, r, corpus)
 
+	// A start-up probe that saw the backend broken would count toward
+	// the threshold: break it only once that probe has passed it.
+	waitFirstProbe(t, flaky)
 	flaky.broken.Store(true)
 	v, err := healthyDB.Embedder().Embed("q")
 	if err != nil {

@@ -205,6 +205,18 @@ func TestMergeTopKTiedScores(t *testing.T) {
 type flakyBackend struct {
 	Backend
 	broken atomic.Bool
+	stats  atomic.Int32 // Stat calls
+}
+
+// waitFirstProbe waits until the health checker's first probe round,
+// which it runs in its own goroutine as the router starts, has reported
+// on f: the checker asks a backend for its stats only after reporting
+// its probe, and nothing else in these tests asks before f breaks. A
+// test that breaks f before then races that probe, which can eject f
+// before the test's own calls reach it.
+func waitFirstProbe(t *testing.T, f *flakyBackend) {
+	t.Helper()
+	waitFor(t, "the first probe round", func() bool { return f.stats.Load() > 0 })
 }
 
 var errBroken = errors.New("backend broken")
@@ -231,6 +243,7 @@ func (f *flakyBackend) Get(ctx context.Context, id int64) (vecdb.Document, error
 }
 
 func (f *flakyBackend) Stat(ctx context.Context) (ShardStat, error) {
+	f.stats.Add(1)
 	if f.broken.Load() {
 		return ShardStat{}, errBroken
 	}
@@ -267,6 +280,11 @@ func TestRouterFailoverToReplica(t *testing.T) {
 		t.Fatalf("replicated write counts: primary %d replica %d", primaryDB.Len(), replicaDB.Len())
 	}
 
+	// Break the primary only once the start-up probe has passed it:
+	// with FailThreshold 1 a probe that saw it broken would eject it
+	// before the search, which the replica would then serve at the
+	// first attempt, with no failover to count.
+	waitFirstProbe(t, flaky)
 	flaky.broken.Store(true)
 	emb, _ := vecdb.NewHashedEmbedder(dim)
 	v, err := emb.Embed("paid leave")
@@ -342,6 +360,7 @@ func TestRouterDegradedSearch(t *testing.T) {
 	t.Cleanup(r.Close)
 	ids := seedRouter(t, r, corpus)
 
+	waitFirstProbe(t, flaky)
 	flaky.broken.Store(true)
 	emb, _ := vecdb.NewHashedEmbedder(dim)
 	v, err := emb.Embed("shopkeepers")
@@ -398,6 +417,7 @@ func TestRouterAllShardsDown(t *testing.T) {
 	t.Cleanup(r.Close)
 	seedRouter(t, r, corpus[:1])
 
+	waitFirstProbe(t, flaky)
 	flaky.broken.Store(true)
 	emb, _ := vecdb.NewHashedEmbedder(dim)
 	v, _ := emb.Embed("anything")

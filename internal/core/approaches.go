@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/slm"
 )
@@ -11,9 +12,20 @@ import (
 // This file wires the five approaches of §V-C. Each constructor
 // returns a fresh Detector with its own normalization state.
 
-// proposedModels returns fresh instances of the paper's two SLMs.
+// proposedModels returns fresh instances of the paper's two SLMs. Each
+// network's weights are drawn from a source of its own, so the two are
+// built at once and no draw moves.
 func proposedModels() []slm.Model {
-	return []slm.Model{slm.NewQwen2(), slm.NewMiniCPM()}
+	var qwen2 *slm.CalibratedVerifier
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		qwen2 = slm.NewQwen2()
+	}()
+	miniCPM := slm.NewMiniCPM()
+	wg.Wait()
+	return []slm.Model{qwen2, miniCPM}
 }
 
 // NewProposed builds the paper's proposed framework: Qwen2 and MiniCPM

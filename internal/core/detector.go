@@ -313,9 +313,10 @@ func (d *Detector) assemble(sentences []string, raw [][]float64) (Verdict, error
 //
 // The model calls — all of the cost — fan out over GOMAXPROCS workers,
 // one (question, context) pair per task: the triples that share it run
-// in order on one worker, so the sentence windows their responses share
-// are computed once, by the worker that meets them first, and hit the
-// models' memos after. Tasks go out in the order their pair first
+// in order on one worker, which asks the models about each distinct
+// sentence of the pair once and reuses its row of probabilities where
+// a later response repeats it (a model answers equal requests equally,
+// as slm.Model requires). Tasks go out in the order their pair first
 // appears. The models must be safe for concurrent use, as slm.Model
 // requires of every implementation. The moments do not depend on that
 // schedule: Welford updates are order-dependent, so the raw
@@ -339,12 +340,28 @@ func (d *Detector) Calibrate(ctx context.Context, triples []Triple) error {
 	}
 	raw := make([][][]float64, len(triples)) // [triple][sentence][model]
 	err := forEach(ctx, len(groups), runtime.GOMAXPROCS(0), func(ctx context.Context, g int) error {
+		rows := map[string][]float64{} // sentence → its P(yes) row, for this pair
+		var fresh []string
 		for _, i := range groups[g] {
 			t := triples[i]
-			var err error
-			raw[i], err = d.yesProbabilities(ctx, t.Question, t.Context, d.split(t.Response), 1)
+			sentences := d.split(t.Response)
+			fresh = fresh[:0]
+			for _, s := range sentences {
+				if _, seen := rows[s]; !seen {
+					rows[s] = nil
+					fresh = append(fresh, s)
+				}
+			}
+			probs, err := d.yesProbabilities(ctx, t.Question, t.Context, fresh, 1)
 			if err != nil {
 				return err
+			}
+			for fi, s := range fresh {
+				rows[s] = probs[fi]
+			}
+			raw[i] = make([][]float64, len(sentences))
+			for si, s := range sentences {
+				raw[i][si] = rows[s]
 			}
 		}
 		return nil

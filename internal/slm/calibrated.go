@@ -2,7 +2,6 @@ package slm
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -113,30 +112,18 @@ var baseWeights = featureWeights{
 
 // CalibratedVerifier is a Model whose yes-probability is a calibrated,
 // noisy function of grounded evidence features. It is deterministic:
-// probability = f(profile, question, context, claim) with no hidden
-// global state. Safe for concurrent use.
+// probability = f(profile, question, context, claim). Its results depend
+// on no hidden global state, though its work does: what it reads of a
+// context and of a claim comes from a ring shared by every verifier in
+// the process (prepared.go), computed by whichever asked first. Safe
+// for concurrent use.
 type CalibratedVerifier struct {
 	profile Profile
 	weights featureWeights
 	net     *Transformer // per-model idiosyncrasy network
-	tok     *tokenizer.Tokenizer
 
-	mu       sync.Mutex
-	cache    map[string]float64 // token window fed to net (uvarint ids) → hidden signature
-	contexts [contextSlots]preparedContext
-	nextSlot int // the slot the next prepared context replaces
-}
-
-// contextSlots is how many recently seen contexts a verifier keeps
-// prepared. A triple's sentences all share one context, and a few
-// triples verify at once, so a handful of slots serves them all; the
-// bound keeps the memory of a stream of distinct contexts fixed.
-const contextSlots = 8
-
-// preparedContext is one slot of CalibratedVerifier.contexts.
-type preparedContext struct {
-	text string
-	ev   *textproc.Evidence
+	mu    sync.Mutex
+	cache map[string]float64 // token window fed to net (windowKey) → hidden signature
 }
 
 // idiosyncrasyConfig is the tiny network used only to derive a
@@ -150,9 +137,13 @@ var idiosyncrasyConfig = Config{
 // idiosyncrasy network and feature weights are seeded from the profile
 // name, so equal names mean identical behaviour.
 func NewCalibrated(p Profile) (*CalibratedVerifier, error) {
-	tok := tokenizer.New() // byte-level fallback: any prompt encodes
-	net, err := NewTransformer(idiosyncrasyConfig, tok, rng.HashString("slm-net:"+p.Name))
+	net, err := NewTransformer(idiosyncrasyConfig, tokenizer.New(), rng.HashString("slm-net:"+p.Name))
 	if err != nil {
+		return nil, err
+	}
+	// Every full window ends in the prompt's last line, each of its
+	// words led by a space token.
+	if err := net.keepTail(windowTok.Encode(" " + promptTail)); err != nil {
 		return nil, err
 	}
 	src := rng.NewFromString("slm-weights:" + p.Name)
@@ -170,7 +161,6 @@ func NewCalibrated(p Profile) (*CalibratedVerifier, error) {
 			short:    jit(baseWeights.short),
 		},
 		net:   net,
-		tok:   tok,
 		cache: map[string]float64{},
 	}, nil
 }
@@ -210,12 +200,12 @@ func (v *CalibratedVerifier) YesProbability(ctx context.Context, req VerifyReque
 	if err := req.Validate(); err != nil {
 		return 0, err
 	}
-	f := v.evidence(req.Context).Features(req.Claim)
-	prompt := VerificationPrompt(req)
+	c := prepared.context(req.Context)
+	a := c.claim(req.Claim)
 	// Hard-error draws are deterministic in (model, prompt): the same
 	// model always misreads the same claim the same way, like a real
 	// checkpoint, while different models fail on different claims.
-	u := rng.NewFromString("slm-misread:" + v.profile.Name + "|" + prompt)
+	u := rng.New(misreadSeed(c, v.profile.Name, req))
 	missQuantity := u.Float64() < v.profile.QuantityMissRate
 	missPolarity := u.Float64() < v.profile.PolarityMissRate
 	falseAlarm := u.Float64() < v.profile.FalseAlarmRate
@@ -224,8 +214,8 @@ func (v *CalibratedVerifier) YesProbability(ctx context.Context, req VerifyReque
 	// single worst-sentence statistics (Eq. 9's min) noisy while
 	// averaging aggregators stay stable.
 	catchStrength := 0.6 + 0.9*u.Float64()
-	ev := v.evidenceScore(f, missQuantity, missPolarity, falseAlarm, catchStrength)
-	idio, err := v.signature(prompt)
+	ev := v.evidenceScore(a.features, missQuantity, missPolarity, falseAlarm, catchStrength)
+	idio, err := v.signature(promptWindow(a, req))
 	if err != nil {
 		return 0, err
 	}
@@ -243,6 +233,25 @@ func (v *CalibratedVerifier) YesProbability(ctx context.Context, req VerifyReque
 		p = clampProb(p, 1e-4)
 	}
 	return p, nil
+}
+
+// misreadSeed is rng.HashString("slm-misread:" + model + "|" +
+// VerificationPrompt(req)), hashed on from the state c, req's context,
+// keeps for the model and question.
+func misreadSeed(c *preparedContext, model string, req VerifyRequest) uint64 {
+	h := fnv1a(fnv1a(c.seed(model, req.Question), req.Claim), promptTail)
+	return rng.SplitMix64(&h)
+}
+
+// promptWindow is the windowKey of the last MaxSeq tokens of
+// VerificationPrompt(req), the window the network reads, given a, the
+// analysis of req's claim against its context. Only a claim too short
+// to fill the window needs the prompt.
+func promptWindow(a *claimAnalysis, req VerifyRequest) string {
+	if a.window != "" {
+		return a.window
+	}
+	return windowKey(windowTok.EncodeTail(VerificationPrompt(req), idiosyncrasyConfig.MaxSeq))
 }
 
 // evidenceScore folds the feature vector into a centered score,
@@ -302,49 +311,20 @@ func (v *CalibratedVerifier) evidenceScore(f textproc.Features, missQuantity, mi
 	return score
 }
 
-// evidence returns the prepared form of a context, from the slots when
-// it was seen recently; a new one replaces the oldest slot. Preparing
-// runs outside the lock, so two calls that race on a new context may
-// both prepare it, and each takes a slot.
-func (v *CalibratedVerifier) evidence(context string) *textproc.Evidence {
-	v.mu.Lock()
-	for _, c := range v.contexts {
-		if c.ev != nil && c.text == context {
-			v.mu.Unlock()
-			return c.ev
-		}
-	}
-	v.mu.Unlock()
-	ev := textproc.PrepareEvidence(context)
-	v.mu.Lock()
-	v.contexts[v.nextSlot] = preparedContext{text: context, ev: ev}
-	v.nextSlot = (v.nextSlot + 1) % contextSlots
-	v.mu.Unlock()
-	return ev
-}
-
-// signature returns the hidden-state signature of the prompt under this
-// model's private network, memoized on what the network is fed: the
-// last MaxSeq tokens (HiddenSignature keeps only that tail), the only
-// ones encoded. Keying on the window rather than the whole prompt lets
+// signature returns the hidden-state signature of a token window (a
+// windowKey) under this model's private network, memoized on the
+// window: the last MaxSeq tokens of the prompt, all HiddenSignature
+// reads of it. Keying on the window rather than the whole prompt lets
 // prompts that share it share the entry, and bounds a key at a few
 // bytes per token of it.
-func (v *CalibratedVerifier) signature(prompt string) (float64, error) {
-	ids := v.tok.EncodeTail(prompt, v.net.Config().MaxSeq)
-	if len(ids) == 0 {
-		ids = []int{tokenizer.BosID}
-	}
-	key := make([]byte, 0, 256) // on the stack for windows up to 128 two-byte ids
-	for _, id := range ids {
-		key = binary.AppendUvarint(key, uint64(id))
-	}
+func (v *CalibratedVerifier) signature(window string) (float64, error) {
 	v.mu.Lock()
-	s, ok := v.cache[string(key)] // a lookup converts without copying
+	s, ok := v.cache[window]
 	v.mu.Unlock()
 	if ok {
 		return s, nil
 	}
-	s, err := v.net.HiddenSignature(ids)
+	s, err := v.net.HiddenSignature(windowIDs(window))
 	if err != nil {
 		return 0, err
 	}
@@ -355,7 +335,7 @@ func (v *CalibratedVerifier) signature(prompt string) (float64, error) {
 	if len(v.cache) > 1<<16 {
 		v.cache = map[string]float64{}
 	}
-	v.cache[string(key)] = s
+	v.cache[window] = s
 	v.mu.Unlock()
 	return s, nil
 }

@@ -16,7 +16,6 @@ package slm
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"strings"
 )
@@ -40,7 +39,10 @@ func (r VerifyRequest) Validate() error {
 }
 
 // Model is a language model able to judge whether a claim is supported
-// by a context. Implementations must be safe for concurrent use.
+// by a context. Implementations must be safe for concurrent use, and
+// must answer equal requests with equal probabilities: the serving
+// layer's verdict cache and core's Calibrate, which asks once per
+// distinct sentence of a (question, context) pair, both rely on it.
 type Model interface {
 	// Name identifies the model (used for per-model normalization
 	// bookkeeping in the checker).
@@ -50,20 +52,27 @@ type Model interface {
 	YesProbability(ctx context.Context, req VerifyRequest) (float64, error)
 }
 
+// The pieces of the verification prompt around its three inputs, in
+// order: promptLead, question, promptContext, context, promptAnswer,
+// claim, promptTail. VerificationPrompt joins them, and a
+// CalibratedVerifier streams its seed and window from the same
+// constants, so the two cannot drift apart.
+const (
+	promptLead = "You are a strict verifier. Given the question, the context and a candidate answer, " +
+		"reply with YES if the answer is fully supported by the context, otherwise reply NO.\n" +
+		"Question: "
+	promptContext = "\nContext: "
+	promptAnswer  = "\nAnswer: "
+	promptTail    = "\nIs the answer supported by the context? Reply YES or NO:"
+)
+
 // VerificationPrompt renders the paper's Fig. 1 prompt shape: the
 // model is shown the question, the context and the claim, and is asked
 // to begin its answer with YES or NO. All models share one prompt
 // (the paper's Eq. 2 note: "prompt is omitted as all SLMs use the same
 // prompt").
 func VerificationPrompt(req VerifyRequest) string {
-	var b strings.Builder
-	b.WriteString("You are a strict verifier. Given the question, the context and a candidate answer, ")
-	b.WriteString("reply with YES if the answer is fully supported by the context, otherwise reply NO.\n")
-	fmt.Fprintf(&b, "Question: %s\n", req.Question)
-	fmt.Fprintf(&b, "Context: %s\n", req.Context)
-	fmt.Fprintf(&b, "Answer: %s\n", req.Claim)
-	b.WriteString("Is the answer supported by the context? Reply YES or NO:")
-	return b.String()
+	return promptLead + req.Question + promptContext + req.Context + promptAnswer + req.Claim + promptTail
 }
 
 // clamp01 bounds a probability to [lo, 1-lo] so downstream log/ratio

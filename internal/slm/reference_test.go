@@ -3,6 +3,7 @@ package slm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/tokenizer"
@@ -300,4 +301,77 @@ func fuzzIDs(data []byte, vocab int) []int {
 		prev = ids[i]
 	}
 	return ids
+}
+
+// FuzzHiddenSignatureKeptTail holds a pass that takes the first layer's
+// keys, values and queries of a window's last tokens from a kept tail
+// to the pass that computes them, and to the reference: on full windows
+// that end in the tail, and on windows that do not (one token short, or
+// with the tail's first token changed), which must ignore it.
+func FuzzHiddenSignatureKeptTail(f *testing.F) {
+	type pair struct{ kept, plain *Transformer }
+	var nets []pair
+	for i, cfg := range referenceConfigs {
+		kept, err := NewTransformer(cfg, tokenizer.New(), uint64(11+i))
+		if err != nil {
+			f.Fatal(err)
+		}
+		plain, err := NewTransformer(cfg, tokenizer.New(), uint64(11+i))
+		if err != nil {
+			f.Fatal(err)
+		}
+		nets = append(nets, pair{kept, plain})
+	}
+	f.Add(uint8(57), []byte("Is the answer supported by the context? Reply YES or NO:"))
+	f.Add(uint8(1), []byte{7})
+	f.Add(uint8(255), []byte("a whole window of tail"))
+	f.Fuzz(func(t *testing.T, tailLen uint8, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		for _, p := range nets {
+			cfg := p.kept.cfg
+			ids := fuzzIDs(append(data, data...), cfg.VocabSize)
+			for len(ids) < cfg.MaxSeq {
+				ids = append(ids, ids...)
+			}
+			window := ids[len(ids)-cfg.MaxSeq:]
+			tail := window[cfg.MaxSeq-(1+int(tailLen)%cfg.MaxSeq):]
+			if err := p.kept.keepTail(tail); err != nil {
+				t.Fatal(err)
+			}
+			changed := slices.Clone(window)
+			changed[cfg.MaxSeq-len(tail)] = (changed[cfg.MaxSeq-len(tail)] + 1) % cfg.VocabSize
+			for _, w := range [][]int{window, window[1:], changed} {
+				got, err := p.kept.HiddenSignature(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := p.plain.HiddenSignature(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%+v, %d-token tail, %d tokens: signature %x, without the tail %x", cfg, len(tail), len(w), math.Float64bits(got), math.Float64bits(want))
+				}
+				checkAgainstReference(t, p.kept, w)
+			}
+		}
+	})
+}
+
+// TestVerifierKeepsPromptTail: a verifier's network keeps the tail every
+// full verification window ends in, and a window of the golden claims
+// takes it.
+func TestVerifierKeepsPromptTail(t *testing.T) {
+	v := NewQwen2()
+	tl := v.net.tail
+	if tl == nil {
+		t.Fatal("no kept tail")
+	}
+	req := VerifyRequest{Question: "What are the working hours?", Context: hoursContext, Claim: "The working hours are 9 AM to 5 PM."}
+	ids := windowTok.EncodeTail(VerificationPrompt(req), idiosyncrasyConfig.MaxSeq)
+	if len(ids) != idiosyncrasyConfig.MaxSeq || !slices.Equal(ids[len(ids)-len(tl.ids):], tl.ids) {
+		t.Fatalf("a full window does not end in the kept %d-token tail", len(tl.ids))
+	}
 }

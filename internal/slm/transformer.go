@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/rng"
@@ -83,6 +84,53 @@ type Transformer struct {
 	tokEmb []float32 // VocabSize×Dim
 	posEmb []float32 // MaxSeq×Dim
 	layers []layerWeights
+
+	// tail, when set (keepTail), is the first layer's keys, values and
+	// queries of a run of tokens that ends many full windows.
+	tail *windowTail
+}
+
+// windowTail is the first layer's keys, values and queries of the
+// tokens ids at the last len(ids) positions of a MaxSeq-token window,
+// position-major. They depend on nothing but each token and its
+// position, so every full window that ends in ids has these.
+type windowTail struct {
+	ids     []int
+	k, v, q []float32
+}
+
+// keepTail computes the first layer's keys, values and queries of ids
+// at the end of a full window, once, for HiddenSignature to use in
+// every full window that ends in ids — a verification prompt's fixed
+// last line. The arithmetic is HiddenSignature's, row for row, so the
+// bits are those a pass computes. Call it before t is shared.
+func (t *Transformer) keepTail(ids []int) error {
+	cfg := t.cfg
+	n, d := len(ids), cfg.Dim
+	if n == 0 || n > cfg.MaxSeq {
+		return fmt.Errorf("slm: a kept tail of %d tokens in a %d-token window", n, cfg.MaxSeq)
+	}
+	xn := make([]float32, n*d)
+	for p, id := range ids {
+		if id < 0 || id >= cfg.VocabSize {
+			return fmt.Errorf("slm: token id %d out of vocab range %d", id, cfg.VocabSize)
+		}
+		copy(xn[p*d:(p+1)*d], t.tokEmb[id*d:(id+1)*d])
+	}
+	addInPlace(xn, t.posEmb[(cfg.MaxSeq-n)*d:cfg.MaxSeq*d])
+	lw := &t.layers[0]
+	layerNormRows(xn, lw.ln1g, lw.ln1b, 1e-5)
+	tail := &windowTail{
+		ids: append([]int(nil), ids...),
+		k:   make([]float32, n*d),
+		v:   make([]float32, n*d),
+		q:   make([]float32, n*d),
+	}
+	matVecBlock(tail.k, lw.wk, xn, d, d, n)
+	matVecBlock(tail.v, lw.wv, xn, d, d, n)
+	matVecBlock(tail.q, lw.wq, xn, d, d, n)
+	t.tail = tail
+	return nil
 }
 
 // NewTransformer builds a transformer with weights drawn from a
@@ -243,21 +291,37 @@ func (t *Transformer) HiddenSignature(promptIDs []int) (float64, error) {
 	}
 	addInPlace(x, t.posEmb[:n*d])
 
+	// A full window that ends in the kept tail takes the first layer's
+	// keys, values and queries of the tail's positions from it.
+	kept := 0
+	if tl := t.tail; tl != nil && n == cfg.MaxSeq && slices.Equal(promptIDs[n-len(tl.ids):], tl.ids) {
+		kept = len(tl.ids)
+	}
 	scale := float32(1 / math.Sqrt(float64(d/cfg.Heads)))
 	for l := range t.layers {
 		lw := &t.layers[l]
 		// --- attention sublayer (pre-LN) ---
+		// The first `live` positions are normalized and projected here;
+		// the rest, in the first layer, are the kept tail's.
+		live := n
+		if l == 0 {
+			live = n - kept
+		}
 		xn := w.xn[:n*d]
-		copy(xn, x)
-		layerNormRows(xn, lw.ln1g, lw.ln1b, 1e-5)
+		copy(xn[:live*d], x)
+		layerNormRows(xn[:live*d], lw.ln1g, lw.ln1b, 1e-5)
 		keys := w.attn[:n*d]
-		matVecBlock(keys, lw.wk, xn, d, d, n)
+		matVecBlock(keys[:live*d], lw.wk, xn[:live*d], d, d, live)
+		matVecBlock(w.v[:live*d], lw.wv, xn[:live*d], d, d, live)
+		if live < n {
+			copy(keys[live*d:], t.tail.k)
+			copy(w.v[live*d:n*d], t.tail.v)
+		}
 		for p := 0; p < n; p++ {
 			for j, v := range keys[p*d : (p+1)*d] {
 				w.k[j*cfg.MaxSeq+p] = v
 			}
 		}
-		matVecBlock(w.v[:n*d], lw.wv, xn, d, d, n)
 		// Positions from `from` on take the rest of the layer: every
 		// position, but in the last layer the last one alone, whose
 		// residual stream is the only one the fold reads.
@@ -268,7 +332,13 @@ func (t *Transformer) HiddenSignature(promptIDs []int) (float64, error) {
 		m := n - from
 		xs, xn := x[from*d:], xn[from*d:]
 		q, attn := w.q[:m*d], w.attn[:m*d]
-		matVecBlock(q, lw.wq, xn, d, d, m)
+		// Queries up to `live` are projected, the rest kept.
+		if upTo := max(from, live); upTo < n {
+			matVecBlock(q[:(upTo-from)*d], lw.wq, xn[:(upTo-from)*d], d, d, upTo-from)
+			copy(q[(upTo-from)*d:], t.tail.q[(upTo-live)*d:])
+		} else {
+			matVecBlock(q, lw.wq, xn, d, d, m)
+		}
 		// Causal attention: position p attends to positions 0..p.
 		for i := 0; i < m; i++ {
 			attend(attn[i*d:(i+1)*d], q[i*d:(i+1)*d], w.k, w.v, w.scores, cfg.Heads, from+i+1, cfg.MaxSeq, scale)

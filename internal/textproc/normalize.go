@@ -61,6 +61,9 @@ func foldRune(r rune) rune {
 // Punctuation is dropped. Numbers keep attached suffixes such as "9am"
 // intact so the time parser can handle them.
 func Words(s string) []string {
+	if isASCII(s) {
+		return asciiWords(s)
+	}
 	s = Normalize(s)
 	words := make([]string, 0, len(s)/5+1)
 	start := -1
@@ -107,6 +110,34 @@ func Words(s string) []string {
 }
 
 func isAlnum(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
+
+// asciiWords is Words on ASCII text, in one pass over its lowercased
+// bytes, the words slices of that one copy. As in
+// eachASCIIContentWord, Words' rules apply to s as it stands: Normalize
+// only lowercases and collapses or trims whitespace there, and every
+// rule asks only whether a neighbour is a letter or a digit, which no
+// whitespace byte is.
+func asciiWords(s string) []string {
+	s = strings.ToLower(s)
+	words := make([]string, 0, len(s)/5+1)
+	start := -1
+	for i := 0; i < len(s); i++ {
+		if isASCIIAlnum(s[i]) || joinsASCIIWord(s, i) {
+			if start < 0 {
+				start = i
+			}
+			continue
+		}
+		if start >= 0 {
+			words = append(words, s[start:i])
+			start = -1
+		}
+	}
+	if start >= 0 {
+		words = append(words, s[start:])
+	}
+	return words
+}
 
 // ContentWords returns the stemmed, stopword-free word list of s. This
 // is the representation used for lexical-overlap features between a

@@ -122,11 +122,30 @@ func parseNumericToken(tok string) (float64, QuantityKind, bool) {
 		tok = strings.TrimPrefix(tok, "hk$")
 	}
 	tok = strings.ReplaceAll(tok, ",", "")
+	if !mayParseFloat(tok) {
+		return 0, KindCount, false // an ordinary word: ParseFloat's error would allocate
+	}
 	v, err := strconv.ParseFloat(tok, 64)
 	if err != nil {
 		return 0, KindCount, false
 	}
 	return v * mult, kind, true
+}
+
+// mayParseFloat reports whether strconv.ParseFloat may accept tok: what
+// it parses holds an ASCII digit, or is a signed or unsigned "inf",
+// "infinity" or "nan" (tok is lowercase).
+func mayParseFloat(tok string) bool {
+	for i := 0; i < len(tok); i++ {
+		if isASCIIDigit(tok[i]) {
+			return true
+		}
+	}
+	switch strings.TrimPrefix(strings.TrimPrefix(tok, "+"), "-") {
+	case "inf", "infinity", "nan":
+		return true
+	}
+	return false
 }
 
 // ExtractQuantities scans text for numeric facts: clock times ("9 AM",

@@ -6,7 +6,9 @@ package textproc
 // The fuzzers below hold the current code to them.
 
 import (
+	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
@@ -395,6 +397,19 @@ func FuzzContentWordsMatchesReference(f *testing.F) {
 	})
 }
 
+// FuzzWordsMatchesReference holds Words, whose ASCII text takes a
+// one-pass path of its own, to the original tokenizer on any text.
+func FuzzWordsMatchesReference(f *testing.F) {
+	for _, s := range tokenizerSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := Words(s), refWords(s); !slices.Equal(got, want) {
+			t.Fatalf("Words(%q) = %#v, want %#v", s, got, want)
+		}
+	})
+}
+
 // FuzzStemMatchesReference holds Stem to the original stemmer, on the
 // fuzzed string itself and on each of its words.
 func FuzzStemMatchesReference(f *testing.F) {
@@ -416,4 +431,74 @@ func TestContentWordsEmptyIsNonNil(t *testing.T) {
 			t.Errorf("ContentWords(%q) = %#v, want a non-nil empty slice", s, got)
 		}
 	}
+}
+
+// refParseNumericToken is parseNumericToken as it was before it skipped
+// strconv.ParseFloat on tokens that cannot parse, verbatim.
+func refParseNumericToken(tok string) (float64, QuantityKind, bool) {
+	tok = strings.ToLower(strings.TrimSuffix(tok, "."))
+	if tok == "" {
+		return 0, KindCount, false
+	}
+	if v, ok := numberWords[tok]; ok {
+		return v, KindCount, true
+	}
+	if i := strings.IndexByte(tok, ':'); i > 0 {
+		h, err1 := strconv.Atoi(tok[:i])
+		m, err2 := strconv.Atoi(tok[i+1:])
+		if err1 == nil && err2 == nil && h >= 0 && h <= 24 && m >= 0 && m < 60 {
+			return float64(h*60 + m), KindClockTime, true
+		}
+		return 0, KindCount, false
+	}
+	kind := KindCount
+	mult := 1.0
+	switch {
+	case strings.HasSuffix(tok, "%"):
+		kind = KindPercent
+		tok = strings.TrimSuffix(tok, "%")
+	case strings.HasSuffix(tok, "k"):
+		mult = 1e3
+		tok = strings.TrimSuffix(tok, "k")
+	case strings.HasSuffix(tok, "m"):
+		mult = 1e6
+		tok = strings.TrimSuffix(tok, "m")
+	case strings.HasPrefix(tok, "$"):
+		kind = KindMoney
+		tok = strings.TrimPrefix(tok, "$")
+	case strings.HasPrefix(tok, "hk$"):
+		kind = KindMoney
+		tok = strings.TrimPrefix(tok, "hk$")
+	}
+	tok = strings.ReplaceAll(tok, ",", "")
+	v, err := strconv.ParseFloat(tok, 64)
+	if err != nil {
+		return 0, KindCount, false
+	}
+	return v * mult, kind, true
+}
+
+// FuzzParseNumericTokenMatchesReference holds parseNumericToken to the
+// version that called ParseFloat on every token, on the fuzzed string
+// and on each of its words.
+func FuzzParseNumericTokenMatchesReference(f *testing.F) {
+	for _, s := range tokenizerSeeds {
+		f.Add(s)
+	}
+	for _, s := range []string{
+		"inf", "+Inf", "-infinity", "INFINITY.", "nan", "NaN", "+nan", "-NaN", "infin", "infinityy",
+		"$inf", "hk$nan", "inf%", "infk", "nanm", "i,nf", "0x1p-2", "0X1P+2k", "1_000", "0x_1p0",
+		"1e5", "e5", ".", "-.", "+", "2.5m", "hk$1,200", "$", "12:30", "9:", "one", "Twelve.",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		for _, tok := range append(refWords(s), s) {
+			v, kind, ok := parseNumericToken(tok)
+			rv, rkind, rok := refParseNumericToken(tok)
+			if ok != rok || kind != rkind || math.Float64bits(v) != math.Float64bits(rv) {
+				t.Fatalf("parseNumericToken(%q) = %v, %v, %v, want %v, %v, %v", tok, v, kind, ok, rv, rkind, rok)
+			}
+		}
+	})
 }

@@ -1,10 +1,10 @@
 package vecdb
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // This file is the replication-facing surface of a DB: a monotonic
@@ -208,7 +208,9 @@ func (db *DB) docsByIDLocked() []Document {
 	for _, d := range db.docs {
 		docs = append(docs, d)
 	}
-	sort.Slice(docs, func(i, j int) bool { return docs[i].ID < docs[j].ID })
+	// IDs are unique, so any sort gives this order; SortFunc does it
+	// without sort.Slice's reflection.
+	slices.SortFunc(docs, func(a, b Document) int { return cmp.Compare(a.ID, b.ID) })
 	return docs
 }
 
