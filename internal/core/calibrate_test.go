@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"math"
 	"runtime"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/slm"
-	"repro/internal/tokenizer"
 )
 
 // pairModel records which (question, context) pairs have a call in
@@ -57,60 +55,40 @@ func TestCalibrateOnePairPerWorker(t *testing.T) {
 	}
 }
 
-// signatureWindow is the length of the token window a CalibratedVerifier
-// feeds its network and keys its signature memo on (the network's
-// MaxSeq).
-const signatureWindow = 96
-
-// windowMemo stands in front of a model with a memo keyed the way
-// CalibratedVerifier keys its signature memo: look up under the lock,
-// call the model outside it, and on a miss store the key. Its misses
-// are the forward passes such a memo pays for.
-type windowMemo struct {
+// sentenceCalls stands in front of a model and counts its calls per
+// (question, context, sentence): the unit Calibrate asks a model about.
+type sentenceCalls struct {
 	slm.Model
-	tok    *tokenizer.Tokenizer
-	mu     sync.Mutex
-	seen   map[string]bool
-	passes int
+	mu    sync.Mutex
+	calls map[[3]string]int
 }
 
-func (w *windowMemo) YesProbability(ctx context.Context, req slm.VerifyRequest) (float64, error) {
-	ids := w.tok.Encode(slm.VerificationPrompt(req))
-	if len(ids) > signatureWindow {
-		ids = ids[len(ids)-signatureWindow:]
-	}
-	var key []byte
-	for _, id := range ids {
-		key = binary.AppendUvarint(key, uint64(id))
-	}
-	w.mu.Lock()
-	hit := w.seen[string(key)]
-	w.mu.Unlock()
-	p, err := w.Model.YesProbability(ctx, req)
-	if err == nil && !hit {
-		w.mu.Lock()
-		w.passes++
-		w.seen[string(key)] = true
-		w.mu.Unlock()
-	}
-	return p, err
+func (c *sentenceCalls) YesProbability(ctx context.Context, req slm.VerifyRequest) (float64, error) {
+	c.mu.Lock()
+	c.calls[[3]string{req.Question, req.Context, req.Claim}]++
+	c.mu.Unlock()
+	return c.Model.YesProbability(ctx, req)
 }
 
 // TestCalibrateComputesEachWindowOnce: calibrating the default set on
 // two workers pays one forward pass per distinct sentence window per
 // model, the single-worker count, where one task per triple paid ~360
-// against 290.
+// against 290. The two layers each own half of it. Calibrate asks each
+// model once per distinct (question, context) pair and sentence, which
+// this test counts; and a model's signature memo pays one pass per
+// window, however many pairs share one and however many workers meet it
+// at once (TestSignatureMemoOnePassPerWindow in internal/slm).
 func TestCalibrateComputesEachWindowOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibrates on 360 responses")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	var memos []*windowMemo
+	var counted []*sentenceCalls
 	var models []slm.Model
 	for _, m := range proposedModels() {
-		w := &windowMemo{Model: m, tok: tokenizer.New(), seen: map[string]bool{}}
-		memos = append(memos, w)
-		models = append(models, w)
+		c := &sentenceCalls{Model: m, calls: map[[3]string]int{}}
+		counted = append(counted, c)
+		models = append(models, c)
 	}
 	d, err := NewDetector("windows", Config{Models: models})
 	if err != nil {
@@ -119,14 +97,16 @@ func TestCalibrateComputesEachWindowOnce(t *testing.T) {
 	if err := d.Calibrate(context.Background(), defaultTriples(t)); err != nil {
 		t.Fatal(err)
 	}
-	passes, windows := 0, 0
-	for _, w := range memos {
-		passes += w.passes
-		windows += len(w.seen)
+	calls, distinct := 0, 0
+	for _, c := range counted {
+		for _, n := range c.calls {
+			calls += n
+		}
+		distinct += len(c.calls)
 	}
-	t.Logf("%d forward passes, %d distinct windows", passes, windows)
-	if passes != windows {
-		t.Errorf("%d forward passes for %d distinct windows: a window was computed on two workers at once", passes, windows)
+	t.Logf("%d model calls, %d distinct (pair, sentence) keys", calls, distinct)
+	if calls != distinct {
+		t.Errorf("%d model calls for %d distinct (pair, sentence) keys: a sentence of a pair was asked about twice", calls, distinct)
 	}
 }
 

@@ -10,30 +10,37 @@ import (
 	"repro/internal/tokenizer"
 )
 
-// BenchmarkMatVecBlock times one projection of a full 96-position
-// window on the verification network's matrix shapes — the attention
-// projections (32×32), the FFN's up (64×32) and down (32×64) — through
-// the block kernel and one position at a time through the Go kernel.
+// BenchmarkMatVecBlock times one projection on the verification
+// network's matrix shapes — the attention projections (32×32), the
+// FFN's up (64×32) and down (32×64) — through the block kernel and one
+// position at a time through the Go kernel: of a full 96-position
+// window, of 97 positions (a last block that overlaps the one before
+// it) and of one position (a padded block, as in the last layer).
 func BenchmarkMatVecBlock(b *testing.B) {
 	src := rand.New(rand.NewSource(1))
-	const n = 96
 	for _, c := range []struct{ rows, cols int }{{32, 32}, {64, 32}, {32, 64}} {
-		m, x := make([]float32, c.rows*c.cols), make([]float32, n*c.cols)
-		for _, s := range [][]float32{m, x} {
-			for i := range s {
-				s[i] = float32(src.NormFloat64())
-			}
-		}
-		out := make([]float32, n*c.rows)
-		for _, k := range []struct {
-			suffix string
-			kernel func(out, m, x []float32, rows, cols, n int)
-		}{{"", matVecBlock}, {"-go", matVecBlockGo}} {
-			b.Run(fmt.Sprintf("%dx%d%s", c.rows, c.cols, k.suffix), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					k.kernel(out, m, x, c.rows, c.cols, n)
+		for _, n := range []int{96, 97, 1} {
+			m, x := make([]float32, c.rows*c.cols), make([]float32, n*c.cols)
+			for _, s := range [][]float32{m, x} {
+				for i := range s {
+					s[i] = float32(src.NormFloat64())
 				}
-			})
+			}
+			out := make([]float32, n*c.rows)
+			positions := ""
+			if n != 96 {
+				positions = fmt.Sprintf("-n%d", n)
+			}
+			for _, k := range []struct {
+				suffix string
+				kernel func(out, m, x []float32, rows, cols, n int)
+			}{{"", matVecBlock}, {"-go", matVecBlockGo}} {
+				b.Run(fmt.Sprintf("%dx%d%s%s", c.rows, c.cols, positions, k.suffix), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						k.kernel(out, m, x, c.rows, c.cols, n)
+					}
+				})
+			}
 		}
 	}
 }

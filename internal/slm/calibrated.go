@@ -120,10 +120,8 @@ var baseWeights = featureWeights{
 type CalibratedVerifier struct {
 	profile Profile
 	weights featureWeights
-	net     *Transformer // per-model idiosyncrasy network
-
-	mu    sync.Mutex
-	cache map[string]float64 // token window fed to net (windowKey) → hidden signature
+	net     *Transformer  // per-model idiosyncrasy network
+	sigs    signatureMemo // token window fed to net → hidden signature
 }
 
 // idiosyncrasyConfig is the tiny network used only to derive a
@@ -148,7 +146,7 @@ func NewCalibrated(p Profile) (*CalibratedVerifier, error) {
 	}
 	src := rng.NewFromString("slm-weights:" + p.Name)
 	jit := func(w float64) float64 { return w * (1 + p.WeightJitter*src.NormFloat64()) }
-	return &CalibratedVerifier{
+	v := &CalibratedVerifier{
 		profile: p,
 		weights: featureWeights{
 			uni:      jit(baseWeights.uni),
@@ -160,9 +158,10 @@ func NewCalibrated(p Profile) (*CalibratedVerifier, error) {
 			hedge:    jit(baseWeights.hedge),
 			short:    jit(baseWeights.short),
 		},
-		net:   net,
-		cache: map[string]float64{},
-	}, nil
+		net: net,
+	}
+	v.sigs.settled.L = &v.sigs.mu
+	return v, nil
 }
 
 // MustCalibrated is NewCalibrated that panics on error; the predefined
@@ -318,26 +317,69 @@ func (v *CalibratedVerifier) evidenceScore(f textproc.Features, missQuantity, mi
 // prompts that share it share the entry, and bounds a key at a few
 // bytes per token of it.
 func (v *CalibratedVerifier) signature(window string) (float64, error) {
-	v.mu.Lock()
-	s, ok := v.cache[window]
-	v.mu.Unlock()
-	if ok {
-		return s, nil
+	return v.sigs.get(window, v.pass)
+}
+
+// pass runs the network on a token window.
+func (v *CalibratedVerifier) pass(window string) (float64, error) {
+	return v.net.HiddenSignature(windowIDs(window))
+}
+
+// signatureMemo memoizes signatures by token window. A window's first
+// caller runs its pass, and a caller that meets the window while that
+// pass runs waits for it, so a window costs one pass however many
+// callers meet it at once — as calibration's workers do where
+// (question, context) pairs share a sentence's window.
+type signatureMemo struct {
+	mu      sync.Mutex
+	settled sync.Cond // on mu; broadcast when a pass ends
+	entries map[string]memoEntry
+}
+
+// memoEntry is a window's signature, or pending while its pass runs.
+type memoEntry struct {
+	s       float64
+	pending bool
+}
+
+// get returns the signature of window, from the memo or from pass. A
+// pass that fails or panics leaves no entry, so whoever waited on it
+// runs its own.
+func (m *signatureMemo) get(window string, pass func(string) (float64, error)) (s float64, err error) {
+	m.mu.Lock()
+	for {
+		e, ok := m.entries[window]
+		if !ok {
+			break
+		}
+		if !e.pending {
+			m.mu.Unlock()
+			return e.s, nil
+		}
+		m.settled.Wait()
 	}
-	s, err := v.net.HiddenSignature(windowIDs(window))
-	if err != nil {
-		return 0, err
-	}
-	v.mu.Lock()
 	// Cheap bound on the memoization table; verification workloads
 	// revisit the same sentences across threshold sweeps, so hit rates
 	// are high, but an adversarial stream must not grow it unbounded.
-	if len(v.cache) > 1<<16 {
-		v.cache = map[string]float64{}
+	if m.entries == nil || len(m.entries) > 1<<16 {
+		m.entries = map[string]memoEntry{}
 	}
-	v.cache[window] = s
-	v.mu.Unlock()
-	return s, nil
+	m.entries[window] = memoEntry{pending: true}
+	m.mu.Unlock()
+	ok := false // stays false if pass panics
+	defer func() {
+		m.mu.Lock()
+		if ok {
+			m.entries[window] = memoEntry{s: s}
+		} else {
+			delete(m.entries, window)
+		}
+		m.settled.Broadcast()
+		m.mu.Unlock()
+	}()
+	s, err = pass(window)
+	ok = err == nil
+	return s, err
 }
 
 // Oracle is a Model that returns the grounded support score directly,

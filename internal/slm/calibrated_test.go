@@ -2,10 +2,12 @@ package slm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -222,6 +224,69 @@ func TestCalibratedConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestSignatureMemoOnePassPerWindow: callers that meet one window
+// while its pass runs wait for it, so eight at once pay one
+// HiddenSignature between them and all get its bits, and a later
+// caller pays none.
+func TestSignatureMemoOnePassPerWindow(t *testing.T) {
+	v := NewQwen2()
+	window := windowKey(windowTok.EncodeTail(VerificationPrompt(req("At least three shopkeepers are needed.")), idiosyncrasyConfig.MaxSeq))
+	want, err := v.net.HiddenSignature(windowIDs(window))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 8
+	var passes atomic.Int32
+	var started, wg sync.WaitGroup
+	started.Add(callers)
+	pass := func(w string) (float64, error) {
+		passes.Add(1)
+		started.Wait() // no pass ends before every caller has set off
+		return v.pass(w)
+	}
+	got, errs := make([]float64, callers+1), make([]error, callers+1)
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			started.Done()
+			got[i], errs[i] = v.sigs.get(window, pass)
+		}()
+	}
+	wg.Wait()
+	got[callers], errs[callers] = v.sigs.get(window, pass)
+	if n := passes.Load(); n != 1 {
+		t.Errorf("%d callers of one window paid %d forward passes, want 1", callers+1, n)
+	}
+	for i, s := range got {
+		if errs[i] != nil || math.Float64bits(s) != math.Float64bits(want) {
+			t.Errorf("caller %d: %v, %v; the pass gives %v", i, s, errs[i], want)
+		}
+	}
+}
+
+// TestSignatureMemoForgetsFailures: a pass that fails or panics leaves
+// no entry behind, so the next caller runs its own.
+func TestSignatureMemoForgetsFailures(t *testing.T) {
+	var m signatureMemo
+	m.settled.L = &m.mu
+	boom := errors.New("boom")
+	if _, err := m.get("w", func(string) (float64, error) { return 0, boom }); err != boom {
+		t.Fatalf("err = %v, want the pass's", err)
+	}
+	func() {
+		defer func() { recover() }()
+		m.get("w", func(string) (float64, error) { panic("pass") })
+	}()
+	s, err := m.get("w", func(string) (float64, error) { return 0.25, nil })
+	if s != 0.25 || err != nil {
+		t.Fatalf("after a failed and a panicked pass: %v, %v; want the third pass's 0.25", s, err)
+	}
+	if s, _ := m.get("w", func(string) (float64, error) { return 1, nil }); s != 0.25 {
+		t.Fatalf("a settled window ran its pass again: %v", s)
 	}
 }
 

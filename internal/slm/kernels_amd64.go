@@ -2,26 +2,22 @@ package slm
 
 import "math"
 
-// The SSE kernels in kernels_amd64.s compute what the Go kernels of
-// math.go compute, to the bit. Each vector lane is one of the Go
-// kernel's float32 accumulators and is fed the same products in the
-// same order, with a separate multiply and add for each (MULPS, ADDPS:
-// no fused multiply-add, no horizontal or dot-product instruction), so
-// every rounding happens where the Go code rounds. SSE2 is part of
-// every amd64 CPU, so these kernels need no check at run time. Each
-// kernel takes the whole groups — of eight rows, of four keys,
-// coordinates or elements — and the Go kernel does the rest.
-//
-// The 256-bit float32 kernels (the third part of kernels_amd64.s) keep
-// the same rule, VMULPS then VADDPS, eight lanes at a time: the block
-// projection (matVecBlockAVX), eight keys per register in the attention
-// scores, four eight-wide heads' weighted sums at once, and layer norm's
-// last loop (normalizeAVX, float64 lanes then float32 ones). They run
-// only where hasAVX2FMA holds, checked once at start-up (wideLanes);
-// elsewhere the SSE kernels do the same work.
+// The 256-bit float32 kernels of kernels_amd64.s compute what the Go
+// kernels of math.go compute, to the bit. Each vector lane is one of
+// the Go kernel's float32 accumulators and is fed the same products in
+// the same order, with a separate multiply and add for each (VMULPS,
+// VADDPS: no fused multiply-add, no horizontal or dot-product
+// instruction), so every rounding happens where the Go code rounds:
+// the block projection (matVecBlockAVX), eight keys per register in the
+// attention scores, four eight-wide heads' weighted sums at once, the
+// adds, and layer norm's last loop (normalizeAVX, float64 lanes then
+// float32 ones). They run only where hasAVX2FMA holds, checked once at
+// start-up (wideLanes); elsewhere the Go kernels do all the work. Each
+// kernel takes the whole groups it was written for, and the Go kernel
+// the shapes it was not.
 //
 // The float64 softmax and GELU run on AVX2/FMA lanes of math.Exp and
-// math.Tanh (the second part of kernels_amd64.s). On amd64 math.Exp is
+// math.Tanh (the first part of kernels_amd64.s). On amd64 math.Exp is
 // one straight-line sequence that itself picks an FMA path at run time,
 // and math.Tanh is Go built on it; each lane runs the operations
 // math.Exp and math.Tanh run on this CPU, in their order, and the rest
@@ -33,28 +29,6 @@ import "math"
 // than move a bit. A group of four with a lane out of a lane's range
 // (see expSumAVX, geluAVX) goes through the Go code.
 
-// matVecSSE is matVecGo for len(out), a multiple of eight, rows.
-//
-//go:noescape
-func matVecSSE(out, m, x []float32)
-
-// addSSE is addGo for len(a), a multiple of four, elements.
-//
-//go:noescape
-func addSSE(a, b []float32)
-
-// scoreKeysSSE is scoreKeysGo for len(scores), a multiple of four,
-// keys: one lane per key.
-//
-//go:noescape
-func scoreKeysSSE(scores, q, k []float32, stride int, scale float32)
-
-// weightedSumSSE is weightedSumGo for len(out), a multiple of four,
-// coordinates: one lane per coordinate.
-//
-//go:noescape
-func weightedSumSSE(out, w, v []float32, stride int)
-
 // matVecBlockAVX is matVecGo for four positions and the first
 // rows&^3 rows of the (rows×cols) matrix m, for cols a multiple of four:
 // it sets out[p*rows+r] = m[r]·x[p*cols:(p+1)*cols] for p < 4. Each
@@ -64,6 +38,11 @@ func weightedSumSSE(out, w, v []float32, stride int)
 //
 //go:noescape
 func matVecBlockAVX(out, m, x []float32, rows, cols int)
+
+// addAVX is addGo for len(a), a multiple of eight, elements.
+//
+//go:noescape
+func addAVX(a, b []float32)
 
 // scoreKeysAVX is scoreKeysGo for len(scores), a multiple of eight,
 // keys: one lane per key.
@@ -82,112 +61,92 @@ func weightedSum4AVX(out, w, v []float32, n, wStride, vStride int)
 // FMA, and the operating system saves the YMM registers.
 var wideLanes = hasAVX2FMA()
 
-// matVecKernel is matVecGo.
-func matVecKernel(out, m, x []float32) {
-	cols := len(x)
-	n := len(out) &^ 7
-	if n > 0 {
-		matVecSSE(out[:n], m[:n*cols], x)
-	}
-	if n < len(out) {
-		matVecGo(out[n:], m[n*cols:], x)
-	}
-}
+// padMax is the most rows and the most columns a padded block takes:
+// the widest of the verification network's matrices (its FFN's 64).
+const padMax = 64
 
-// matVecBlockKernel is matVecBlockGo. The 256-bit kernel takes whole
-// blocks of four positions and whole groups of four rows where the
-// columns come in whole groups of four; the rows past the last group,
-// the positions past the last block, and every position of a matrix
-// with a column tail go through matVecKernel one position at a time.
+// matVecBlockKernel is matVecBlockGo. The 256-bit kernel takes blocks
+// of four positions where the columns come in whole groups of four.
+// Past the last whole block, n ≥ 4 positions end in a block that
+// overlaps the one before it, and 1–3 positions go through it as one
+// block padded with zero positions; each lane holds one position's
+// accumulator, so a position computed twice gets the same bits and a
+// padding one touches none. The kernel takes the rows up to the last
+// group of four; the rows past it, matrices with a column tail, and a
+// padded block wider than padMax go through matVecGo.
 func matVecBlockKernel(out, m, x []float32, rows, cols, n int) {
-	p := 0
-	if wideLanes && cols%4 == 0 && rows >= 4 {
-		g := rows &^ 3
-		for ; p+4 <= n; p += 4 {
-			o, xs := out[p*rows:(p+4)*rows], x[p*cols:(p+4)*cols]
-			matVecBlockAVX(o, m, xs, rows, cols)
-			if g == rows {
-				continue
-			}
-			for i := 0; i < 4; i++ {
-				matVecKernel(o[i*rows+g:(i+1)*rows], m[g*cols:], xs[i*cols:(i+1)*cols])
-			}
-		}
+	if !wideLanes || cols%4 != 0 || rows < 4 || n < 4 && (rows > padMax || cols > padMax) {
+		matVecBlockGo(out, m, x, rows, cols, n)
+		return
 	}
-	for ; p < n; p++ {
-		matVecKernel(out[p*rows:(p+1)*rows], m, x[p*cols:(p+1)*cols])
+	if n >= 4 {
+		for p := 0; p < n; p += 4 {
+			b := min(p, n-4)
+			matVecBlockAVX(out[b*rows:(b+4)*rows], m, x[b*cols:(b+4)*cols], rows, cols)
+		}
+	} else if n > 0 {
+		var xs [4 * padMax]float32
+		var o [4 * padMax]float32
+		copy(xs[:], x)
+		matVecBlockAVX(o[:4*rows], m, xs[:4*cols], rows, cols)
+		copy(out, o[:n*rows])
+	}
+	if g := rows &^ 3; g < rows {
+		for p := 0; p < n; p++ {
+			matVecGo(out[p*rows+g:(p+1)*rows], m[g*cols:], x[p*cols:(p+1)*cols])
+		}
 	}
 }
 
 func addKernel(a, b []float32) {
 	b = b[:len(a)]
-	n := len(a) &^ 3
-	if n > 0 {
-		addSSE(a[:n], b[:n])
+	n := 0
+	if wideLanes {
+		if n = len(a) &^ 7; n > 0 {
+			addAVX(a[:n], b[:n])
+		}
 	}
 	addGo(a[n:], b[n:])
 }
 
 // scoreKeys is scoreKeysGo; k must hold len(q) rows of stride with
 // len(scores) keys in each. The 256-bit kernel scores groups of eight
-// keys and the SSE kernel groups of four after them. Where the rows and
+// keys, and the Go kernel the keys after them. Where the rows and
 // scores have room for a whole last group — the K cache's rows are
-// MaxSeq wide, and the window's scores MaxSeq long — a kernel scores the
-// last keys as a whole group: its other lanes read columns that no key
-// of this call reads and write scores past len(scores), which no caller
-// reads.
+// MaxSeq wide, and the window's scores MaxSeq long — the kernel scores
+// the last keys as a whole group: its other lanes read columns that no
+// key of this call reads and write scores past len(scores), which no
+// caller reads.
 func scoreKeys(scores, q, k []float32, stride int, scale float32) {
 	done := 0
 	if wideLanes {
-		if done = keyGroups(scores, q, k, stride, 0, 8); done > 0 {
+		if done = keyGroups(scores, q, k, stride); done > 0 {
 			scoreKeysAVX(scores[:done], q, k, stride, scale)
 		}
-	}
-	if n := keyGroups(scores, q, k, stride, done, 4); n > done {
-		scoreKeysSSE(scores[done:n], q, k[done:], stride, scale)
-		done = n
 	}
 	if done < len(scores) {
 		scoreKeysGo(scores[done:], q, k[done:], stride, scale)
 	}
 }
 
-// keyGroups returns where a kernel scoring groups of w keys from key
-// from on stops: after the whole groups, or after one more group if the
-// rows and scores have room for all of it.
-func keyGroups(scores, q, k []float32, stride, from, w int) int {
-	if from >= len(scores) {
-		return from
-	}
-	n := from + (len(scores)-from)/w*w
-	if r := n + w; n < len(scores) && r <= cap(scores) && r <= stride && (len(q) == 0 || (len(q)-1)*stride+r <= len(k)) {
+// keyGroups returns where the kernel scoring groups of eight keys
+// stops: after the whole groups, or after one more group if the rows
+// and scores have room for all of it.
+func keyGroups(scores, q, k []float32, stride int) int {
+	n := len(scores) &^ 7
+	if r := n + 8; n < len(scores) && r <= cap(scores) && r <= stride && (len(q) == 0 || (len(q)-1)*stride+r <= len(k)) {
 		n = r
 	}
-	if n > from && len(q) > 0 {
+	if n > 0 && len(q) > 0 {
 		_ = k[(len(q)-1)*stride+n-1] // the kernel's last read
 	}
 	return n
 }
 
-// weightedSum is weightedSumGo; v must hold len(w) rows of stride
-// with len(out) coordinates in each.
-func weightedSum(out, w, v []float32, stride int) {
-	n := len(out) &^ 3
-	if n > 0 {
-		if len(w) > 0 {
-			_ = v[(len(w)-1)*stride+n-1] // the kernel's last read
-		}
-		weightedSumSSE(out[:n], w, v, stride)
-	}
-	if n < len(out) {
-		weightedSumGo(out[n:], w, v[n:], stride)
-	}
-}
-
 // weightedSums is weightedSumsGo. Where the heads are eight wide, as in
 // the verification network, the 256-bit kernel takes them four at a
 // time, one register per head, so that four accumulator chains overlap;
-// other heads go through the SSE kernel one at a time.
+// other heads go through the Go kernel.
 func weightedSums(out, w, v []float32, heads, n, wStride, vStride int) {
 	hd := len(out) / heads
 	h := 0
@@ -199,7 +158,7 @@ func weightedSums(out, w, v []float32, heads, n, wStride, vStride int) {
 		}
 	}
 	for ; h < heads; h++ {
-		weightedSum(out[h*hd:(h+1)*hd], w[h*wStride:h*wStride+n], v[h*hd:], vStride)
+		weightedSumGo(out[h*hd:(h+1)*hd], w[h*wStride:h*wStride+n], v[h*hd:], vStride)
 	}
 }
 

@@ -170,9 +170,48 @@ func TestExpSumAddsInOrder(t *testing.T) {
 	}
 }
 
+// TestMatVecBlockPositionTails holds matVecBlock to matVecGo, bit for
+// bit, on 1 to 9 positions — one padded block, whole blocks, and a last
+// block that overlaps the one before it — of the verification
+// network's matrices (32×32, 64×32 and 32×64), of matrices at the
+// padded block's limit of padMax rows and columns, and of matrices just
+// past it, with the 256-bit kernels on and off. No kernel may write
+// past the positions it is given.
+func TestMatVecBlockPositionTails(t *testing.T) {
+	const guard = 8
+	sentinel := math.Float32frombits(0x7fc0dead)
+	in := &kernelInput{src: rand.New(rand.NewSource(3)), special: 8}
+	for _, s := range []struct{ rows, cols int }{
+		{32, 32}, {64, 32}, {32, 64},
+		{padMax, padMax}, {padMax + 4, 32}, {32, padMax + 4}, {padMax + 1, padMax},
+	} {
+		m := in.floats(s.rows * s.cols)
+		for n := 1; n <= 9; n++ {
+			x := in.logits(n * s.cols)
+			want := make([]float32, n*s.rows)
+			for p := 0; p < n; p++ {
+				matVecGo(want[p*s.rows:(p+1)*s.rows], m, x[p*s.cols:(p+1)*s.cols])
+			}
+			eachKernelPath(func() {
+				got := make([]float32, n*s.rows+guard)
+				for i := range got {
+					got[i] = sentinel
+				}
+				matVecBlock(got[:n*s.rows], m, x, s.rows, s.cols, n)
+				sameBits(t, "matVecBlock", got[:n*s.rows], want)
+				for i, v := range got[n*s.rows:] {
+					if math.Float32bits(v) != math.Float32bits(sentinel) {
+						t.Fatalf("%d×%d, %d positions: matVecBlock wrote %#08x %d past its output", s.rows, s.cols, n, math.Float32bits(v), i)
+					}
+				}
+			})
+		}
+	}
+}
+
 // eachKernelPath runs f with the kernels this CPU runs, and again, if
-// those include the 256-bit ones, with the SSE ones alone, as on a CPU
-// without AVX2.
+// those include the 256-bit ones, with the Go kernels of math.go alone,
+// as on a CPU without AVX2.
 func eachKernelPath(f func()) {
 	f()
 	if wideLanes {

@@ -142,8 +142,8 @@ func sameBits(t *testing.T, kernel string, got, want []float32) {
 func isNaN32(v float32) bool { return v != v }
 
 // FuzzKernelsMatchGeneric holds the kernels the forward pass calls —
-// the SSE and 256-bit ones on amd64, and the SSE ones alone as on a CPU
-// without AVX2 — to the Go kernels of math.go, bit for bit, on shapes
+// the 256-bit ones on amd64, and the Go ones alone as on a CPU without
+// AVX2 — to the Go kernels of math.go, bit for bit, on shapes
 // the verification network does not have (row, column, key and
 // coordinate counts that are not multiples of four or eight, strides
 // wider than the data, blocks of positions that are not multiples of
@@ -178,9 +178,12 @@ func FuzzKernelsMatchGeneric(f *testing.F) {
 
 		a, b := in.floats(n), in.floats(n)
 		wantSum := append([]float32(nil), a...)
-		addInPlace(a, b)
 		addGo(wantSum, b)
-		sameBits(t, "addInPlace", a, wantSum)
+		eachKernelPath(func() {
+			got := append([]float32(nil), a...)
+			addInPlace(got, b)
+			sameBits(t, "addInPlace", got, wantSum)
+		})
 
 		// Whole rows of keys, as in the K cache. Where the rows and the
 		// scores have room, scoreKeys scores the last keys as a whole
@@ -242,9 +245,10 @@ func FuzzKernelsMatchGeneric(f *testing.F) {
 	})
 }
 
-// TestKernelsEveryLength runs softmaxInPlace, softmaxRows and gelu, and
-// the exp and tanh lanes, on every length from 0 to 130 — every count
-// of whole groups and every tail — against the Go loops they replaced,
+// TestKernelsEveryLength runs softmaxInPlace, softmaxRows, gelu and
+// addInPlace, and the exp and tanh lanes, on every length from 0 to
+// 130 — every count of whole groups and every tail — against the Go
+// loops they replaced, addInPlace with the 256-bit kernels on and off,
 // weightedSums on four to nine heads up to 40 positions, and
 // matVecBlock on every shape up to 9 positions of 10 rows and 13
 // columns against matVecGo: on moderate values, on moderate values with
@@ -279,6 +283,19 @@ func TestKernelsEveryLength(t *testing.T) {
 				refGelu(want)
 				sameBits(t, "gelu", got, want)
 			}
+
+			// a += b, with a guard after a that the kernels must not
+			// write.
+			guard := []float32{-1, -2, -3, -4, -5, -6, -7, -8}
+			a, b := in.floats(n), in.floats(n)
+			want := append([]float32(nil), a...)
+			addGo(want, b)
+			want = append(want, guard...)
+			eachKernelPath(func() {
+				got := append(append([]float32(nil), a...), guard...)
+				addInPlace(got[:n], b)
+				sameBits(t, "addInPlace", got, want)
+			})
 
 			// Two and three rows of n, with row strides to spare.
 			for _, rows := range []int{2, 3} {
