@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -181,17 +182,16 @@ func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
 var _ ingest.Store = (*ShardedDB)(nil)
 var _ ingest.Store = (*RemoteStore)(nil)
 
-// BenchmarkIngestStream loads a search_scan-shaped corpus — 2 000
-// tagged single-sentence documents of twelve words and a serial token
-// — through /ingest/stream's pipeline into a durable 2-shard store,
-// and reports the cost per document. Each iteration opens a fresh
-// store, so the WAL and the index start empty every time.
-func BenchmarkIngestStream(b *testing.B) {
-	const docs = 2000
+// ingestStreamDocs is how many documents ingestStreamBody holds.
+const ingestStreamDocs = 2000
+
+// ingestStreamBody is a search_scan-shaped NDJSON corpus: tagged
+// single-sentence documents of twelve words and a serial token.
+func ingestStreamBody() []byte {
 	words := strings.Fields("shop leave rota staff notice uniform floor manager " +
 		"overtime rate probation review holiday shift store policy")
 	var body bytes.Buffer
-	for i := 0; i < docs; i++ {
+	for i := 0; i < ingestStreamDocs; i++ {
 		body.WriteString(`{"meta":{"tag":"t`)
 		body.WriteString(strconv.Itoa(i % 10))
 		body.WriteString(`"},"text":"`)
@@ -201,30 +201,75 @@ func BenchmarkIngestStream(b *testing.B) {
 		}
 		fmt.Fprintf(&body, "d%dq.\"}\n", i)
 	}
+	return body.Bytes()
+}
+
+// ingestStreamOnce streams body through /ingest/stream's pipeline into
+// a fresh durable 2-shard store and returns the heap allocations the
+// stream made. start and stop bracket the stream alone.
+func ingestStreamOnce(tb testing.TB, body []byte, start, stop func()) uint64 {
+	s, err := OpenShardedWithIndex(tb.TempDir(), 2, 256, IndexConfig{}, PersistConfig{CheckpointEvery: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer s.CloseNoCheckpoint()
 	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start()
+	st, err := ingest.Run(context.Background(), ingest.Config{
+		Store:   ingestSink{s},
+		Chunker: rag.DefaultChunker(),
+	}, bytes.NewReader(body), nil)
+	stop()
+	runtime.ReadMemStats(&after)
+	if err != nil || st.Indexed != ingestStreamDocs {
+		tb.Fatalf("stream: %+v, %v", st, err)
+	}
+	return after.Mallocs - before.Mallocs
+}
+
+// ingestAllocBudget caps the heap allocations per document of
+// ingestStreamBody's stream. With GOMAXPROCS pinned to 2 it measures
+// 13.24–13.44 on one and on two CPUs; it was 15.4 while every stored row
+// was two heap slices copied out of its vector.
+const ingestAllocBudget = 13.8
+
+// TestIngestStreamAllocBudget holds BenchmarkIngestStream's allocs/doc
+// under ingestAllocBudget, taking the least of three streams so that a
+// stray allocation elsewhere in the process does not fail it. The count
+// moves with the number of Ps (sync.Pool caches are per P, and the
+// pipeline starts a chunking worker per P), so the test pins
+// GOMAXPROCS to 2 whatever the machine.
+func TestIngestStreamAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race, so counts are not exact")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	body := ingestStreamBody()
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		least = min(least, ingestStreamOnce(t, body, func() {}, func() {}))
+	}
+	perDoc := float64(least) / ingestStreamDocs
+	t.Logf("%.2f allocs/doc (budget %.1f)", perDoc, ingestAllocBudget)
+	if perDoc > ingestAllocBudget {
+		t.Errorf("ingest stream made %.2f allocations per document, budget %.1f", perDoc, ingestAllocBudget)
+	}
+}
+
+// BenchmarkIngestStream loads ingestStreamBody through /ingest/stream's
+// pipeline into a durable 2-shard store, and reports the cost per
+// document. Each iteration opens a fresh store, so the WAL and the index
+// start empty every time.
+func BenchmarkIngestStream(b *testing.B) {
+	body := ingestStreamBody()
 	var mallocs uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s, err := OpenShardedWithIndex(b.TempDir(), 2, 256, IndexConfig{}, PersistConfig{CheckpointEvery: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		runtime.ReadMemStats(&before)
-		b.StartTimer()
-		st, err := ingest.Run(context.Background(), ingest.Config{
-			Store:   ingestSink{s},
-			Chunker: rag.DefaultChunker(),
-		}, bytes.NewReader(body.Bytes()), nil)
-		b.StopTimer()
-		runtime.ReadMemStats(&after)
-		mallocs += after.Mallocs - before.Mallocs
-		if err != nil || st.Indexed != docs {
-			b.Fatalf("stream: %+v, %v", st, err)
-		}
-		s.CloseNoCheckpoint()
+		mallocs += ingestStreamOnce(b, body, b.StartTimer, b.StopTimer)
 		b.StartTimer()
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*docs), "ns/doc")
-	b.ReportMetric(float64(mallocs)/float64(b.N*docs), "allocs/doc")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ingestStreamDocs), "ns/doc")
+	b.ReportMetric(float64(mallocs)/float64(b.N*ingestStreamDocs), "allocs/doc")
 }

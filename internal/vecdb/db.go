@@ -49,10 +49,12 @@ type Document struct {
 // the retrieval substrate behind the paper's RAG flow (Fig. 2 (a)).
 // All methods are safe for concurrent use.
 type DB struct {
-	mu     sync.RWMutex
-	embed  Embedder
-	index  Index
-	docs   map[int64]Document
+	mu    sync.RWMutex
+	embed Embedder
+	index Index
+	// docs holds every stored document, keyed by its ID, as a 32-byte
+	// record; document rebuilds the Document callers see.
+	docs   map[int64]docRecord
 	nextID int64
 	// seq is the last applied mutation sequence number (see Seq); it
 	// advances only through the journaled mutation paths
@@ -63,10 +65,10 @@ type DB struct {
 	// check is the XOR of every stored document's docHash — the
 	// order-independent content checksum behind Checksum.
 	check uint64
-	// colls counts stored documents per (normalized) collection,
-	// maintained by addLocked/deleteLocked so CollectionCounts is O(1)
-	// in the document count.
-	colls map[string]int
+	// colls interns the (normalized) collection names and counts the
+	// stored documents in each, maintained by addLocked/deleteLocked so
+	// CollectionCounts is O(1) in the document count.
+	colls collTable
 	// metas holds the one map per distinct metadata set that stored
 	// documents share.
 	metas metaPool
@@ -78,7 +80,61 @@ func New(embed Embedder, index Index) (*DB, error) {
 	if embed == nil || index == nil {
 		return nil, errors.New("vecdb: nil embedder or index")
 	}
-	return &DB{embed: embed, index: index, docs: map[int64]Document{}, colls: map[string]int{}, metas: metaPool{}, nextID: 1}, nil
+	return &DB{embed: embed, index: index, docs: map[int64]docRecord{}, colls: collTable{slots: map[string]uint32{}}, metas: metaPool{}, nextID: 1}, nil
+}
+
+// docRecord is a stored document without its ID, which is the docs
+// map's key: its text, its interned metadata and its collection's slot
+// in DB.colls.
+type docRecord struct {
+	text string
+	meta map[string]string
+	coll uint32
+}
+
+// document is the Document stored under id as r.
+func (db *DB) document(id int64, r docRecord) Document {
+	return Document{ID: id, Collection: db.colls.names[r.coll], Text: r.text, Meta: r.meta}
+}
+
+// collTable interns the collection names stored documents carry: a
+// record holds its collection's slot, names[slot] is the name and
+// counts[slot] how many stored documents are in it. A slot whose count
+// falls to zero is freed for the next new name. Callers hold DB.mu.
+type collTable struct {
+	slots  map[string]uint32
+	names  []string
+	counts []int
+	free   []uint32
+}
+
+// add counts one more document in the named collection and returns its
+// slot.
+func (c *collTable) add(name string) uint32 {
+	slot, ok := c.slots[name]
+	if !ok {
+		if n := len(c.free); n > 0 {
+			slot, c.free = c.free[n-1], c.free[:n-1]
+			c.names[slot] = name
+		} else {
+			slot = uint32(len(c.names))
+			c.names = append(c.names, name)
+			c.counts = append(c.counts, 0)
+		}
+		c.slots[name] = slot
+	}
+	c.counts[slot]++
+	return slot
+}
+
+// release counts one document fewer in slot's collection.
+func (c *collTable) release(slot uint32) {
+	c.counts[slot]--
+	if c.counts[slot] == 0 {
+		delete(c.slots, c.names[slot])
+		c.names[slot] = ""
+		c.free = append(c.free, slot)
+	}
 }
 
 // NewDefault builds a DB with a hashed embedder and a flat cosine
@@ -153,18 +209,15 @@ func (db *DB) addLocked(id int64, collection, text string, meta map[string]strin
 	if err := db.index.Add(id, vec); err != nil {
 		return fmt.Errorf("vecdb: index add: %w", err)
 	}
-	doc := Document{ID: id, Collection: NormalizeCollection(collection), Text: text, Meta: db.metas.intern(meta)}
+	meta = db.metas.intern(meta)
 	if old, ok := db.docs[id]; ok {
-		db.check ^= docHash(old) // replacement: retire the old content hash
-		db.colls[old.Collection]--
-		if db.colls[old.Collection] == 0 {
-			delete(db.colls, old.Collection)
-		}
-		db.metas.release(old.Meta)
+		db.check ^= docHash(db.document(id, old)) // replacement: retire the old content hash
+		db.colls.release(old.coll)
+		db.metas.release(old.meta)
 	}
-	db.docs[id] = doc
-	db.check ^= docHash(doc)
-	db.colls[doc.Collection]++
+	rec := docRecord{text: text, meta: meta, coll: db.colls.add(NormalizeCollection(collection))}
+	db.docs[id] = rec
+	db.check ^= docHash(db.document(id, rec))
 	if id >= db.nextID {
 		db.nextID = id + 1
 	}
@@ -191,11 +244,11 @@ var ErrNotFound = errors.New("vecdb: document not found")
 func (db *DB) Get(id int64) (Document, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	d, ok := db.docs[id]
+	r, ok := db.docs[id]
 	if !ok {
 		return Document{}, fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
-	return d, nil
+	return db.document(id, r), nil
 }
 
 // Delete removes a document; deleting an absent ID returns
@@ -221,21 +274,19 @@ func (db *DB) DeleteIn(collection string, id int64) error {
 // delete checked (the stored document must belong to it). Callers
 // hold db.mu.
 func (db *DB) deleteLocked(id int64, collection string) error {
-	old, ok := db.docs[id]
+	r, ok := db.docs[id]
 	if !ok {
 		return fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
+	old := db.document(id, r)
 	if collection != "" && old.Collection != NormalizeCollection(collection) {
 		return fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
 	db.index.Remove(id)
 	delete(db.docs, id)
 	db.check ^= docHash(old)
-	db.colls[old.Collection]--
-	if db.colls[old.Collection] == 0 {
-		delete(db.colls, old.Collection)
-	}
-	db.metas.release(old.Meta)
+	db.colls.release(r.coll)
+	db.metas.release(r.meta)
 	return nil
 }
 
@@ -310,9 +361,9 @@ func copyMeta(meta map[string]string) map[string]string {
 func (db *DB) CollectionCounts() map[string]int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make(map[string]int, len(db.colls))
-	for c, n := range db.colls {
-		out[c] = n
+	out := make(map[string]int, len(db.colls.slots))
+	for c, slot := range db.colls.slots {
+		out[c] = db.colls.counts[slot]
 	}
 	return out
 }
@@ -354,11 +405,11 @@ func (db *DB) SearchVector(vec []float32, k int) ([]Hit, error) {
 	}
 	hits := make([]Hit, 0, len(results))
 	for _, r := range results {
-		doc, ok := db.docs[r.ID]
+		rec, ok := db.docs[r.ID]
 		if !ok {
 			continue // index/docs raced on a delete; skip the orphan
 		}
-		hits = append(hits, Hit{Document: doc, Score: r.Score})
+		hits = append(hits, Hit{Document: db.document(r.ID, rec), Score: r.Score})
 	}
 	return hits, nil
 }
@@ -416,8 +467,12 @@ func (db *DB) SearchVectorFiltered(vec []float32, k int, f Filter) ([]Hit, error
 		}
 		hits := make([]Hit, 0, k)
 		for _, r := range results {
-			doc, ok := db.docs[r.ID]
-			if !ok || !f.Match(doc) {
+			rec, ok := db.docs[r.ID]
+			if !ok {
+				continue
+			}
+			doc := db.document(r.ID, rec)
+			if !f.Match(doc) {
 				continue
 			}
 			hits = append(hits, Hit{Document: doc, Score: r.Score})

@@ -286,7 +286,8 @@ func checkMetaPool(t *testing.T, db *DB) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	sets, withMeta := map[uint64]bool{}, 0
-	for id, d := range db.docs {
+	for id, r := range db.docs {
+		d := db.document(id, r)
 		if len(d.Meta) == 0 {
 			continue
 		}

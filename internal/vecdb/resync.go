@@ -205,8 +205,8 @@ func (db *DB) SnapshotDocs() (uint64, []Document, error) {
 // Callers hold db.mu.
 func (db *DB) docsByIDLocked() []Document {
 	docs := make([]Document, 0, len(db.docs))
-	for _, d := range db.docs {
-		docs = append(docs, d)
+	for id, r := range db.docs {
+		docs = append(docs, db.document(id, r))
 	}
 	// IDs are unique, so any sort gives this order; SortFunc does it
 	// without sort.Slice's reflection.

@@ -29,15 +29,59 @@ func vecWithNNZ(src *rng.Source, dim, nnz int) []float32 {
 	return v
 }
 
+// countShaped is the count-row rule by division and math.Round: vec is
+// at most narrowDim wide, has at least one nonzero, no -0 and nothing
+// non-finite, and every nonzero is float32(c)·m to the bit, with m the
+// smallest nonzero magnitude and 1 ≤ |c| ≤ 127.
+func countShaped(vec []float32) bool {
+	if len(vec) > narrowDim {
+		return false
+	}
+	m, nnz := float32(math.Inf(1)), 0
+	for _, v := range vec {
+		if math.Float32bits(v) == 0 {
+			continue
+		}
+		if v == 0 || math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			return false
+		}
+		nnz++
+		m = min(m, float32(math.Abs(float64(v))))
+	}
+	if nnz == 0 {
+		return false
+	}
+	for _, v := range vec {
+		if v == 0 {
+			continue
+		}
+		c := math.Round(float64(v) / float64(m))
+		if math.Abs(c) > 127 || math.Float32bits(float32(c)*m) != math.Float32bits(v) {
+			return false
+		}
+	}
+	return true
+}
+
 // checkRowSet holds a rowSet to its contents: every row reads back to
-// the bit, is stored sparse exactly when the packing rule says so, and
-// scores every query bit-identically to Similarity on the dense
-// vectors; so does every pair of materialised rows, as HNSW neighbour
+// the bit, is stored as counts, sparse or dense exactly when the
+// storage rules say so, and scores every query bit-identically to
+// Similarity on the dense vectors, widened for the count-row dot or
+// not; so does every pair of materialised rows, as HNSW neighbour
 // selection compares them.
 func checkRowSet(t *testing.T, rs *rowSet, m Metric, want map[int64][]float32, queries [][]float32) {
 	t.Helper()
 	if rs.len() != len(want) {
 		t.Fatalf("len = %d, want %d", rs.len(), len(want))
+	}
+	counted := 0
+	for _, ref := range rs.refs {
+		if ref.kind() == rowCount {
+			counted++
+		}
+	}
+	if rs.countRows != counted {
+		t.Fatalf("countRows = %d, but %d rows are count rows", rs.countRows, counted)
 	}
 	for id, vec := range want {
 		row, ok := rs.pos[id]
@@ -55,9 +99,16 @@ func checkRowSet(t *testing.T, rs *rowSet, m Metric, want map[int64][]float32, q
 				nnz++
 			}
 		}
-		wantSparse := !rs.quantized() && nnz < denseCutoff(rs.dim)
-		if sparse := len(rs.vals[row]) != rs.dim; sparse != wantSparse {
-			t.Fatalf("id %d (nnz %d of %d) stored sparse=%v, want %v", id, nnz, rs.dim, sparse, wantSparse)
+		wantKind := rowDense
+		switch {
+		case rs.quantized():
+		case countShaped(vec):
+			wantKind = rowCount
+		case nnz < denseCutoff(rs.dim):
+			wantKind = rowSparse
+		}
+		if kind := rs.refs[row].kind(); kind != wantKind {
+			t.Fatalf("id %d (nnz %d of %d) stored as kind %d, want %d", id, nnz, rs.dim, kind, wantKind)
 		}
 		for qi, q := range queries {
 			pq := rs.prepare(m, q)
@@ -65,6 +116,10 @@ func checkRowSet(t *testing.T, rs *rowSet, m Metric, want map[int64][]float32, q
 			if got := rs.exactScore(m, row, &pq); !sameBits(got, w) {
 				t.Fatalf("query %d id %d: exactScore %v (%#x), Similarity %v (%#x)",
 					qi, id, got, math.Float64bits(got), w, math.Float64bits(w))
+			}
+			pq.widened = false
+			if got := rs.exactScore(m, row, &pq); !sameBits(got, w) {
+				t.Fatalf("query %d id %d: exactScore unwidened %v, Similarity %v", qi, id, got, w)
 			}
 		}
 		for other, ovec := range want {
@@ -204,40 +259,249 @@ func FuzzRowSetMatchesSimilarity(f *testing.F) {
 	})
 }
 
-// TestIndexMemoryCountsStoredBytes: float_bytes is what the rows hold —
-// at most a byte per coordinate on hashed text, exactly four on dense
-// Gaussian rows — and the unquantized scan reads it plus one norm a row.
+// countRow builds a row of small integer counts scaled to unit length,
+// as HashedEmbedder does, from a seed, and then makes it miss by one
+// flaw when flaw says so: 0 none, 1 every count doubled (no count of
+// ±1), 2 a -0, 3 a NaN, 4 +Inf, 5 -Inf, 6 a count of ±127, 7 one of
+// ±128, 8 one value 1 ulp off.
+func countRow(dim int, seed uint64, flaw byte) []float32 {
+	src := rng.New(seed)
+	nnz := 1 + src.Intn(min(dim, 32))
+	coords := src.Perm(dim)
+	v := make([]float32, dim)
+	for _, d := range coords[:nnz] {
+		v[d] = float32(1 + src.Intn(4))
+		if src.Intn(2) == 0 {
+			v[d] = -v[d]
+		}
+		if flaw == 1 {
+			v[d] *= 2
+		}
+	}
+	at := coords[src.Intn(nnz)]
+	switch flaw {
+	case 6:
+		v[at] = float32(math.Copysign(127, float64(v[at])))
+	case 7:
+		v[at] = float32(math.Copysign(128, float64(v[at])))
+	}
+	NormalizeInPlace(v)
+	switch flaw {
+	case 2:
+		if nnz < dim {
+			v[coords[nnz]] = float32(math.Copysign(0, -1))
+		}
+	case 3:
+		v[at] = float32(math.NaN())
+	case 4:
+		v[at] = float32(math.Inf(1))
+	case 5:
+		v[at] = float32(math.Inf(-1))
+	case 8:
+		v[at] = math.Float32frombits(math.Float32bits(v[at]) + 1)
+	}
+	return v
+}
+
+// FuzzCountRowsMatchSimilarity decodes raw as a width (255, 256 or 257
+// by raw[0]), a metric (raw[1]) and 4-byte ops (id, op, seed): op%10 ==
+// 9 deletes the row, any other adds or replaces it with countRow(seed,
+// op%10) — count-shaped rows, which a set of dim ≤ 256 stores as
+// counts and a wider one as floats, and near misses, which every set
+// must store as floats. It then replaces every row until the arenas have
+// compacted. Before and after the compaction, each row reads back to the
+// bit, is stored as counts exactly when the
+// division-and-Round rule (countShaped) says so, and scores every query
+// — a row, a Gaussian vector, one with an Inf — as Similarity does.
+func FuzzCountRowsMatchSimilarity(f *testing.F) {
+	for dim := byte(0); dim < 3; dim++ {
+		for flaw := byte(0); flaw < 9; flaw++ {
+			f.Add([]byte{dim, flaw % 3, 1, flaw, 7, flaw, 2, 0, 1, 1, 3, 9, 0, 0, 2, 0, 3, 5})
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 2 {
+			return
+		}
+		dim, m := 255+int(raw[0]%3), Metric(raw[1]%3)
+		x, err := NewFlatIndex(m, dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[int64][]float32{}
+		for b := raw[2:]; len(b) >= 4; b = b[4:] {
+			id := int64(b[0] % 8)
+			if b[1]%10 == 9 {
+				delete(want, id)
+				x.Remove(id)
+				continue
+			}
+			v := countRow(dim, uint64(binary.LittleEndian.Uint16(b[2:])), b[1]%10)
+			want[id] = v
+			if err := x.Add(id, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(want) == 0 {
+			return
+		}
+		src := rng.New(uint64(len(raw)))
+		gauss, inf := make([]float32, dim), make([]float32, dim)
+		for d := range gauss {
+			gauss[d] = float32(src.NormFloat64())
+		}
+		inf[src.Intn(dim)] = float32(math.Inf(1))
+		var first []float32
+		for _, v := range want {
+			first = v
+			break
+		}
+		queries := [][]float32{first, gauss, inf}
+		checkRowSet(t, &x.rs, m, want, queries)
+		checkSearchScores(t, x, m, want, queries, true)
+
+		holes := func() int { return x.rs.words.dead + x.rs.floats.dead }
+		for compacted, adds := false, 0; !compacted; {
+			for id, v := range want {
+				before := holes()
+				if err := x.Add(id, v); err != nil {
+					t.Fatal(err)
+				}
+				compacted = compacted || holes() < before
+				if adds++; adds > 1<<16 {
+					t.Fatalf("no compaction after %d replacements", adds)
+				}
+			}
+		}
+		checkRowSet(t, &x.rs, m, want, queries)
+		checkSearchScores(t, x, m, want, queries, true)
+	})
+}
+
+// TestIndexMemoryCountsStoredBytes: float_bytes is what the arenas
+// hold — 6 B plus 2 B per nonzero for a hashed-text row at dim 256,
+// 4 B a coordinate for a dense Gaussian one — plus the rows replaced or
+// removed since the last compaction; param_bytes is a reference and a
+// norm per row (and a squared norm, scale and offset when quantized);
+// the unquantized scan reads the live rows, references and norms. A
+// model of the compaction rule follows the holes through replace and
+// delete churn.
 func TestIndexMemoryCountsStoredBytes(t *testing.T) {
 	const n, dim = 1000, 256
 	e, err := NewHashedEmbedder(dim)
 	if err != nil {
 		t.Fatal(err)
 	}
+	hashed := embedAllTexts(t, e, hashedTexts(n, 12, 1))
+	gaussian := randomVectors(n, dim, 1)
 	for _, c := range []struct {
-		name string
-		vecs [][]float32
-		ok   func(floatBytes int64) bool
+		name  string
+		vecs  [][]float32
+		quant QuantConfig
 	}{
-		{"hashed", embedAllTexts(t, e, hashedTexts(n, 12, 1)), func(b int64) bool { return b <= n*dim }},
-		{"gaussian", randomVectors(n, dim, 1), func(b int64) bool { return b == n*dim*4 }},
+		{"hashed", hashed, QuantConfig{}},
+		{"gaussian", gaussian, QuantConfig{}},
+		{"hashed-int8", hashed, QuantConfig{Kind: QuantInt8}},
 	} {
-		x, err := NewFlatIndex(Cosine, dim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range c.vecs {
-			if err := x.Add(int64(i), v); err != nil {
+		t.Run(c.name, func(t *testing.T) {
+			x, err := NewFlatIndexQ(Cosine, dim, c.quant)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		m := x.Memory()
-		if !c.ok(m.FloatBytes) {
-			t.Errorf("%s: float_bytes %d for %d rows of dim %d", c.name, m.FloatBytes, n, dim)
-		}
-		if m.ScanBytes != m.FloatBytes+n*8 {
-			t.Errorf("%s: scan_bytes %d, want float_bytes %d + 8 per row", c.name, m.ScanBytes, m.FloatBytes)
+			rowBytes := func(v []float32) int64 {
+				nnz := 0
+				for _, f := range v {
+					if math.Float32bits(f) != 0 {
+						nnz++
+					}
+				}
+				switch {
+				case c.quant.Kind != QuantNone || nnz >= denseCutoff(dim):
+					return 4 * dim
+				case countShaped(v):
+					return int64(6 + 2*nnz)
+				default:
+					return int64(2 + 6*nnz)
+				}
+			}
+			stored := map[int64][]float32{}
+			var live, holes int64
+			compactions := 0
+			settle := func() {
+				if holes >= compactMinHoles && 2*holes > live {
+					holes = 0
+					compactions++
+				}
+			}
+			put := func(id int64, v []float32) {
+				if old, ok := stored[id]; ok {
+					live -= rowBytes(old)
+					holes += rowBytes(old)
+				}
+				stored[id] = v
+				live += rowBytes(v)
+				if err := x.Add(id, v); err != nil {
+					t.Fatal(err)
+				}
+				settle()
+			}
+			del := func(id int64) {
+				live -= rowBytes(stored[id])
+				holes += rowBytes(stored[id])
+				delete(stored, id)
+				x.Remove(id)
+				settle()
+			}
+			check := func(step string) {
+				t.Helper()
+				m, rows := x.Memory(), int64(len(stored))
+				want := IndexMemory{Vectors: len(stored), FloatBytes: live + holes, ParamBytes: rows * 16, ScanBytes: live + rows*16}
+				if c.quant.Kind != QuantNone {
+					want.CodeBytes = rows * dim
+					want.ParamBytes = rows * 32
+					want.ScanBytes = want.CodeBytes + rows*16
+				}
+				if m != want {
+					t.Errorf("%s: memory %+v, want %+v", step, m, want)
+				}
+			}
+			for i, v := range c.vecs {
+				put(int64(i), v)
+			}
+			if c.name == "hashed" && live != int64(n)*6+2*int64(nonzeros(c.vecs)) {
+				t.Errorf("hashed rows hold %d B, not 6 B and 2 B a nonzero: not every row is a count row", live)
+			}
+			check("add")
+			for i := 0; i < n/4; i++ { // replace a quarter with other rows
+				put(int64(i), c.vecs[n-1-i])
+			}
+			check("replace")
+			for i := n / 4; i < n-n/10; i++ {
+				del(int64(i))
+			}
+			check("delete")
+			if compactions == 0 {
+				t.Errorf("no compaction after deleting %d of %d rows", n-n/10-n/4, n)
+			}
+			for id := range stored {
+				del(id)
+			}
+			check("empty")
+		})
+	}
+}
+
+// nonzeros counts the bitwise-nonzero coordinates of vecs.
+func nonzeros(vecs [][]float32) int {
+	nnz := 0
+	for _, v := range vecs {
+		for _, f := range v {
+			if math.Float32bits(f) != 0 {
+				nnz++
+			}
 		}
 	}
+	return nnz
 }
 
 func embedAllTexts(t testing.TB, e Embedder, texts []string) [][]float32 {
