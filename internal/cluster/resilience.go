@@ -10,7 +10,9 @@ import (
 // ResilienceConfig tunes the request-level tail-latency layer: circuit
 // breakers, read retries, and hedged reads. The zero value disables
 // all three — existing routers behave exactly as before — and each
-// feature is enabled independently by its own field:
+// feature is enabled independently by its own field. All three act on
+// the router's one read path (readShard), for searches and point reads
+// alike:
 //
 //   - BreakerThreshold > 0 arms a per-backend circuit breaker fed by
 //     live-traffic outcomes (probes stay the health checker's job).
@@ -18,14 +20,15 @@ import (
 //     the breaker trips on the spot after a burst of request failures
 //     and fast-fails around the backend until a cooldown trial passes.
 //   - RetryReads > 0 grants idempotent reads (search, get) that many
-//     extra rounds over the shard's backends, spaced by full-jitter
-//     backoff. Writes are never retried here: Apply has its own
-//     partial-write + resync semantics.
+//     extra rounds over the shard's backends, each after a full-jitter
+//     backoff of base 2ms; a round is the whole race, hedge included.
+//     Writes are never retried here: Apply has its own partial-write +
+//     resync semantics.
 //   - HedgeAfter > 0 launches a duplicate read to the next replica
 //     when the first attempt has not answered within that delay; the
 //     first success wins and the loser is cancelled. Hedging engages
-//     only when the remaining deadline budget exceeds HedgeMinBudget,
-//     so a request about to expire is not doubled for nothing.
+//     only when at least 2×HedgeAfter of the deadline remains, so a
+//     request about to expire is not doubled for nothing.
 type ResilienceConfig struct {
 	// BreakerThreshold is the consecutive live-request failure count
 	// that opens a backend's breaker (0 disables breakers).
@@ -36,26 +39,18 @@ type ResilienceConfig struct {
 	// RetryReads is the number of extra read rounds after the first
 	// pass over a shard's backends fails (0 disables retries).
 	RetryReads int
-	// RetryBaseDelay scales the full-jitter backoff before round n:
-	// a uniform draw from [0, base·2ⁿ⁻¹] (default 2ms).
-	RetryBaseDelay time.Duration
 	// HedgeAfter is the delay before a read is hedged to the next
 	// replica (0 disables hedging).
 	HedgeAfter time.Duration
-	// HedgeMinBudget is the minimum remaining context deadline for
-	// hedging to engage (default 2×HedgeAfter).
-	HedgeMinBudget time.Duration
 }
+
+// retryBaseDelay scales the full-jitter backoff before retry round n:
+// a uniform draw from [0, retryBaseDelay·2ⁿ⁻¹].
+const retryBaseDelay = 2 * time.Millisecond
 
 func (c ResilienceConfig) withDefaults() ResilienceConfig {
 	if c.BreakerThreshold > 0 && c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 2 * time.Second
-	}
-	if c.RetryReads > 0 && c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = 2 * time.Millisecond
-	}
-	if c.HedgeAfter > 0 && c.HedgeMinBudget <= 0 {
-		c.HedgeMinBudget = 2 * c.HedgeAfter
 	}
 	return c
 }

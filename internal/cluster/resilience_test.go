@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -153,20 +154,30 @@ func (c *countingBackend) SearchVector(ctx context.Context, vec []float32, k int
 // TestRouterBreakerFastFail: after BreakerThreshold live failures the
 // primary's breaker opens and subsequent reads go straight to the
 // replica without sending the primary anything — distinct from health
-// ejection, which here is held off by a high FailThreshold.
+// ejection, which here is held off by a high FailThreshold. Each skip
+// at an open breaker counts once, hedged or not.
 func TestRouterBreakerFastFail(t *testing.T) {
+	for _, hedgeAfter := range []time.Duration{0, 20 * time.Millisecond} {
+		t.Run(fmt.Sprintf("hedge=%v", hedgeAfter), func(t *testing.T) {
+			testRouterBreakerFastFail(t, hedgeAfter)
+		})
+	}
+}
+
+func testRouterBreakerFastFail(t *testing.T, hedgeAfter time.Duration) {
 	const dim = 32
 	primaryDB, replicaDB := newLocalDB(t, dim), newLocalDB(t, dim)
 	pb, _ := NewLocalBackend("primary", primaryDB)
 	rb, _ := NewLocalBackend("replica", replicaDB)
 	flaky := &flakyBackend{Backend: pb}
 	counting := &countingBackend{Backend: flaky}
+	flakyReplica := &flakyBackend{Backend: rb}
 	cfg := HealthConfig{
 		Interval:      time.Hour,
 		FailThreshold: 100, // keep health ejection out of this test
-		Resilience:    ResilienceConfig{BreakerThreshold: 2, BreakerCooldown: time.Hour},
+		Resilience:    ResilienceConfig{BreakerThreshold: 2, BreakerCooldown: time.Hour, HedgeAfter: hedgeAfter},
 	}
-	r, err := NewRouter([]ShardBackends{{Primary: counting, Replicas: []Backend{rb}}}, cfg)
+	r, err := NewRouter([]ShardBackends{{Primary: counting, Replicas: []Backend{flakyReplica}}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +217,8 @@ func TestRouterBreakerFastFail(t *testing.T) {
 		t.Fatalf("open breaker still sent %d reads to the primary", got-asked)
 	}
 	st := r.Stats()
-	if st.BreakerFastFails < 3 {
-		t.Errorf("BreakerFastFails = %d, want >= 3", st.BreakerFastFails)
+	if st.BreakerFastFails != 3 {
+		t.Errorf("BreakerFastFails = %d, want 3 (one skip per read)", st.BreakerFastFails)
 	}
 	if st.Failovers != 2 {
 		t.Errorf("Failovers = %d, want 2 (only the pre-open reads tried the primary first)", st.Failovers)
@@ -223,68 +234,96 @@ func TestRouterBreakerFastFail(t *testing.T) {
 	if !found {
 		t.Error("primary breaker not reported open in health snapshot")
 	}
+
+	// Two failing replica reads open its breaker too (one more skip of
+	// the primary each); then a read skips both backends, once each.
+	flakyReplica.broken.Store(true)
+	for i := 0; i < 2; i++ {
+		if _, err := r.SearchVector(ctx, v, 2, vecdb.Filter{}); err == nil {
+			t.Fatalf("read %d succeeded with both backends broken", i)
+		}
+	}
+	if _, err := r.SearchVector(ctx, v, 2, vecdb.Filter{}); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("read with both breakers open: %v, want ErrUnavailable", err)
+	}
+	if got := r.Stats().BreakerFastFails; got != 7 {
+		t.Errorf("BreakerFastFails = %d, want 7 (3 + 2 + one skip of each backend)", got)
+	}
 }
 
-// TestRouterReadRetry: a transient single-backend failure is absorbed
-// by one jittered retry round instead of surfacing to the caller.
+// TestRouterReadRetry: a read that fails on every backend of its shard
+// is retried once, hedged or not, and a transient single-backend
+// failure is absorbed by that retry instead of surfacing to the
+// caller.
 func TestRouterReadRetry(t *testing.T) {
+	for _, hedgeAfter := range []time.Duration{0, 20 * time.Millisecond} {
+		t.Run(fmt.Sprintf("hedge=%v", hedgeAfter), func(t *testing.T) {
+			testRouterReadRetry(t, hedgeAfter)
+		})
+	}
+}
+
+// failNBackend fails its next fails SearchVector calls, then answers.
+type failNBackend struct {
+	Backend
+	fails atomic.Int32
+}
+
+func (b *failNBackend) SearchVector(ctx context.Context, vec []float32, k int, f vecdb.Filter) ([]vecdb.Hit, error) {
+	if b.fails.Add(-1) >= 0 {
+		return nil, errBroken
+	}
+	return b.Backend.SearchVector(ctx, vec, k, f)
+}
+
+func testRouterReadRetry(t *testing.T, hedgeAfter time.Duration) {
 	const dim = 32
 	db := newLocalDB(t, dim)
 	lb, _ := NewLocalBackend("only", db)
-	flaky := &flakyBackend{Backend: lb}
+	failing := &failNBackend{Backend: lb}
 	cfg := HealthConfig{
 		Interval:      time.Hour,
 		FailThreshold: 100,
-		Resilience:    ResilienceConfig{RetryReads: 1, RetryBaseDelay: time.Millisecond},
+		Resilience:    ResilienceConfig{RetryReads: 1, HedgeAfter: hedgeAfter},
 	}
-	r, err := NewRouter([]ShardBackends{{Primary: flaky}}, cfg)
+	r, err := NewRouter([]ShardBackends{{Primary: failing}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Close)
 	seedRouter(t, r, corpus[:2])
 
-	// Break the backend for exactly the first attempt of the next read.
-	flaky.broken.Store(true)
-	restored := make(chan struct{})
-	go func() {
-		// The retry waits up to 1ms of jitter; restore the backend as
-		// soon as the first pass has had a chance to fail.
-		time.Sleep(200 * time.Microsecond)
-		flaky.broken.Store(false)
-		close(restored)
-	}()
-
 	vec, _ := vecdb.NewHashedEmbedder(dim)
 	v, err := vec.Embed("working hours")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With RetryReads=1 the read may still lose the restore race once;
-	// a second call after the restore must succeed via retry or first
-	// pass. Loop a few times to keep the test timing-robust.
-	<-restored
+	// One failure: the first round fails, the retry round answers.
+	failing.fails.Store(1)
 	hits, err := r.SearchVector(context.Background(), v, 2, vecdb.Filter{})
 	if err != nil {
-		t.Fatalf("read failed after backend restore: %v", err)
+		t.Fatalf("read failed despite a retry round after one failure: %v", err)
 	}
 	if len(hits) == 0 {
 		t.Fatal("no hits")
 	}
-	// Force a deterministic retry: break, call, observe the counter
-	// does not move when the retry also fails, then restore.
-	flaky.broken.Store(true)
-	before := r.Stats().ReadRetries
-	if _, err := r.SearchVector(context.Background(), v, 2, vecdb.Filter{}); err == nil {
-		t.Fatal("read succeeded against a broken single backend")
+	if got := r.Stats().ReadRetries; got != 1 {
+		t.Fatalf("ReadRetries = %d after one absorbed failure, want 1", got)
 	}
-	if got := r.Stats().ReadRetries; got != before+1 {
-		t.Fatalf("ReadRetries = %d, want %d (one extra round)", got, before+1)
+	// Two failures: the retry round fails too, the read errors, and the
+	// counter moves by exactly one extra round.
+	failing.fails.Store(2)
+	if _, err := r.SearchVector(context.Background(), v, 2, vecdb.Filter{}); err == nil {
+		t.Fatal("read succeeded against a backend that failed both rounds")
+	}
+	if got := r.Stats().ReadRetries; got != 2 {
+		t.Fatalf("ReadRetries = %d, want 2 (one extra round)", got)
 	}
 }
 
-// blockingBackend stalls SearchVector until the request context dies
-// while block is set — the shape of an attempt whose caller gave up.
+// blockingBackend stalls SearchVector and Get until the request
+// context dies while block is set — the shape of an attempt whose
+// caller gave up, or of a stalled primary a hedge races against.
 type blockingBackend struct {
 	Backend
 	block atomic.Bool
@@ -296,6 +335,14 @@ func (b *blockingBackend) SearchVector(ctx context.Context, vec []float32, k int
 		return nil, ctx.Err()
 	}
 	return b.Backend.SearchVector(ctx, vec, k, f)
+}
+
+func (b *blockingBackend) Get(ctx context.Context, id int64) (vecdb.Document, error) {
+	if b.block.Load() {
+		<-ctx.Done()
+		return vecdb.Document{}, ctx.Err()
+	}
+	return b.Backend.Get(ctx, id)
 }
 
 // TestRouterBreakerTrialNotLeakedOnCtxFailure: a half-open trial whose
@@ -482,36 +529,77 @@ func TestRouterGetMissResetsBreakerStreak(t *testing.T) {
 	}
 }
 
-// TestHedgeDisabledBelowBudget: a context about to expire is not
-// hedged — doubling load cannot save a reply due after the deadline.
+// TestHedgeDisabledBelowBudget: with the primary stalled, a read whose
+// deadline leaves less than 2×HedgeAfter is not hedged — doubling load
+// cannot save a reply due after the deadline — and runs out on the
+// primary; a read with a long deadline is hedged once and the replica
+// wins. A point read is hedged the same way.
 func TestHedgeDisabledBelowBudget(t *testing.T) {
-	const dim = 32
-	primaryDB, replicaDB := newLocalDB(t, dim), newLocalDB(t, dim)
-	pb, _ := NewLocalBackend("primary", primaryDB)
-	rb, _ := NewLocalBackend("replica", replicaDB)
-	cfg := HealthConfig{
-		Interval:      time.Hour,
-		FailThreshold: 100,
-		Resilience: ResilienceConfig{
-			HedgeAfter:     5 * time.Millisecond,
-			HedgeMinBudget: time.Hour, // never enough budget
-		},
+	const (
+		dim        = 32
+		hedgeAfter = 20 * time.Millisecond
+	)
+	newRouter := func(t *testing.T) (*Router, []int64) {
+		primaryDB, replicaDB := newLocalDB(t, dim), newLocalDB(t, dim)
+		pb, _ := NewLocalBackend("primary", primaryDB)
+		rb, _ := NewLocalBackend("replica", replicaDB)
+		stalled := &blockingBackend{Backend: pb}
+		cfg := HealthConfig{
+			Interval:      time.Hour,
+			FailThreshold: 100,
+			Resilience:    ResilienceConfig{HedgeAfter: hedgeAfter},
+		}
+		r, err := NewRouter([]ShardBackends{{Primary: stalled, Replicas: []Backend{rb}}}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Close)
+		ids := seedRouter(t, r, corpus[:2])
+		stalled.block.Store(true)
+		return r, ids
 	}
-	r, err := NewRouter([]ShardBackends{{Primary: pb, Replicas: []Backend{rb}}}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(r.Close)
-	seedRouter(t, r, corpus[:2])
-
 	vec, _ := vecdb.NewHashedEmbedder(dim)
 	v, _ := vec.Embed("working hours")
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if _, err := r.SearchVector(ctx, v, 2, vecdb.Filter{}); err != nil {
-		t.Fatal(err)
-	}
-	if st := r.Stats(); st.Hedges != 0 {
-		t.Errorf("hedged %d reads under an insufficient budget", st.Hedges)
-	}
+
+	t.Run("search under budget", func(t *testing.T) {
+		r, _ := newRouter(t)
+		ctx, cancel := context.WithTimeout(context.Background(), 3*hedgeAfter/2)
+		defer cancel()
+		if _, err := r.SearchVector(ctx, v, 2, vecdb.Filter{}); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("search with a stalled primary and no hedge budget: %v, want a deadline error", err)
+		}
+		if st := r.Stats(); st.Hedges != 0 {
+			t.Errorf("hedged %d reads under an insufficient budget", st.Hedges)
+		}
+	})
+	t.Run("search with budget", func(t *testing.T) {
+		r, _ := newRouter(t)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		hits, err := r.SearchVector(ctx, v, 2, vecdb.Filter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hits) == 0 {
+			t.Fatal("no hits from the hedged read")
+		}
+		if st := r.Stats(); st.Hedges != 1 || st.HedgeWins != 1 {
+			t.Errorf("Hedges=%d HedgeWins=%d, want 1 and 1", st.Hedges, st.HedgeWins)
+		}
+	})
+	t.Run("get with budget", func(t *testing.T) {
+		r, ids := newRouter(t)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		doc, err := r.Get(ctx, ids[0])
+		if err != nil {
+			t.Fatalf("get with a stalled primary: %v", err)
+		}
+		if doc.ID != ids[0] || doc.Text != corpus[0] {
+			t.Errorf("get returned %d %q, want %d %q", doc.ID, doc.Text, ids[0], corpus[0])
+		}
+		if st := r.Stats(); st.Hedges != 1 {
+			t.Errorf("Hedges = %d, want 1", st.Hedges)
+		}
+	})
 }

@@ -405,7 +405,7 @@ func (r *Router) liveFailure(sp *telemetry.Span, h *backendHealth, err error) {
 // returning false when the context (or its remaining deadline budget)
 // does not cover the wait.
 func (r *Router) retryWait(ctx context.Context, round int) bool {
-	d := jitteredBackoff(r.cfg.Resilience.RetryBaseDelay, round)
+	d := jitteredBackoff(retryBaseDelay, round)
 	if d == 0 {
 		return ctx.Err() == nil
 	}
@@ -422,202 +422,163 @@ func (r *Router) retryWait(ctx context.Context, round int) bool {
 	}
 }
 
-// searchShard queries one shard, failing over across its backends in
-// order. Ejected backends are skipped without any network wait — that
-// is the early shedding the health checker buys — and breaker-open
-// backends fast-fail the same way. With hedging enabled the shard goes
-// through the hedged path instead; with RetryReads > 0 a fully failed
-// pass is retried with jittered backoff, since an idempotent read can
-// safely run twice.
-func (r *Router) searchShard(ctx context.Context, si int, vec []float32, k int, f vecdb.Filter) ([]vecdb.Hit, error) {
-	if r.cfg.Resilience.HedgeAfter > 0 {
-		if hits, handled, err := r.hedgedSearch(ctx, si, vec, k, f); handled {
-			return hits, err
-		}
-	}
-	rounds := 1 + r.cfg.Resilience.RetryReads
-	var lastErr error
-	attempts := 0
-	for round := 0; round < rounds; round++ {
+// attempt is one backend's answer to a shard read.
+type attempt[T any] struct {
+	h     *backendHealth
+	hedge bool
+	v     T
+	err   error
+}
+
+// readShard is the one path every shard read takes: read is asked of
+// shard si's backends, each attempt traced as a span named span.
+// Ejected backends are skipped without any network wait — that is the
+// early shedding the health checker buys — and breaker-open backends
+// fast-fail the same way. Each round reloads the ring, so a cutover
+// mid-retry reaches the shard's new owner, and races the serving
+// backends in ring order: the first one its breaker admits is asked at
+// once, and an error fails over to the next at once. With hedging armed
+// (HedgeAfter > 0, a second serving backend, and at least 2×HedgeAfter
+// of deadline left) the next one is also asked once HedgeAfter passes
+// without an answer. The first success wins, and so does a
+// vecdb.ErrNotFound, which is authoritative; the losers are cancelled
+// with no health penalty. Breaker admission happens only as an attempt
+// launches, so a half-open trial slot is never taken by a backend the
+// race does not ask. A round that fails on every backend is retried,
+// up to RetryReads times, after a full-jitter backoff: the read is
+// idempotent, so it can safely run twice.
+func readShard[T any](ctx context.Context, r *Router, si int, span string, read func(context.Context, Backend) (T, error)) (T, error) {
+	res := r.cfg.Resilience
+	var (
+		zero    T
+		lastErr error
+		first   *backendHealth // the first backend asked, in any round
+	)
+	for round := 0; round <= res.RetryReads; round++ {
 		if round > 0 {
 			if !r.retryWait(ctx, round) {
 				break
 			}
 			r.readRetries.Add(1)
-			telemetry.SpanFrom(ctx).Event(fmt.Sprintf("retry shard=%d round=%d", si, round))
+			telemetry.SpanFrom(ctx).Event(fmt.Sprintf("retry %s shard=%d round=%d", span, si, round))
 		}
-		// Reload the ring each round so a cutover mid-retry fails over
-		// to the shard's new owner instead of hammering a retired node.
 		rs := r.ring.Load()
-		rctx := withRingEpoch(ctx, rs.epoch)
-		for _, h := range rs.shards[si] {
-			if !h.serving() {
-				continue
-			}
-			allowed, trial := r.allowRead(ctx, h)
-			if !allowed {
-				continue
-			}
-			attempts++
-			actx, sp := telemetry.StartSpan(rctx, "shard_read")
-			sp.Annotate("backend", h.backend.Name())
-			sp.Annotate("shard", strconv.Itoa(si))
-			hits, err := h.backend.SearchVector(actx, vec, k, f)
-			sp.End(err)
-			if err == nil {
-				if attempts > 1 {
-					r.failovers.Add(1)
+		bs := rs.shards[si]
+		rctx, cancel := context.WithCancel(withRingEpoch(ctx, rs.epoch))
+		results := make(chan attempt[T], len(bs))
+		next, inFlight := 0, 0
+		// launch asks the next serving backend its breaker admits.
+		launch := func(hedge bool) {
+			for next < len(bs) {
+				h := bs[next]
+				next++
+				if !h.serving() {
+					continue
 				}
-				r.liveSuccess(sp, h)
-				return hits, nil
+				allowed, trial := r.allowRead(ctx, h)
+				if !allowed {
+					continue
+				}
+				if first == nil {
+					first = h
+				}
+				if hedge {
+					r.hedges.Add(1)
+					telemetry.SpanFrom(ctx).Event("hedge launched: " + h.backend.Name())
+				}
+				inFlight++
+				go func() {
+					actx, sp := telemetry.StartSpan(rctx, span)
+					sp.Annotate("backend", h.backend.Name())
+					sp.Annotate("shard", strconv.Itoa(si))
+					if hedge {
+						sp.Annotate("hedge", "true")
+					}
+					v, err := read(actx, h.backend)
+					sp.End(err)
+					switch {
+					case err == nil || errors.Is(err, vecdb.ErrNotFound):
+						// An authoritative miss is a healthy backend
+						// answering correctly: it resets the failure streak.
+						r.liveSuccess(sp, h)
+					case ctxFailure(rctx, err):
+						// The loser of a decided race, or a caller that gave
+						// up: not the backend's fault, so no health penalty —
+						// but a held half-open trial slot goes back.
+						releaseTrial(h, trial)
+					default:
+						r.liveFailure(sp, h, err)
+					}
+					results <- attempt[T]{h: h, hedge: hedge, v: v, err: err}
+				}()
+				return
 			}
-			if ctxFailure(ctx, err) {
-				releaseTrial(h, trial)
-				return nil, err
-			}
-			r.liveFailure(sp, h, err)
-			lastErr = err
 		}
+		launch(false)
+
+		// A request about to run out of budget gets no hedge: doubling the
+		// load cannot help a reply that would arrive after the deadline.
+		var (
+			timer  *time.Timer
+			hedgeC <-chan time.Time
+		)
+		if res.HedgeAfter > 0 && inFlight > 0 && servingAfter(bs[next:]) {
+			if dl, ok := ctx.Deadline(); !ok || time.Until(dl) >= 2*res.HedgeAfter {
+				timer = time.NewTimer(res.HedgeAfter)
+				hedgeC = timer.C
+			}
+		}
+		var won attempt[T]
+		decided := false
+		for inFlight > 0 && !decided {
+			select {
+			case <-hedgeC:
+				hedgeC = nil
+				launch(true)
+			case a := <-results:
+				inFlight--
+				if a.err == nil || errors.Is(a.err, vecdb.ErrNotFound) || ctxFailure(ctx, a.err) {
+					won, decided = a, true
+				} else {
+					lastErr = a.err
+					launch(false)
+				}
+			}
+		}
+		cancel()
+		if timer != nil {
+			timer.Stop()
+		}
+		if !decided {
+			continue
+		}
+		if ctxFailure(ctx, won.err) {
+			return zero, won.err
+		}
+		if won.h != first {
+			r.failovers.Add(1)
+		}
+		if won.hedge {
+			r.hedgeWins.Add(1)
+			telemetry.SpanFrom(ctx).Event("hedge won: " + won.h.backend.Name())
+		}
+		return won.v, won.err
 	}
 	if lastErr != nil {
-		return nil, lastErr
+		return zero, lastErr
 	}
-	return nil, fmt.Errorf("%w: shard %d", ErrShardUnavailable, si)
+	return zero, fmt.Errorf("%w: shard %d", ErrShardUnavailable, si)
 }
 
-// hedgedSearch races a shard read against its replicas: the first
-// backend is asked immediately, and if it has not answered within
-// HedgeAfter the next candidate is asked too — first success wins,
-// losers are cancelled (a cancellation the loser must not be
-// health-penalized for). An error before the timer fires fails over
-// to the next candidate immediately, so hedging strictly dominates
-// the sequential path. handled is false when the shard has fewer than
-// one admitted backend — the sequential path then produces the error.
-func (r *Router) hedgedSearch(ctx context.Context, si int, vec []float32, k int, f vecdb.Filter) (hits []vecdb.Hit, handled bool, err error) {
-	res := r.cfg.Resilience
-	rs := r.ring.Load()
-	ctx = withRingEpoch(ctx, rs.epoch)
-	var cands []*backendHealth
-	for _, h := range rs.shards[si] {
+// servingAfter reports whether any of bs is serving: whether a hedge
+// would have a backend to ask.
+func servingAfter(bs []*backendHealth) bool {
+	for _, h := range bs {
 		if h.serving() {
-			cands = append(cands, h)
-		}
-	}
-	if len(cands) == 0 {
-		return nil, false, nil
-	}
-	// A request about to run out of budget gets no hedge: doubling the
-	// load cannot help a reply that would arrive after the deadline.
-	hedgeArmed := len(cands) > 1
-	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < res.HedgeMinBudget {
-		hedgeArmed = false
-	}
-
-	type attemptResult struct {
-		h     *backendHealth
-		hedge bool
-		hits  []vecdb.Hit
-		err   error
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	resCh := make(chan attemptResult, len(cands))
-	next := 0
-	var first *backendHealth
-	// launch starts the next breaker-admitted candidate, reporting
-	// whether an attempt is now in flight. Breaker admission happens
-	// here — at the moment the attempt actually launches — so a
-	// half-open trial slot is only ever taken by an attempt that will
-	// resolve it, never by a candidate the race ends up not needing.
-	launch := func(hedge bool) bool {
-		for next < len(cands) {
-			h := cands[next]
-			next++
-			allowed, trial := r.allowRead(ctx, h)
-			if !allowed {
-				continue
-			}
-			if first == nil {
-				first = h
-			}
-			if hedge {
-				r.hedges.Add(1)
-				telemetry.SpanFrom(ctx).Event("hedge launched: " + h.backend.Name())
-			}
-			go func() {
-				actx, sp := telemetry.StartSpan(hctx, "shard_read")
-				sp.Annotate("backend", h.backend.Name())
-				sp.Annotate("shard", strconv.Itoa(si))
-				if hedge {
-					sp.Annotate("hedge", "true")
-				}
-				hits, err := h.backend.SearchVector(actx, vec, k, f)
-				sp.End(err)
-				switch {
-				case err == nil:
-					r.liveSuccess(sp, h)
-				case hctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
-					// The losing attempt of a decided race (or a caller that
-					// gave up): not the backend's fault, no health penalty —
-					// but a held half-open trial slot goes back.
-					releaseTrial(h, trial)
-				default:
-					r.liveFailure(sp, h, err)
-				}
-				resCh <- attemptResult{h: h, hedge: hedge, hits: hits, err: err}
-			}()
 			return true
 		}
-		return false
 	}
-
-	if !launch(false) {
-		// Every serving candidate fast-failed at its breaker; let the
-		// sequential path (with its retry rounds) produce the error.
-		return nil, false, nil
-	}
-	inFlight := 1
-	var timerC <-chan time.Time
-	if hedgeArmed {
-		timer := time.NewTimer(res.HedgeAfter)
-		defer timer.Stop()
-		timerC = timer.C
-	}
-	var lastErr error
-	for {
-		select {
-		case <-timerC:
-			timerC = nil
-			if launch(true) {
-				inFlight++
-			}
-		case ar := <-resCh:
-			inFlight--
-			if ar.err == nil {
-				if ar.h != first {
-					r.failovers.Add(1)
-				}
-				if ar.hedge {
-					r.hedgeWins.Add(1)
-					telemetry.SpanFrom(ctx).Event("hedge won: " + ar.h.backend.Name())
-				}
-				cancel() // release the losers
-				return ar.hits, true, nil
-			}
-			if ctxFailure(ctx, ar.err) {
-				return nil, true, ar.err
-			}
-			lastErr = ar.err
-			// Failure before the timer: fail over to the next candidate
-			// now rather than waiting out HedgeAfter.
-			if launch(false) {
-				inFlight++
-			}
-			if inFlight == 0 {
-				return nil, true, lastErr
-			}
-		}
-	}
+	return false
 }
 
 // SearchVector fans an embedded query out to every shard in parallel
@@ -635,9 +596,12 @@ func (r *Router) SearchVector(ctx context.Context, vec []float32, k int, f vecdb
 	fctx, fsp := telemetry.StartSpan(ctx, "shard_fanout")
 	fsp.Annotate("shards", strconv.Itoa(n))
 	fanoutStart := time.Now()
+	search := func(ctx context.Context, b Backend) ([]vecdb.Hit, error) {
+		return b.SearchVector(ctx, vec, k, f)
+	}
 	parallel.ForWorkers(n, n, func(i int) {
 		r.shardReads[i].Add(1)
-		lists[i], errs[i] = r.searchShard(fctx, i, vec, k, f)
+		lists[i], errs[i] = readShard(fctx, r, i, "shard_read", search)
 	})
 	r.fanoutH.ObserveSinceCtx(ctx, fanoutStart)
 	fsp.End(nil)
@@ -656,9 +620,6 @@ func (r *Router) SearchVector(ctx context.Context, vec []float32, k int, f vecdb
 	if failed > 0 {
 		r.degradedQueries.Add(1)
 		r.shardsSkipped.Add(uint64(failed))
-	}
-	if r.mergeH == nil {
-		return MergeTopK(lists, k), nil
 	}
 	mergeStart := time.Now()
 	hits := MergeTopK(lists, k)
@@ -741,65 +702,16 @@ func (r *Router) Apply(ctx context.Context, si int, ms []vecdb.Mutation) error {
 	return fmt.Errorf("%w: shard %d", ErrShardUnavailable, si)
 }
 
-// Get fetches one document from its owning shard, failing over across
-// backends (and, like search, retrying a fully failed pass when
-// RetryReads is enabled — a point read is idempotent). A
-// vecdb.ErrNotFound from a live backend is authoritative and returned
-// immediately.
+// Get fetches one document from its owning shard through the same
+// read path as a search: failover, hedging and retry rounds (a point
+// read is idempotent). A vecdb.ErrNotFound from a live backend is
+// authoritative and returned at once.
 func (r *Router) Get(ctx context.Context, id int64) (vecdb.Document, error) {
 	si := r.ShardFor(id)
 	r.shardReads[si].Add(1)
-	rounds := 1 + r.cfg.Resilience.RetryReads
-	var lastErr error
-	attempts := 0
-	for round := 0; round < rounds; round++ {
-		if round > 0 {
-			if !r.retryWait(ctx, round) {
-				break
-			}
-			r.readRetries.Add(1)
-			telemetry.SpanFrom(ctx).Event(fmt.Sprintf("retry get shard=%d round=%d", si, round))
-		}
-		rs := r.ring.Load()
-		rctx := withRingEpoch(ctx, rs.epoch)
-		for _, h := range rs.shards[si] {
-			if !h.serving() {
-				continue
-			}
-			allowed, trial := r.allowRead(ctx, h)
-			if !allowed {
-				continue
-			}
-			attempts++
-			actx, sp := telemetry.StartSpan(rctx, "shard_get")
-			sp.Annotate("backend", h.backend.Name())
-			doc, err := h.backend.Get(actx, id)
-			sp.End(err)
-			switch {
-			case err == nil:
-				if attempts > 1 {
-					r.failovers.Add(1)
-				}
-				r.liveSuccess(sp, h)
-				return doc, nil
-			case errors.Is(err, vecdb.ErrNotFound):
-				// An authoritative miss is a healthy backend answering
-				// correctly: credit it to the breaker and the failure
-				// streak before returning the not-found upward.
-				r.liveSuccess(sp, h)
-				return vecdb.Document{}, err
-			case ctxFailure(ctx, err):
-				releaseTrial(h, trial)
-				return vecdb.Document{}, err
-			}
-			r.liveFailure(sp, h, err)
-			lastErr = err
-		}
-	}
-	if lastErr != nil {
-		return vecdb.Document{}, lastErr
-	}
-	return vecdb.Document{}, fmt.Errorf("%w: shard %d", ErrShardUnavailable, si)
+	return readShard(ctx, r, si, "shard_get", func(ctx context.Context, b Backend) (vecdb.Document, error) {
+		return b.Get(ctx, id)
+	})
 }
 
 // statShard returns the freshest ShardStat for shard si: a live call
