@@ -30,10 +30,10 @@
 //     the router self-heals by adopting it; and
 //   - an online migration orchestrator (migrate.go) that moves one
 //     shard onto a fresh backend with zero read downtime — snapshot
-//     seed, delta catch-up, a dual-write window at exact
-//     seq+checksum parity, an atomic epoch-bumping ring flip, and
-//     source retirement — aborting with the old assignment fully
-//     intact on any pre-flip failure.
+//     seed, delta catch-up, a cutover that drains to exact
+//     seq+checksum parity under one write barrier and flips the ring
+//     to a new epoch, and source retirement — aborting with the old
+//     assignment fully intact on any pre-flip failure.
 //
 // See docs/cluster.md for the wire protocol, the health state
 // machine, and a three-node quickstart, and docs/rebalancing.md for

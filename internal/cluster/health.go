@@ -69,9 +69,6 @@ type HealthConfig struct {
 	// breakers, read retries, hedged reads). The zero value disables
 	// all three; see ResilienceConfig.
 	Resilience ResilienceConfig
-	// Migrate tunes online shard migrations (catch-up lag threshold,
-	// dual-write window, cutover barrier timeout); see MigrateConfig.
-	Migrate MigrateConfig
 }
 
 func (c HealthConfig) withDefaults() HealthConfig {
@@ -94,7 +91,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 		c.ResyncBatch = 256
 	}
 	c.Resilience = c.Resilience.withDefaults()
-	c.Migrate = c.Migrate.withDefaults()
 	return c
 }
 

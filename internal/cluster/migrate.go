@@ -11,30 +11,26 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
-	"repro/internal/vecdb"
 )
 
 // Online shard migration. A migration moves one shard onto a fresh
 // backend with zero read downtime and zero lost or duplicated
 // documents, in phases:
 //
-//	planned → seeding → catchup → dual-write → cutover → done
-//	                └──────────── (any failure) ────────→ aborted
+//	planned → seeding → catchup → cutover → done
+//	                └──── (any failure) ───→ aborted
 //
 //   - seeding: the target adopts a full snapshot of the source
 //     (/shard/snapshot), taken while the source keeps serving.
 //   - catchup: delta rounds ship the mutations the source accepted
 //     since the snapshot (/shard/mutations → /shard/resync) until the
-//     target trails by at most MigrateConfig.CatchupLag.
-//   - dual-write: under a brief per-shard write barrier the remaining
-//     delta is drained to exact seq+checksum parity, then every write
-//     is applied to both source and target. A write is acknowledged
-//     only when the source set persists it and — while dual-writing —
-//     the target does too; a failed target leg aborts the migration
-//     rather than acking a write the post-cutover owner doesn't have.
-//   - cutover: the barrier closes again, parity is re-verified, and
-//     the ring flips atomically to a new epoch with the target as the
-//     shard's sole backend. Reads never stop: they serve from the old
+//     target trails by at most catchupLag.
+//   - cutover: under the shard's write barrier the remaining delta is
+//     drained to exact seq+checksum parity and the ring flips
+//     atomically to a new epoch with the target as the shard's sole
+//     backend. No write is in flight across the flip, so every write
+//     lands entirely on the source before it (and is drained) or on
+//     the target after it. Reads never stop: they serve from the old
 //     assignment up to the flip and the new one after it.
 //   - retire: the new ring is distributed to the nodes; the source
 //     (and any replicas of the moved shard) are handed Serving=false,
@@ -45,7 +41,8 @@ import (
 // reused or discarded, never half-authoritative. After the flip the
 // migration is committed; retire-side push failures are logged, not
 // fatal, because stale clients also self-heal through the 409
-// handshake.
+// handshake. Router.Close aborts a running migration by cancelling
+// its context, whatever transfer call it is blocked in.
 
 // ErrMigrationActive reports that a migration is already running; the
 // router allows one at a time.
@@ -57,37 +54,15 @@ const migrationTimeout = 15 * time.Minute
 // migHistoryMax bounds the finished-migration ring buffer in /stats.
 const migHistoryMax = 8
 
-// MigrateConfig tunes online shard migrations. The zero value takes
-// the documented defaults.
-type MigrateConfig struct {
-	// CatchupLag is the seq gap at which background catch-up stops and
-	// the write-barrier drain takes over (default 64): small enough
-	// that the barrier drains in one round, large enough that a busy
-	// source doesn't keep catch-up spinning forever.
-	CatchupLag int
-	// DualWriteWindow is how long writes go to both source and target
-	// before the read flip (default 150ms). The window proves the
-	// dual-write path under live traffic; parity already holds when it
-	// opens.
-	DualWriteWindow time.Duration
-	// CutoverTimeout bounds each write-barrier critical section
-	// (default 10s): a stuck target aborts the migration instead of
-	// stalling the shard's writes.
-	CutoverTimeout time.Duration
-}
+// catchupLag is the seq gap at which background catch-up stops and
+// the write-barrier drain takes over: small enough that the barrier
+// drains in one round, large enough that a busy source doesn't keep
+// catch-up spinning forever.
+const catchupLag = 64
 
-func (c MigrateConfig) withDefaults() MigrateConfig {
-	if c.CatchupLag <= 0 {
-		c.CatchupLag = 64
-	}
-	if c.DualWriteWindow <= 0 {
-		c.DualWriteWindow = 150 * time.Millisecond
-	}
-	if c.CutoverTimeout <= 0 {
-		c.CutoverTimeout = 10 * time.Second
-	}
-	return c
-}
+// cutoverTimeout bounds the write-barrier critical section: a stuck
+// target aborts the migration instead of stalling the shard's writes.
+const cutoverTimeout = 10 * time.Second
 
 // MigrationPhase numbers the orchestrator's states; the numeric value
 // is what migration_phase{shard} exports.
@@ -98,7 +73,6 @@ const (
 	MigPlanned
 	MigSeeding
 	MigCatchup
-	MigDualWrite
 	MigCutover
 	MigDone
 	MigAborted
@@ -114,8 +88,6 @@ func (p MigrationPhase) String() string {
 		return "seeding"
 	case MigCatchup:
 		return "catchup"
-	case MigDualWrite:
-		return "dual-write"
 	case MigCutover:
 		return "cutover"
 	case MigDone:
@@ -132,17 +104,14 @@ type migration struct {
 	shard  int
 	src    *backendHealth
 	target Backend
+	// done is closed once the outcome is recorded.
+	done chan struct{}
 
-	phase      atomic.Int32
-	dual       atomic.Bool // write path mirrors batches to target
-	shipped    atomic.Uint64
-	dualWrites atomic.Uint64
-	lag        atomic.Uint64
+	phase   atomic.Int32
+	shipped atomic.Uint64
+	lag     atomic.Uint64
 
 	mu       sync.Mutex
-	abortErr error // first abort request (dual-write failure, fault)
-	lastTgt  ShardStat
-	haveTgt  bool
 	prev     []*backendHealth // shard backends replaced at the flip
 	started  time.Time
 	finished time.Time
@@ -154,22 +123,11 @@ type migration struct {
 
 func (m *migration) setPhase(p MigrationPhase) { m.phase.Store(int32(p)) }
 
-// requestAbort records the first abort reason; the orchestrator
-// checks it between phases and inside the dual-write window. The
-// write path calls it when a dual-write target leg fails, so a write
-// is never acknowledged with the target silently missing it.
-func (m *migration) requestAbort(err error) {
-	m.mu.Lock()
-	if m.abortErr == nil {
-		m.abortErr = err
-	}
-	m.mu.Unlock()
-}
-
-func (m *migration) abortReason() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.abortErr
+// transfer is where the migration's catch-up rounds count: delta
+// records in shipped, the last seq gap in lag. Snapshot transfers are
+// not counted; they are not resyncs.
+func (m *migration) transfer() transfer {
+	return transfer{shipped: &m.shipped, lag: &m.lag}
 }
 
 // MigrationStatus is one migration's observable state, exposed as
@@ -184,9 +142,6 @@ type MigrationStatus struct {
 	Epoch uint64 `json:"epoch,omitempty"`
 	// ShippedMutations counts delta records streamed to the target.
 	ShippedMutations uint64 `json:"shipped_mutations"`
-	// DualWrites counts live batches mirrored to the target during the
-	// dual-write window.
-	DualWrites uint64 `json:"dual_writes"`
 	// ParityLag is the last observed source−target seq gap.
 	ParityLag uint64 `json:"parity_lag"`
 	// Outcome is "ok" or "aborted" once finished, empty while running.
@@ -211,7 +166,6 @@ func (m *migration) status() MigrationStatus {
 		Phase:            MigrationPhase(m.phase.Load()).String(),
 		Epoch:            m.epoch,
 		ShippedMutations: m.shipped.Load(),
-		DualWrites:       m.dualWrites.Load(),
 		ParityLag:        m.lag.Load(),
 		Outcome:          m.outcome,
 		Error:            m.errMsg,
@@ -246,12 +200,15 @@ func (r *Router) StartRebalance(si int, target Backend) (MigrationStatus, error)
 	if err != nil {
 		return MigrationStatus{}, err
 	}
+	// Read the status before the run starts: a small shard can move
+	// before this goroutine would get to it.
+	st := m.status()
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), migrationTimeout)
 		defer cancel()
 		r.runMigration(ctx, m)
 	}()
-	return m.status(), nil
+	return st, nil
 }
 
 // Migrations snapshots the active migration (first, when one runs)
@@ -296,7 +253,7 @@ func (r *Router) beginMigration(si int, target Backend) (*migration, error) {
 	if src == nil {
 		return nil, fmt.Errorf("%w: shard %d has no serving backend to migrate from", ErrShardUnavailable, si)
 	}
-	m := &migration{id: r.migSeq.Add(1), shard: si, src: src, target: target, started: time.Now()}
+	m := &migration{id: r.migSeq.Add(1), shard: si, src: src, target: target, done: make(chan struct{}), started: time.Now()}
 	m.setPhase(MigPlanned)
 	if !r.mig.CompareAndSwap(nil, m) {
 		return nil, ErrMigrationActive
@@ -314,7 +271,11 @@ func (r *Router) beginMigration(si int, target Backend) (*migration, error) {
 // phase transition lands on the migration span as an event, so one
 // trace reads as the full story of the move.
 func (r *Router) runMigration(ctx context.Context, m *migration) MigrationStatus {
-	cfg := r.cfg.Migrate
+	// Router.Close cancels r.ctx: the run aborts out of whatever
+	// transfer call it is in.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(r.ctx, cancel)()
 	ctx, sp := telemetry.StartSpan(ctx, "migration")
 	sp.Annotate("shard", strconv.Itoa(m.shard))
 	sp.Annotate("source", m.src.backend.Name())
@@ -323,7 +284,6 @@ func (r *Router) runMigration(ctx context.Context, m *migration) MigrationStatus
 	defer func() { sp.End(failErr) }()
 
 	abort := func(stage string, err error) MigrationStatus {
-		m.dual.Store(false)
 		failErr = fmt.Errorf("%s: %w", stage, err)
 		sp.Event("phase aborted: " + stage + ": " + err.Error())
 		r.finishMigration(m, "aborted", failErr)
@@ -342,72 +302,33 @@ func (r *Router) runMigration(ctx context.Context, m *migration) MigrationStatus
 			return abort("activate target", err)
 		}
 	}
-	if err := r.migSnapshot(ctx, m); err != nil {
+	if err := shipSnapshot(ctx, m.src.backend, m.target); err != nil {
 		return abort("seed snapshot", err)
 	}
 
 	// Catch-up: delta rounds until the target trails by at most
-	// CatchupLag, still without touching the write path.
+	// catchupLag, still without touching the write path.
 	m.setPhase(MigCatchup)
-	sp.Event("phase catchup: delta rounds to lag ≤ " + strconv.Itoa(cfg.CatchupLag))
-	if err := r.migCatchUp(ctx, m, uint64(cfg.CatchupLag)); err != nil {
+	sp.Event("phase catchup: delta rounds to lag ≤ " + strconv.Itoa(catchupLag))
+	if _, err := r.catchUp(ctx, m.src.backend, m.target, catchupLag, m.transfer()); err != nil {
 		return abort("catchup", err)
 	}
 
-	// Barrier 1: block the shard's writes, drain to exact seq+checksum
-	// parity, and open the dual-write window. The barrier is bounded
-	// by CutoverTimeout so a stuck target cannot stall live writes.
-	sp.Event("write barrier: drain to parity")
-	r.wmu[m.shard].Lock()
-	bctx, bcancel := context.WithTimeout(ctx, cfg.CutoverTimeout)
-	err := r.migCatchUp(bctx, m, 0)
-	bcancel()
-	if err == nil {
-		m.dual.Store(true)
-		m.setPhase(MigDualWrite)
-	}
-	r.wmu[m.shard].Unlock()
-	if err != nil {
-		return abort("parity drain", err)
-	}
-	sp.Event("phase dual-write: window open at parity")
-
-	// Dual-write window: live batches hit both source and target (see
-	// Router.Apply). A failed target leg requests an abort, checked
-	// here before the cutover commits anything.
-	windowEnd := time.Now().Add(cfg.DualWriteWindow)
-	for {
-		if err := m.abortReason(); err != nil {
-			return abort("dual-write", err)
-		}
-		if err := ctx.Err(); err != nil {
-			return abort("dual-write", err)
-		}
-		rest := time.Until(windowEnd)
-		if rest <= 0 {
-			break
-		}
-		time.Sleep(min(rest, 10*time.Millisecond))
-	}
-
-	// Barrier 2: block writes again, re-verify parity (identical
-	// batches advanced both sides in lockstep, so this is normally a
-	// single stat round), and flip the ring to a new epoch with the
-	// target as the shard's sole backend. Unblocked writes route to
-	// the target from here on.
+	// Cutover: block the shard's writes, drain to exact seq+checksum
+	// parity, and flip the ring to a new epoch with the target as the
+	// shard's sole backend. The barrier is bounded by cutoverTimeout so
+	// a stuck target cannot stall live writes; writes it held go to
+	// whichever backend owns the shard once it opens.
 	m.setPhase(MigCutover)
-	sp.Event("phase cutover: verify parity and flip ring")
+	sp.Event("phase cutover: drain to parity under the write barrier and flip the ring")
 	r.wmu[m.shard].Lock()
-	if err = m.abortReason(); err == nil {
-		bctx, bcancel = context.WithTimeout(ctx, cfg.CutoverTimeout)
-		err = r.migCatchUp(bctx, m, 0)
-		bcancel()
-	}
+	bctx, bcancel := context.WithTimeout(ctx, cutoverTimeout)
+	tgt, err := r.catchUp(bctx, m.src.backend, m.target, 0, m.transfer())
+	bcancel()
 	var epoch uint64
 	if err == nil {
-		epoch = r.flipRing(m)
+		epoch = r.flipRing(m, tgt)
 	}
-	m.dual.Store(false)
 	r.wmu[m.shard].Unlock()
 	if err != nil {
 		return abort("cutover", err)
@@ -429,117 +350,21 @@ func (r *Router) runMigration(ctx context.Context, m *migration) MigrationStatus
 	return m.status()
 }
 
-// migStat fetches one backend's ShardStat under the probe timeout.
-func (r *Router) migStat(ctx context.Context, b Backend) (ShardStat, error) {
-	sctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
-	defer cancel()
-	return b.Stat(sctx)
-}
-
-// migCatchUp ships deltas source → target until the target trails the
-// source by at most allowedLag. allowedLag 0 demands exact parity —
-// equal seq and equal checksum — which the caller must make reachable
-// by freezing the source's writes (the write barrier). Snapshot
-// transfer is the fallback when the delta is truncated or when equal
-// seqs hide diverged contents.
-func (r *Router) migCatchUp(ctx context.Context, m *migration, allowedLag uint64) error {
-	for round := 0; round < maxResyncRounds; round++ {
-		if err := m.abortReason(); err != nil {
-			return err
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		srcStat, err := r.migStat(ctx, m.src.backend)
-		if err != nil {
-			return fmt.Errorf("source stat: %w", err)
-		}
-		tgtStat, err := r.migStat(ctx, m.target)
-		if err != nil {
-			return fmt.Errorf("target stat: %w", err)
-		}
-		var lag uint64
-		if srcStat.Seq > tgtStat.Seq {
-			lag = srcStat.Seq - tgtStat.Seq
-		}
-		m.lag.Store(lag)
-		m.mu.Lock()
-		m.lastTgt, m.haveTgt = tgtStat, true
-		m.mu.Unlock()
-		if tgtStat.Seq == srcStat.Seq && tgtStat.Checksum == srcStat.Checksum {
-			return nil
-		}
-		if allowedLag > 0 && lag > 0 && lag <= allowedLag {
-			return nil
-		}
-		// A target at or past the source's seq with different contents
-		// holds state a delta cannot reconcile — only adopting the
-		// source's exact document set can.
-		if tgtStat.Seq >= srcStat.Seq {
-			if err := r.migSnapshot(ctx, m); err != nil {
-				return err
-			}
-			continue
-		}
-		ms, err := r.fetchDelta(ctx, m.src, tgtStat.Seq)
-		if errors.Is(err, errDeltaUnavailable) {
-			if err := r.migSnapshot(ctx, m); err != nil {
-				return err
-			}
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		for start := 0; start < len(ms); start += r.cfg.ResyncBatch {
-			end := min(start+r.cfg.ResyncBatch, len(ms))
-			actx, cancel := context.WithTimeout(ctx, resyncShipTimeout)
-			err = m.target.ApplyResync(actx, ms[start:end])
-			cancel()
-			if err != nil {
-				return fmt.Errorf("apply delta: %w", err)
-			}
-			m.shipped.Add(uint64(end - start))
-		}
-	}
-	return fmt.Errorf("no parity after %d rounds (source still advancing?)", maxResyncRounds)
-}
-
-// migSnapshot ships a full snapshot source → target.
-func (r *Router) migSnapshot(ctx context.Context, m *migration) error {
-	fctx, cancel := context.WithTimeout(ctx, resyncShipTimeout)
-	seq, docs, err := m.src.backend.SnapshotDocs(fctx)
-	cancel()
-	if err != nil {
-		return fmt.Errorf("fetch snapshot: %w", err)
-	}
-	actx, cancel := context.WithTimeout(ctx, resyncShipTimeout)
-	err = m.target.ApplySnapshot(actx, seq, docs)
-	cancel()
-	if err != nil {
-		return fmt.Errorf("apply snapshot: %w", err)
-	}
-	return nil
-}
-
 // flipRing installs the post-migration ring: a new epoch with the
-// target as the moved shard's sole backend and every other shard
-// untouched. Called with the shard's write barrier held, so no write
-// is in flight across the flip.
-func (r *Router) flipRing(m *migration) uint64 {
+// target as the moved shard's sole backend, seeded with its last
+// observed stat, and every other shard untouched. Called with the
+// shard's write barrier held, so no write is in flight across the flip.
+func (r *Router) flipRing(m *migration, tgt ShardStat) uint64 {
 	r.ringMu.Lock()
 	defer r.ringMu.Unlock()
 	old := r.ring.Load()
 	shards := make([][]*backendHealth, len(old.shards))
 	copy(shards, old.shards)
-	th := &backendHealth{backend: m.target}
+	th := &backendHealth{backend: m.target, stat: tgt, statValid: true}
 	if r.cfg.Resilience.BreakerThreshold > 0 {
 		th.br = newBreaker(r.cfg.Resilience)
 	}
 	m.mu.Lock()
-	if m.haveTgt {
-		th.stat, th.statValid = m.lastTgt, true
-	}
 	m.prev = old.shards[m.shard]
 	m.mu.Unlock()
 	shards[m.shard] = []*backendHealth{th}
@@ -594,7 +419,6 @@ func (r *Router) distributeRing(ctx context.Context, m *migration, sp *telemetry
 // finishMigration records the terminal state, releases the migration
 // slot, and appends to the bounded history.
 func (r *Router) finishMigration(m *migration, outcome string, err error) {
-	m.dual.Store(false)
 	m.mu.Lock()
 	m.finished = time.Now()
 	m.outcome = outcome
@@ -616,6 +440,7 @@ func (r *Router) finishMigration(m *migration, outcome string, err error) {
 	}
 	r.migMu.Unlock()
 	r.mig.Store(nil)
+	close(m.done)
 }
 
 // ShardLoad is one shard's load observation in a RebalancePlan.
@@ -671,28 +496,4 @@ func (r *Router) Plan(ctx context.Context) RebalancePlan {
 	b := plan.Shards[best]
 	plan.Reason = fmt.Sprintf("shard %d carries the most load: %d docs, %d reads, %d writes observed", best, b.Docs, b.Reads, b.Writes)
 	return plan
-}
-
-// applyDual mirrors an acknowledged write batch to an active
-// migration's target. Called by Apply under the shard's write-barrier
-// read lock, after the source set persisted the batch. A target
-// failure does not fail the write — the source has it — but it does
-// abort the migration: continuing would cut over to a backend missing
-// an acknowledged write.
-func (r *Router) applyDual(ctx context.Context, si int, ms []vecdb.Mutation) {
-	m := r.mig.Load()
-	if m == nil || m.shard != si || !m.dual.Load() {
-		return
-	}
-	err := m.target.Apply(ctx, ms)
-	switch {
-	case err == nil:
-		m.dualWrites.Add(1)
-	case errors.Is(err, vecdb.ErrNotFound):
-		// An authoritative miss (deleting an ID the target also lacks)
-		// is agreement, not divergence.
-		m.dualWrites.Add(1)
-	default:
-		m.requestAbort(fmt.Errorf("dual-write to %s: %w", m.target.Name(), err))
-	}
 }

@@ -11,14 +11,13 @@ import (
 	"repro/internal/vecdb"
 )
 
-// migrateHealth keeps every timer manual and the dual-write window
-// short so migrations finish in milliseconds.
+// migrateHealth keeps every timer manual so migrations finish in
+// milliseconds.
 var migrateHealth = HealthConfig{
 	Interval:       time.Hour,
 	Timeout:        time.Second,
 	FailThreshold:  1,
 	ResyncInterval: -1,
-	Migrate:        MigrateConfig{DualWriteWindow: 20 * time.Millisecond},
 }
 
 // newMigrationTarget builds a fresh local backend (and its store)
@@ -258,6 +257,93 @@ func TestMigrateAbortLeavesRingIntact(t *testing.T) {
 	}
 	if r.Epoch() != 2 {
 		t.Fatalf("epoch after retry = %d, want 2", r.Epoch())
+	}
+}
+
+// cutoverFailTarget wraps a backend so every call fails once the
+// migration has entered its cutover phase: the parity drain dies with
+// the shard's write barrier held.
+type cutoverFailTarget struct {
+	Backend
+	r *Router
+}
+
+func (f cutoverFailTarget) fault() error {
+	if migs := f.r.Migrations(); len(migs) > 0 && migs[0].Phase == "cutover" {
+		return errors.New("injected: target lost")
+	}
+	return nil
+}
+
+func (f cutoverFailTarget) Apply(ctx context.Context, ms []vecdb.Mutation) error {
+	if err := f.fault(); err != nil {
+		return err
+	}
+	return f.Backend.Apply(ctx, ms)
+}
+
+func (f cutoverFailTarget) Stat(ctx context.Context) (ShardStat, error) {
+	if err := f.fault(); err != nil {
+		return ShardStat{}, err
+	}
+	return f.Backend.Stat(ctx)
+}
+
+func (f cutoverFailTarget) ApplyResync(ctx context.Context, ms []vecdb.SeqMutation) error {
+	if err := f.fault(); err != nil {
+		return err
+	}
+	return f.Backend.ApplyResync(ctx, ms)
+}
+
+func (f cutoverFailTarget) ApplySnapshot(ctx context.Context, seq uint64, docs []vecdb.Document) error {
+	if err := f.fault(); err != nil {
+		return err
+	}
+	return f.Backend.ApplySnapshot(ctx, seq, docs)
+}
+
+// TestMigrationCutoverFaultReleasesBarrier: the cutover drains to
+// parity and flips the ring under one write barrier. A target that
+// dies inside it must abort the migration with the ring untouched and
+// the barrier released, so the shard takes writes again at once.
+func TestMigrationCutoverFaultReleasesBarrier(t *testing.T) {
+	const dim = 32
+	r, dbs := newLocalRouter(t, 2, dim, migrateHealth)
+	seedRouter(t, r, corpus)
+	ctx := context.Background()
+
+	target, _ := newMigrationTarget(t, dim)
+	st, err := r.Rebalance(ctx, 0, cutoverFailTarget{Backend: target, r: r})
+	if err != nil {
+		t.Fatalf("an aborted migration is not a Rebalance error: %v", err)
+	}
+	if st.Outcome != "aborted" || !strings.Contains(st.Error, "cutover") {
+		t.Fatalf("status = %+v, want aborted naming the cutover", st)
+	}
+	if st.Epoch != 0 || r.Epoch() != 1 {
+		t.Fatalf("aborted cutover moved the epoch: status %d, router %d", st.Epoch, r.Epoch())
+	}
+
+	var id int64
+	for id = 100; r.ShardFor(id) != 0; id++ {
+	}
+	// Apply waits on the barrier without a deadline, so run it aside
+	// and bound the wait here.
+	done := make(chan error, 1)
+	go func() {
+		done <- r.Apply(ctx, 0, []vecdb.Mutation{{Op: vecdb.OpAdd, ID: id, Text: "written after the abort"}})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("write after aborted cutover: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("write after aborted cutover still blocked: the write barrier was not released")
+	}
+	if _, err := dbs[0].Get(id); err != nil {
+		t.Fatalf("write after aborted cutover missing on the source: %v", err)
 	}
 }
 

@@ -29,10 +29,11 @@ import (
 // shards, so this is deliberately far looser than the probe timeout.
 const resyncShipTimeout = 60 * time.Second
 
-// maxResyncRounds bounds one backend's catch-up loop per sweep: a
-// source taking writes faster than the target can absorb them must
-// not pin the sweep forever — the next sweep continues from where
-// this one stopped.
+// maxResyncRounds bounds one catch-up loop (a backend's repair in a
+// sweep, or one migration phase): a source taking writes faster than
+// the target can absorb them must not pin the caller forever — the
+// next sweep continues from where this one stopped, and a migration
+// aborts.
 const maxResyncRounds = 64
 
 // ResyncStats counts anti-entropy outcomes since the router started.
@@ -56,13 +57,7 @@ type ResyncStats struct {
 type resyncer struct {
 	r    *Router
 	kick chan struct{}
-	stop chan struct{}
 	done chan struct{}
-	// ctx parents every background sweep; Close cancels it so an
-	// in-flight repair leg (up to resyncShipTimeout) aborts instead of
-	// pinning a graceful shutdown.
-	ctx    context.Context
-	cancel context.CancelFunc
 
 	resyncs   atomic.Uint64
 	shipped   atomic.Uint64
@@ -71,14 +66,10 @@ type resyncer struct {
 }
 
 func newResyncer(r *Router) *resyncer {
-	ctx, cancel := context.WithCancel(context.Background())
 	rs := &resyncer{
-		r:      r,
-		kick:   make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-		ctx:    ctx,
-		cancel: cancel,
+		r:    r,
+		kick: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
 	go rs.run()
 	return rs
@@ -95,14 +86,18 @@ func (rs *resyncer) run() {
 	t := time.NewTicker(rs.r.cfg.ResyncInterval)
 	defer t.Stop()
 	tick := t.C
+	// The router's context parents every background sweep: Close
+	// cancels it, which ends the loop and makes an in-flight repair leg
+	// (up to resyncShipTimeout) abort instead of pinning a graceful
+	// shutdown.
 	for {
 		select {
-		case <-rs.stop:
+		case <-rs.r.ctx.Done():
 			return
 		case <-tick:
 		case <-rs.kick:
 		}
-		rs.r.resyncSweep(rs.ctx)
+		rs.r.resyncSweep(rs.r.ctx)
 	}
 }
 
@@ -113,12 +108,6 @@ func (rs *resyncer) nudge() {
 	case rs.kick <- struct{}{}:
 	default:
 	}
-}
-
-func (rs *resyncer) Close() {
-	rs.cancel()
-	close(rs.stop)
-	<-rs.done
 }
 
 // ResyncStats reports the anti-entropy counters.
@@ -188,9 +177,7 @@ func (r *Router) resyncShard(ctx context.Context, si int) error {
 	}
 	var obs []backendObs
 	for _, h := range shard {
-		sctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
-		st, err := h.backend.Stat(sctx)
-		cancel()
+		st, err := r.stat(ctx, h.backend)
 		if err != nil {
 			continue // unreachable: nothing to compare or repair yet
 		}
@@ -247,80 +234,105 @@ func (r *Router) resyncShard(ctx context.Context, si int) error {
 		// Diverged. Hold it out of service (demoting a healthy laggard)
 		// and repair it from the source.
 		o.h.markResync()
-		if err := r.resyncBackend(ctx, src.h, o.h); err != nil {
+		st, err := r.catchUp(ctx, src.h.backend, o.h.backend, 0, transfer{shipped: &r.resync.shipped, snapshots: &r.resync.snapshots})
+		if err != nil {
 			r.resync.errors.Add(1)
 			if firstErr == nil {
 				firstErr = fmt.Errorf("cluster: resync shard %d backend %s: %w", si, o.h.backend.Name(), err)
 			}
 			continue
 		}
+		o.h.setStat(st)
+		o.h.clearResync(r.cfg)
 		r.resync.resyncs.Add(1)
 	}
 	return firstErr
 }
 
-// resyncBackend catches dst up to src, shipping delta batches until
-// seq and checksum agree, with snapshot transfer as the fallback. On
-// success dst's resync hold is cleared.
-func (r *Router) resyncBackend(ctx context.Context, src, dst *backendHealth) error {
+// transfer names where one caller's catch-up transfers count: shipped
+// adds the delta records applied, snapshots (nil: not counted) the
+// snapshot transfers, and lag (nil: not recorded) takes the source−target
+// seq gap every round observes.
+type transfer struct {
+	shipped   *atomic.Uint64
+	snapshots *atomic.Uint64
+	lag       *atomic.Uint64
+}
+
+// catchUp ships src's state to dst until seq and checksum agree, or —
+// with allowedLag > 0 — until dst trails src by at most allowedLag. It
+// is the one catch-up loop behind both replica resync and shard
+// migration; allowedLag 0 demands exact parity, which a migration makes
+// reachable by freezing the source's writes (the write barrier). Each
+// round ships the whole remaining delta, falling back to a snapshot
+// transfer when the delta is unavailable or when dst is level with or
+// ahead of src. It returns dst's last observed stat.
+func (r *Router) catchUp(ctx context.Context, src, dst Backend, allowedLag uint64, tr transfer) (ShardStat, error) {
 	for round := 0; round < maxResyncRounds; round++ {
-		sctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
-		srcStat, err := src.backend.Stat(sctx)
-		cancel()
+		srcStat, err := r.stat(ctx, src)
 		if err != nil {
-			return fmt.Errorf("source stat: %w", err)
+			return ShardStat{}, fmt.Errorf("source stat: %w", err)
 		}
-		sctx, cancel = context.WithTimeout(ctx, r.cfg.Timeout)
-		dstStat, err := dst.backend.Stat(sctx)
-		cancel()
+		dstStat, err := r.stat(ctx, dst)
 		if err != nil {
-			return fmt.Errorf("target stat: %w", err)
+			return ShardStat{}, fmt.Errorf("target stat: %w", err)
+		}
+		var lag uint64
+		if srcStat.Seq > dstStat.Seq {
+			lag = srcStat.Seq - dstStat.Seq
+		}
+		if tr.lag != nil {
+			tr.lag.Store(lag)
 		}
 		if dstStat.Seq == srcStat.Seq && dstStat.Checksum == srcStat.Checksum {
-			dst.setStat(dstStat)
-			dst.clearResync(r.cfg)
-			return nil
+			return dstStat, nil
+		}
+		if lag > 0 && lag <= allowedLag {
+			return dstStat, nil
 		}
 		// A target ahead of its source, or level with it under
 		// different contents, holds writes the delta stream cannot
 		// reconcile — only adopting the source's exact doc set can.
-		if dstStat.Seq >= srcStat.Seq {
-			if err := r.shipSnapshot(ctx, src, dst); err != nil {
-				return err
-			}
-			continue
-		}
-		// One scan per round: the whole remaining delta in one fetch
-		// (the WAL a delta comes from is checkpoint-bounded, so so is
-		// the response), applied in ResyncBatch-sized chunks to keep
+		// Otherwise one scan per round: the whole remaining delta in one
+		// fetch (the WAL a delta comes from is checkpoint-bounded, so so
+		// is the response), applied in ResyncBatch-sized chunks to keep
 		// individual apply RPCs small. Fetching batch-by-batch instead
 		// would re-scan the WAL prefix per batch — quadratic in gap
 		// size — while holding the source's WAL lock against writers.
-		ms, err := r.fetchDelta(ctx, src, dstStat.Seq)
-		if errors.Is(err, errDeltaUnavailable) {
-			if err := r.shipSnapshot(ctx, src, dst); err != nil {
-				return err
+		var ms []vecdb.SeqMutation
+		if lag > 0 {
+			if ms, err = fetchDelta(ctx, src, dstStat.Seq); err != nil && !errors.Is(err, errDeltaUnavailable) {
+				return dstStat, err
+			}
+		}
+		if len(ms) == 0 {
+			if err := shipSnapshot(ctx, src, dst); err != nil {
+				return dstStat, err
+			}
+			if tr.snapshots != nil {
+				tr.snapshots.Add(1)
 			}
 			continue
 		}
-		if err != nil {
-			return err
-		}
 		for start := 0; start < len(ms); start += r.cfg.ResyncBatch {
-			end := start + r.cfg.ResyncBatch
-			if end > len(ms) {
-				end = len(ms)
-			}
+			end := min(start+r.cfg.ResyncBatch, len(ms))
 			actx, cancel := context.WithTimeout(ctx, resyncShipTimeout)
-			err = dst.backend.ApplyResync(actx, ms[start:end])
+			err = dst.ApplyResync(actx, ms[start:end])
 			cancel()
 			if err != nil {
-				return fmt.Errorf("apply delta: %w", err)
+				return dstStat, fmt.Errorf("apply delta: %w", err)
 			}
-			r.resync.shipped.Add(uint64(end - start))
+			tr.shipped.Add(uint64(end - start))
 		}
 	}
-	return fmt.Errorf("no convergence after %d rounds (source still advancing?)", maxResyncRounds)
+	return ShardStat{}, fmt.Errorf("no parity after %d rounds (source still advancing?)", maxResyncRounds)
+}
+
+// stat reads one backend's ShardStat under the probe timeout.
+func (r *Router) stat(ctx context.Context, b Backend) (ShardStat, error) {
+	sctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
+	defer cancel()
+	return b.Stat(sctx)
 }
 
 // errDeltaUnavailable tags a delta fetch that cannot make progress
@@ -328,10 +340,10 @@ func (r *Router) resyncBackend(ctx context.Context, src, dst *backendHealth) err
 // it reports records it then fails to produce.
 var errDeltaUnavailable = errors.New("delta unavailable")
 
-func (r *Router) fetchDelta(ctx context.Context, src *backendHealth, since uint64) ([]vecdb.SeqMutation, error) {
+func fetchDelta(ctx context.Context, src Backend, since uint64) ([]vecdb.SeqMutation, error) {
 	fctx, cancel := context.WithTimeout(ctx, resyncShipTimeout)
 	defer cancel()
-	ms, err := src.backend.MutationsSince(fctx, since, 0)
+	ms, err := src.MutationsSince(fctx, since, 0)
 	if err != nil {
 		if errors.Is(err, vecdb.ErrSeqTruncated) {
 			return nil, errDeltaUnavailable
@@ -347,19 +359,19 @@ func (r *Router) fetchDelta(ctx context.Context, src *backendHealth, since uint6
 	return ms, nil
 }
 
-func (r *Router) shipSnapshot(ctx context.Context, src, dst *backendHealth) error {
+// shipSnapshot replaces dst's contents with a full snapshot of src.
+func shipSnapshot(ctx context.Context, src, dst Backend) error {
 	fctx, cancel := context.WithTimeout(ctx, resyncShipTimeout)
-	seq, docs, err := src.backend.SnapshotDocs(fctx)
+	seq, docs, err := src.SnapshotDocs(fctx)
 	cancel()
 	if err != nil {
 		return fmt.Errorf("fetch snapshot: %w", err)
 	}
 	actx, cancel := context.WithTimeout(ctx, resyncShipTimeout)
-	err = dst.backend.ApplySnapshot(actx, seq, docs)
+	err = dst.ApplySnapshot(actx, seq, docs)
 	cancel()
 	if err != nil {
 		return fmt.Errorf("apply snapshot: %w", err)
 	}
-	r.resync.snapshots.Add(1)
 	return nil
 }

@@ -64,11 +64,15 @@ type Router struct {
 	ringMu  sync.Mutex
 	checker *checker
 	resync  *resyncer
+	// ctx parents the resync sweeps and every migration; Close cancels
+	// it, so neither outlives the router inside a transfer call.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	// wmu is the per-shard write barrier: Apply holds the read side
-	// around its backend writes; a migration's parity drain and ring
-	// flip hold the write side, so no write is in flight across a
-	// cutover and none can miss the dual-write window.
+	// around its backend writes; a migration's cutover holds the write
+	// side while it drains to parity and flips the ring, so no write is
+	// in flight across the flip and none is missing from the target.
 	wmu []sync.RWMutex
 
 	// mig is the single in-flight migration (nil when none); see
@@ -137,6 +141,7 @@ func NewRouter(shards []ShardBackends, cfg HealthConfig) (*Router, error) {
 		shardReads:  make([]atomic.Uint64, len(shards)),
 		shardWrites: make([]atomic.Uint64, len(shards)),
 	}
+	r.ctx, r.cancel = context.WithCancel(context.Background())
 	rs := &ringState{epoch: 1, shards: make([][]*backendHealth, len(shards))}
 	var all []*backendHealth
 	for i, sb := range shards {
@@ -301,7 +306,7 @@ func (r *Router) registerMetrics(reg *telemetry.Registry, all []*backendHealth) 
 	for si := 0; si < r.nshards; si++ {
 		si := si
 		reg.GaugeFunc("migration_phase",
-			"Active migration phase for the shard (0 idle, 1 planned, 2 seeding, 3 catchup, 4 dual-write, 5 cutover).",
+			"Active migration phase for the shard (0 idle, 1 planned, 2 seeding, 3 catchup, 4 cutover).",
 			func() float64 {
 				if m := r.mig.Load(); m != nil && m.shard == si {
 					return float64(m.phase.Load())
@@ -329,15 +334,19 @@ func (r *Router) registerMetrics(reg *telemetry.Registry, all []*backendHealth) 
 	}
 }
 
-// Close stops the health checker and the resync manager, and asks any
-// in-flight migration to abort. Backends own no connections beyond
-// their http.Client pools, so there is nothing else to release.
+// Close stops the health checker and the resync manager, and aborts
+// any in-flight migration: cancelling the router's context ends
+// whatever transfer call the migration is blocked in, and Close
+// returns once it has recorded its outcome. Backends own no
+// connections beyond their http.Client pools, so there is nothing else
+// to release.
 func (r *Router) Close() {
+	r.cancel()
 	if m := r.mig.Load(); m != nil {
-		m.requestAbort(errors.New("router closing"))
+		<-m.done
 	}
 	r.checker.Close()
-	r.resync.Close()
+	<-r.resync.done
 }
 
 // Shards reports the shard count (the modulus of the hash ring).
@@ -638,10 +647,8 @@ func (r *Router) SearchVector(ctx context.Context, vec []float32, k int, f vecdb
 // The whole write runs under the shard's write-barrier read lock:
 // uncontended it costs an atomic, but during a migration cutover it
 // guarantees no batch is in flight while the orchestrator drains to
-// parity and flips the ring — so every write lands entirely before or
-// entirely after the flip, and every write acknowledged during the
-// dual-write window also reached the migration target (or aborted the
-// migration; see applyDual).
+// parity and flips the ring — so every write lands entirely before the
+// flip, where the drain carries it to the target, or entirely after it.
 func (r *Router) Apply(ctx context.Context, si int, ms []vecdb.Mutation) error {
 	if si < 0 || si >= r.nshards {
 		return fmt.Errorf("cluster: shard %d out of range [0,%d)", si, r.nshards)
@@ -691,10 +698,8 @@ func (r *Router) Apply(ctx context.Context, si int, ms []vecdb.Mutation) error {
 			}
 			r.resync.nudge()
 		}
-		r.applyDual(ctx, si, ms)
 		return nil
 	case notFound != nil:
-		r.applyDual(ctx, si, ms)
 		return notFound
 	case lastErr != nil:
 		return lastErr

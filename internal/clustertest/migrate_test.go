@@ -13,20 +13,6 @@ import (
 	"repro/internal/vecdb"
 )
 
-// migrateManual is manualHealth plus a migration config tuned for
-// tests: a dual-write window long enough to observe and land writes
-// in, and a catch-up band wide enough that streaming writers cannot
-// starve the catch-up phase.
-func migrateManual(window time.Duration) cluster.HealthConfig {
-	cfg := manualHealth
-	cfg.Migrate = cluster.MigrateConfig{
-		CatchupLag:      32,
-		DualWriteWindow: window,
-		CutoverTimeout:  5 * time.Second,
-	}
-	return cfg
-}
-
 // routerStore adapts a Router to cluster.NodeStore so RequireSameTopK
 // can compare the cluster's merged top-k against a single-process
 // oracle. Only the read surface is real; the rest is unreachable in
@@ -122,7 +108,7 @@ func newMigrationCluster(t *testing.T, cfg cluster.HealthConfig) (*cluster.Route
 // oracle for the target: same seq, same checksum, same documents,
 // same top-k.
 func TestMigrationLosslessQuiet(t *testing.T) {
-	r, nodes, oracle := newMigrationCluster(t, migrateManual(10*time.Millisecond))
+	r, nodes, oracle := newMigrationCluster(t, manualHealth)
 	ctx := context.Background()
 
 	for i := int64(1); i <= 20; i++ {
@@ -159,54 +145,25 @@ func TestMigrationLosslessQuiet(t *testing.T) {
 	}
 }
 
-// TestMigrationDualWriteFaultAborts: a write during the dual-write
-// window whose target leg fails must still be acknowledged (the
-// source persisted it) — and must abort the migration rather than
-// cut over to a backend missing an acked write.
-func TestMigrationDualWriteFaultAborts(t *testing.T) {
-	r, nodes, _ := newMigrationCluster(t, migrateManual(5*time.Second))
-	ctx := context.Background()
+// catchupGate holds a migration target's Stat calls in the catch-up
+// phase until release is closed, so a test can act while the phase is
+// provably open. The wait respects ctx, which the router bounds by
+// its probe timeout.
+type catchupGate struct {
+	*ChaosBackend
+	r       *cluster.Router
+	release chan struct{}
+}
 
-	for i := int64(1); i <= 10; i++ {
-		m := vecdb.Mutation{Op: vecdb.OpAdd, ID: i, Text: fmt.Sprintf("Doc %d before the window.", i)}
-		if err := r.Apply(ctx, r.ShardFor(i), []vecdb.Mutation{m}); err != nil {
-			t.Fatal(err)
+func (g catchupGate) Stat(ctx context.Context) (cluster.ShardStat, error) {
+	if migs := g.r.Migrations(); len(migs) > 0 && migs[0].Phase == "catchup" {
+		select {
+		case <-g.release:
+		case <-ctx.Done():
+			return cluster.ShardStat{}, ctx.Err()
 		}
 	}
-
-	target := NewDurableNode(t, "tgt")
-	if _, err := r.StartRebalance(0, target.Chaos); err != nil {
-		t.Fatal(err)
-	}
-	waitPhase(t, r, "dual-write")
-
-	// Break the target's write path (not its migration surface): the
-	// next dual-written batch fails its target leg.
-	target.Chaos.FailWrites(ErrInjected)
-	var id int64
-	for id = 1000; r.ShardFor(id) != 0; id++ {
-	}
-	if err := r.Apply(ctx, 0, []vecdb.Mutation{{Op: vecdb.OpAdd, ID: id, Text: "acked during the window"}}); err != nil {
-		t.Fatalf("dual-write-window write must ack via the source: %v", err)
-	}
-
-	st := waitOutcome(t, r)
-	if st.Outcome != "aborted" {
-		t.Fatalf("migration = %+v, want aborted", st)
-	}
-	if !strings.Contains(st.Error, "dual-write") {
-		t.Fatalf("abort error does not name the dual-write leg: %+v", st)
-	}
-	if r.Epoch() != 1 {
-		t.Fatalf("aborted migration moved the epoch to %d", r.Epoch())
-	}
-	// The acked write survived on the still-authoritative source.
-	if _, err := r.Get(ctx, id); err != nil {
-		t.Fatalf("acked write vanished after abort: %v", err)
-	}
-	if _, err := nodes[0].Store.Get(id); err != nil {
-		t.Fatalf("acked write missing on source store: %v", err)
-	}
+	return g.ChaosBackend.Stat(ctx)
 }
 
 // waitPhase polls until the active migration reaches phase.
@@ -249,7 +206,7 @@ func waitOutcome(t *testing.T, r *cluster.Router) cluster.MigrationStatus {
 // migration attempt is killed mid-seeding by an injected fault, a
 // second attempt (with transfer latency injected) runs to completion,
 // and the search path is compared against a single-process oracle
-// mid-window. At no point may a document be lost or duplicated, an
+// mid-migration. At no point may a document be lost or duplicated, an
 // acknowledged write vanish, or the cluster's top-k diverge from the
 // oracle's.
 //
@@ -258,7 +215,7 @@ func waitOutcome(t *testing.T, r *cluster.Router) cluster.MigrationStatus {
 // oracle apply) pair; comparison passes take it exclusively, so they
 // always observe a consistent cut of both stores.
 func TestMigrationChaosLossless(t *testing.T) {
-	r, nodes, oracle := newMigrationCluster(t, migrateManual(300*time.Millisecond))
+	r, nodes, oracle := newMigrationCluster(t, manualHealth)
 	ctx := context.Background()
 
 	var ackMu sync.RWMutex
@@ -337,21 +294,26 @@ func TestMigrationChaosLossless(t *testing.T) {
 	}
 
 	// Attempt 2: a healthy target with injected transfer latency, so
-	// seeding and catch-up provably overlap the write stream.
+	// seeding and catch-up provably overlap the write stream. The gate
+	// holds catch-up open until the mid-migration comparison is done:
+	// under this write rate the first catch-up round already finds the
+	// target within catchupLag, so the phase would otherwise pass in
+	// microseconds.
 	target := NewDurableNode(t, "tgt")
 	target.Chaos.DelayMigration(2 * time.Millisecond)
-	if _, err := r.StartRebalance(0, target.Chaos); err != nil {
+	gated := catchupGate{ChaosBackend: target.Chaos, r: r, release: make(chan struct{})}
+	if _, err := r.StartRebalance(0, gated); err != nil {
 		t.Fatalf("attempt 2 begin: %v", err)
 	}
 
-	// Mid-window comparison: with the dual-write window open, freeze
-	// the writers and check the cluster answers exactly like the
-	// oracle.
-	waitPhase(t, r, "dual-write")
+	// Mid-migration comparison: with catch-up running, freeze the
+	// writers and check the cluster answers exactly like the oracle.
+	waitPhase(t, r, "catchup")
 	vec := queryVec(t, nodes[0], "which clause of the handbook applies")
 	ackMu.Lock()
 	requireSameRanking(t, r, oracle, vec, 5)
 	ackMu.Unlock()
+	close(gated.release)
 
 	final := waitOutcome(t, r)
 	if final.Outcome != "ok" {
@@ -425,4 +387,171 @@ func TestMigrationChaosLossless(t *testing.T) {
 	if _, err := nodes[0].Chaos.Stat(ctx); !errors.As(err, &stale) || stale.Ring.Epoch != 2 {
 		t.Fatalf("retired source = %v, want StaleEpochError epoch 2", err)
 	}
+}
+
+// TestRouterCloseAbortsMigration: Close must abort a migration that is
+// blocked inside a transfer call rather than leave it to run out its
+// timeout, and return only once the abort is on the record.
+func TestRouterCloseAbortsMigration(t *testing.T) {
+	s0 := NewDurableNode(t, "s0")
+	s1 := NewDurableNode(t, "s1")
+	r, err := cluster.NewRouter([]cluster.ShardBackends{
+		{Primary: s0.Chaos},
+		{Primary: s1.Chaos},
+	}, manualHealth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The test closes the router itself; a second Close would panic.
+	closed := false
+	t.Cleanup(func() {
+		if !closed {
+			r.Close()
+		}
+	})
+	writeShard(t, r, 0, 5, 1)
+
+	// The seed snapshot read stalls far longer than the test runs.
+	s0.Chaos.DelayMigration(20 * time.Second)
+	target := NewDurableNode(t, "tgt")
+	if _, err := r.StartRebalance(0, target.Chaos); err != nil {
+		t.Fatal(err)
+	}
+	waitPhase(t, r, "seeding")
+
+	start := time.Now()
+	r.Close()
+	closed = true
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v with a migration blocked in seeding", d)
+	}
+	migs := r.Migrations()
+	if len(migs) == 0 || migs[0].Outcome != "aborted" {
+		t.Fatalf("migrations after Close = %+v, want the blocked one aborted", migs)
+	}
+	if r.Epoch() != 1 {
+		t.Fatalf("aborted migration moved the epoch to %d", r.Epoch())
+	}
+}
+
+// writeShard routes n adds to shard si, taking IDs from base upward
+// that hash there, and returns the next unused ID.
+func writeShard(t *testing.T, r *cluster.Router, si, n int, base int64) int64 {
+	t.Helper()
+	id := base
+	for ; n > 0; id++ {
+		if r.ShardFor(id) != si {
+			continue
+		}
+		m := vecdb.Mutation{Op: vecdb.OpAdd, ID: id, Text: fmt.Sprintf("Shard %d document %d: rule %d.", si, id, id%11)}
+		if err := r.Apply(context.Background(), si, []vecdb.Mutation{m}); err != nil {
+			t.Fatalf("write %d: %v", id, err)
+		}
+		n--
+	}
+	return id
+}
+
+// afterSeed wraps a migration target so hook runs once, right after
+// the seed snapshot lands: it shapes what the catch-up rounds find.
+type afterSeed struct {
+	*ChaosBackend
+	once *sync.Once
+	hook func()
+}
+
+func (a afterSeed) ApplySnapshot(ctx context.Context, seq uint64, docs []vecdb.Document) error {
+	if err := a.ChaosBackend.ApplySnapshot(ctx, seq, docs); err != nil {
+		return err
+	}
+	a.once.Do(a.hook)
+	return nil
+}
+
+// TestMigrationAndResyncCountApart: migration and replica resync share
+// one catch-up loop, but each counts its own transfers — a migration in
+// MigrationStatus, a resync sweep in ResyncStats.
+func TestMigrationAndResyncCountApart(t *testing.T) {
+	s0 := NewDurableNode(t, "s0")
+	s1 := NewDurableNode(t, "s1")
+	s1r := NewDurableNode(t, "s1r")
+	r, err := cluster.NewRouter([]cluster.ShardBackends{
+		{Primary: s0.Chaos},
+		{Primary: s1.Chaos, Replicas: []cluster.Backend{s1r.Chaos}},
+	}, manualHealth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	next := writeShard(t, r, 0, 5, 1)
+
+	// Ten writes land on the source after the seed: the migration must
+	// ship exactly them as deltas.
+	const deltas = 10
+	target := NewDurableNode(t, "tgt")
+	st, err := r.Rebalance(context.Background(), 0, afterSeed{
+		ChaosBackend: target.Chaos,
+		once:         new(sync.Once),
+		hook:         func() { next = writeShard(t, r, 0, deltas, next) },
+	})
+	if err != nil || st.Outcome != "ok" {
+		t.Fatalf("migration = %+v, %v", st, err)
+	}
+	if st.ShippedMutations != deltas {
+		t.Fatalf("migration shipped %d mutations, want %d", st.ShippedMutations, deltas)
+	}
+	if rs := r.ResyncStats(); rs != (cluster.ResyncStats{}) {
+		t.Fatalf("migration counted in resync stats: %+v", rs)
+	}
+	RequireConverged(t, s0.Store, target.Store)
+
+	// The replica of shard 1 misses six writes; one sweep ships them.
+	const missed = 6
+	s1r.Chaos.FailWrites(ErrInjected)
+	writeShard(t, r, 1, missed, next)
+	s1r.Chaos.FailWrites(nil)
+	if err := r.ResyncNow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := cluster.ResyncStats{Resyncs: 1, MutationsShipped: missed}
+	if rs := r.ResyncStats(); rs != want {
+		t.Fatalf("resync stats = %+v, want %+v", rs, want)
+	}
+	RequireConverged(t, s1.Store, s1r.Store)
+	if migs := r.Migrations(); len(migs) != 1 || migs[0].ShippedMutations != deltas {
+		t.Fatalf("resync counted in the migration: %+v", migs)
+	}
+}
+
+// TestMigrationSnapshotFallbackCountsNoResync: a migration whose
+// catch-up finds the source's WAL checkpointed past the target falls
+// back to a snapshot transfer, and counts nothing as a resync.
+func TestMigrationSnapshotFallbackCountsNoResync(t *testing.T) {
+	r, nodes, _ := newMigrationCluster(t, manualHealth)
+	next := writeShard(t, r, 0, 5, 1)
+
+	target := NewDurableNode(t, "tgt")
+	st, err := r.Rebalance(context.Background(), 0, afterSeed{
+		ChaosBackend: target.Chaos,
+		once:         new(sync.Once),
+		hook: func() {
+			writeShard(t, r, 0, 10, next)
+			if err := nodes[0].Store.Save(); err != nil {
+				t.Error(err)
+			}
+		},
+	})
+	if err != nil || st.Outcome != "ok" {
+		t.Fatalf("migration = %+v, %v", st, err)
+	}
+	if n := target.Chaos.Calls("ApplySnapshot"); n != 2 {
+		t.Fatalf("target took %d snapshots, want the seed and one fallback", n)
+	}
+	if st.ShippedMutations != 0 {
+		t.Fatalf("snapshot fallback reported %d shipped mutations", st.ShippedMutations)
+	}
+	if rs := r.ResyncStats(); rs != (cluster.ResyncStats{}) {
+		t.Fatalf("migration counted in resync stats: %+v", rs)
+	}
+	RequireConverged(t, nodes[0].Store, target.Store)
 }
